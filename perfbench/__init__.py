@@ -1,0 +1,6 @@
+"""Seeded benchmark for contour-seeker.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root.  ``BENCHMARK.json`` lists the
+workloads and metrics; ``perfbench/NOTES.md`` explains them.
+"""
