@@ -67,12 +67,6 @@ class AcquisitionContext:
         return beta_n(self.n, self.num_combos, self.alpha)
 
 
-def _as_arrays(preds) -> tuple[np.ndarray, np.ndarray]:
-    means = np.array([p.mean for p in preds], dtype=float)
-    sds = np.array([p.sd for p in preds], dtype=float)
-    return means, sds
-
-
 def _ei_array(means: np.ndarray, sds: np.ndarray, level: float, ei_alpha: float) -> np.ndarray:
     out = np.zeros_like(means)
     pos = sds > 0
@@ -158,12 +152,11 @@ class RegionPartition:
     ub: np.ndarray
 
 
-def partition(preds, ctx: AcquisitionContext) -> RegionPartition:
-    if len(preds) == 0:
-        raise ValidationError("partition: empty prediction list")
-    means, sds = _as_arrays(preds)
+def partition(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> RegionPartition:
+    if len(means) == 0:
+        raise ValidationError("partition: empty prediction arrays")
     lb, ub = _bound_arrays(means, sds, ctx)
-    idx = np.arange(len(preds))
+    idx = np.arange(len(means))
     in_a1 = lb > 0
     min_ub = float(np.min(ub))
     a1 = idx[in_a1]
@@ -177,20 +170,18 @@ def partition(preds, ctx: AcquisitionContext) -> RegionPartition:
     )
 
 
-def select_a1(preds, part: RegionPartition) -> int | None:
+def select_a1(sds: np.ndarray, part: RegionPartition) -> int | None:
     """Largest predictive sd inside the restricted exploration region."""
     if len(part.a1_min) == 0:
         return None
-    _, sds = _as_arrays(preds)
-    sub = sds[part.a1_min]
-    return int(part.a1_min[np.argmax(sub)])
+    return int(part.a1_min[np.argmax(sds[part.a1_min])])
 
 
-def select_a2(preds, part: RegionPartition, ctx: AcquisitionContext, inner: str = "ecl") -> int | None:
+def select_a2(means: np.ndarray, sds: np.ndarray, part: RegionPartition, ctx: AcquisitionContext,
+              inner: str = "ecl") -> int | None:
     """Best inner criterion (entropy or expected improvement) inside the band region."""
     if len(part.a2) == 0:
         return None
-    means, sds = _as_arrays(preds)
     if inner == "ecl":
         vals = _ecl_array(means[part.a2], sds[part.a2], ctx.contour_level)
     elif inner == "ei":
@@ -224,16 +215,17 @@ class SelectionReport:
 
 
 def _score(mean: float, sd: float, ctx: AcquisitionContext) -> float:
-    return sd / max(ctx.delta, abs(mean - ctx.contour_level))
+    return float(sd / max(ctx.delta, abs(mean - ctx.contour_level)))
 
 
-def _finalist(preds, i: int, ctx: AcquisitionContext, acq_value: float) -> Finalist:
-    p = preds[i]
-    return Finalist(i, p.mean, p.sd, acq_value, _score(p.mean, p.sd, ctx))
+def _finalist(means, sds, i: int, ctx: AcquisitionContext, acq_value: float) -> Finalist:
+    mean, sd = float(means[i]), float(sds[i])
+    return Finalist(i, mean, sd, acq_value, _score(mean, sd, ctx))
 
 
-def arbitrate(preds, i1: int | None, i2: int | None, ctx: AcquisitionContext,
-              part: RegionPartition | None = None, inner: str = "ecl") -> SelectionReport:
+def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None,
+              ctx: AcquisitionContext, part: RegionPartition | None = None,
+              inner: str = "ecl") -> SelectionReport:
     """Pick between the two region finalists by sd / max(delta, |mean - a|).
 
     Ties go to the band-region finalist; a single finalist is chosen with
@@ -241,14 +233,12 @@ def arbitrate(preds, i1: int | None, i2: int | None, ctx: AcquisitionContext,
     """
     if i1 is None and i2 is None:
         raise SelectionError("arbitrate: no finalist from either region")
-    _, sds = _as_arrays(preds)
-    f1 = _finalist(preds, i1, ctx, float(sds[i1])) if i1 is not None else None
-    acq2 = None
+    f1 = _finalist(means, sds, i1, ctx, float(sds[i1])) if i1 is not None else None
+    f2 = None
     if i2 is not None:
-        p2 = preds[i2]
-        acq2 = (ecl(p2.mean, p2.sd, ctx.contour_level) if inner == "ecl"
-                else ei_contour(p2.mean, p2.sd, ctx))
-    f2 = _finalist(preds, i2, ctx, acq2) if i2 is not None else None
+        mean2, sd2 = float(means[i2]), float(sds[i2])
+        acq2 = ecl(mean2, sd2, ctx.contour_level) if inner == "ecl" else ei_contour(mean2, sd2, ctx)
+        f2 = _finalist(means, sds, i2, ctx, acq2)
 
     if f1 is not None and f2 is not None:
         chosen, region = (f1.index, "A1") if f1.score > f2.score else (f2.index, "A2")
@@ -262,34 +252,33 @@ def arbitrate(preds, i1: int | None, i2: int | None, ctx: AcquisitionContext,
     return SelectionReport(chosen, region, f1, f2, sizes[0], sizes[1], sizes[2], min_ub)
 
 
-def select_rcc(preds, ctx: AcquisitionContext, inner: str = "ecl") -> SelectionReport:
+def select_rcc(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
+               inner: str = "ecl") -> SelectionReport:
     """Full region-based cooperative step: partition, per-region picks, arbitration."""
-    part = partition(preds, ctx)
-    i1 = select_a1(preds, part)
-    i2 = select_a2(preds, part, ctx, inner=inner)
-    return arbitrate(preds, i1, i2, ctx, part, inner=inner)
+    part = partition(means, sds, ctx)
+    i1 = select_a1(sds, part)
+    i2 = select_a2(means, sds, part, ctx, inner=inner)
+    return arbitrate(means, sds, i1, i2, ctx, part, inner=inner)
 
 
-def select_arsd(preds, ctx: AcquisitionContext) -> int:
+def select_arsd(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> int:
     """Distance criterion restricted to the adaptive region {lb <= min ub}.
 
     The restriction is never empty: the candidate attaining the minimum
     upper bound has lb <= ub = min_ub.
     """
-    if len(preds) == 0:
-        raise ValidationError("select_arsd: empty prediction list")
-    means, sds = _as_arrays(preds)
+    if len(means) == 0:
+        raise ValidationError("select_arsd: empty prediction arrays")
     lb, ub = _bound_arrays(means, sds, ctx)
     restricted = np.flatnonzero(lb <= np.min(ub))
     crit = np.abs(means[restricted] - ctx.contour_level) - ctx.rho * sds[restricted]
     return int(restricted[np.argmin(crit)])
 
 
-def select_global(preds, ctx: AcquisitionContext, kind: str) -> int:
+def select_global(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext, kind: str) -> int:
     """Unrestricted argmax (EI, ECL) or argmin (LCB) over all candidates."""
-    if len(preds) == 0:
-        raise ValidationError("select_global: empty prediction list")
-    means, sds = _as_arrays(preds)
+    if len(means) == 0:
+        raise ValidationError("select_global: empty prediction arrays")
     if kind == "ei":
         return int(np.argmax(_ei_array(means, sds, ctx.contour_level, ctx.ei_alpha)))
     if kind == "ecl":

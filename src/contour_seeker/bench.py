@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import AcquisitionContext, beta_n, partition
-from .design_space import DesignSpace, MixedPoint, candidate_set
+from .acquisition import AcquisitionContext, partition
+from .design_space import DesignSpace, MixedPoint, candidate_set, point_arrays
 from .engine import CampaignConfig, Strategy, derive_seed, run_adaptive, run_one_shot
 from .errors import ContourSeekerError, MetricUndefinedError, ValidationError
-from .ezgp import Dataset, EzGpParams, FitConfig, FittedModel, condition, predict_batch
+from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, condition,
+                   cross_covariance, predict_batch)
 from .simulators import Simulator, get_transform
 
 # Seed tags local to the benchmark layer.
@@ -63,8 +64,7 @@ def reference_contour(sim: Simulator, space: DesignSpace, level: float, eps: flo
 def m_c0(model: FittedModel, ref: ReferenceContour) -> float:
     """Mean absolute gap between true values and predictive means on the
     reference set; zero iff the surrogate is exact there."""
-    preds = predict_batch(model, ref.points)
-    means = np.array([p.mean for p in preds])
+    means, _ = predict_batch(model, ref.points)
     return float(np.mean(np.abs(ref.truths - means)))
 
 
@@ -269,17 +269,6 @@ class CoverageResult:
     theorem1_violations: int
 
 
-def _sampling_cholesky(gram: np.ndarray) -> np.ndarray:
-    scale = float(np.mean(np.diag(gram)))
-    jitter = 1e-8 * scale
-    while jitter <= 1e-4 * scale * (1 + 1e-9):
-        try:
-            return np.linalg.cholesky(gram + jitter * np.eye(gram.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10
-    raise ContourSeekerError("grid Gram matrix is not factorizable for path sampling")
-
-
 def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, alpha: float,
                    draws: int, per_combo: int, seed: int, n_train: int = 10) -> CoverageResult:
     """Sample GP paths on a finite grid, condition on a small random subset
@@ -300,13 +289,11 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     if n_train > n_grid:
         raise ValidationError(f"n_train={n_train} exceeds grid size {n_grid}")
 
-    from .ezgp import cross_covariance
-    x = np.array([pt.x for pt in points])
-    z = (np.array([pt.z for pt in points], dtype=int)
-         if space.q else np.zeros((n_grid, 0), dtype=int))
-    chol = _sampling_cholesky(cross_covariance(true_params, x, z, x, z))
-    beta = beta_n(n_train, space.num_combos, alpha)
-    root_beta = math.sqrt(beta)
+    x, z = point_arrays(points)
+    chol = np.tril(_factor_gram(cross_covariance(true_params, x, z, x, z))[0][0])
+    ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
+                             alpha=alpha, delta=1.0)
+    root_beta = math.sqrt(ctx.beta)
 
     hits = skipped = violations = checked = 0
     for d in range(draws):
@@ -318,18 +305,14 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         except ContourSeekerError:
             skipped += 1
             continue
-        preds = predict_batch(model, points)
-        ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
-                                 alpha=alpha, delta=1.0)
-        part = partition(preds, ctx)
+        means, sds = predict_batch(model, points)
+        part = partition(means, sds, ctx)
         h = np.abs(path - level)
         h_min = float(np.min(h))
         lo, hi = float(np.min(part.lb)), float(np.min(part.ub))
         if lo - 1e-12 <= h_min <= hi + 1e-12:
             hits += 1
             checked += 1
-            sds = np.array([p.sd for p in preds])
-            means = np.array([p.mean for p in preds])
             region = np.concatenate([part.a1_min, part.a2])
             sup_sd = float(np.max(sds[region])) if len(region) else 0.0
             mu_tilde_min = float(np.min(np.abs(means - level)))

@@ -89,6 +89,12 @@ class MixedPoint:
     z: tuple[int, ...] = ()
 
 
+def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
+    """(n, p) normalized coordinates and (n, q) level indices of a non-empty point sequence."""
+    return (np.array([pt.x for pt in points], dtype=float),
+            np.array([pt.z for pt in points], dtype=int))
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """per_combo quantitative LHD points attached to every level combination."""

@@ -9,17 +9,17 @@ streams and differ only at the selection step.
 """
 from __future__ import annotations
 
-import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .acquisition import AcquisitionContext, SelectionReport, select_arsd, select_global, select_rcc
-from .design_space import CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design, one_shot_design
+from .design_space import (CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design,
+                           one_shot_design, point_arrays)
 from .errors import CampaignError, ContourSeekerError, EvaluationError, ValidationError
-from .ezgp import (DUPLICATE_TOL, Dataset, FitConfig, FittedModel, fit,
-                   params_to_dict, predict_batch)
+from .ezgp import Dataset, FitConfig, FittedModel, coincident, fit, params_to_dict, predict_batch
 from .simulators import Simulator, get_transform
 
 STRATEGY_KINDS = ("rcc", "rcc_ei", "arsd", "ecl", "ei", "lcb", "one_shot")
@@ -137,16 +137,17 @@ def _context(strategy: Strategy, level_eff: float, data: Dataset, num_combos: in
     )
 
 
-def select_point(preds, ctx: AcquisitionContext, strategy: Strategy) -> SelectionReport:
+def select_point(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
+                 strategy: Strategy) -> SelectionReport:
     """Dispatch one selection step; returns a report with the chosen index."""
     if strategy.kind == "rcc":
-        return select_rcc(preds, ctx, inner="ecl")
+        return select_rcc(means, sds, ctx, inner="ecl")
     if strategy.kind == "rcc_ei":
-        return select_rcc(preds, ctx, inner="ei")
+        return select_rcc(means, sds, ctx, inner="ei")
     if strategy.kind == "arsd":
-        idx = select_arsd(preds, ctx)
+        idx = select_arsd(means, sds, ctx)
     elif strategy.kind in ("ecl", "ei", "lcb"):
-        idx = select_global(preds, ctx, strategy.kind)
+        idx = select_global(means, sds, ctx, strategy.kind)
     else:
         raise ValidationError(f"strategy {strategy.kind!r} has no selection step")
     return SelectionReport(idx, "global", None, None, 0, 0, 0, float("nan"))
@@ -154,15 +155,24 @@ def select_point(preds, ctx: AcquisitionContext, strategy: Strategy) -> Selectio
 
 def _duplicate_mask(points, data: Dataset) -> np.ndarray:
     """True where a candidate coincides with an existing design point."""
-    xc = np.array([pt.x for pt in points], dtype=float)
-    mask = np.zeros(len(points), dtype=bool)
-    for existing in data.points:
-        same_x = np.max(np.abs(xc - np.array(existing.x)), axis=1) <= DUPLICATE_TOL
-        if same_x.any():
-            for i in np.flatnonzero(same_x):
-                if points[i].z == existing.z:
-                    mask[i] = True
-    return mask
+    x, z = point_arrays(data.points)
+    return coincident(*point_arrays(points), x, z).any(axis=1)
+
+
+def _evaluate(sim: Simulator, point: MixedPoint) -> float:
+    """The simulator's response at one input; a non-finite response is an EvaluationError."""
+    y = sim.evaluate(point)
+    if not math.isfinite(y):
+        raise EvaluationError(f"simulator returned {y!r} at x={point.x}, z={point.z}")
+    return y
+
+
+def _evaluate_design(sim: Simulator, points) -> list[float]:
+    """Responses of a starting design; a failure here aborts before any trace exists."""
+    try:
+        return [_evaluate(sim, pt) for pt in points]
+    except EvaluationError as exc:
+        raise CampaignError(f"simulator failed on the starting design: {exc}") from exc
 
 
 def _remap_report(report: SelectionReport, keep_idx: np.ndarray) -> SelectionReport:
@@ -187,14 +197,15 @@ def _fit_with_retry(data: Dataset, space: DesignSpace, cfg: FitConfig, warm) -> 
 
 def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
     """Execute one adaptive campaign; raises CampaignError with the partial
-    trace attached if the simulator or a retried fit fails."""
+    trace attached if the simulator or a retried fit fails (no trace when
+    the starting design fails)."""
     tr = get_transform(cfg.transform)
     level_eff = tr.apply(cfg.level)
     space = cfg.space
     t0 = time.perf_counter()
 
     points = initial_design(space, cfg.n0, derive_seed(cfg.seed, _TAG_INIT))
-    raw = [sim.evaluate(pt) for pt in points]
+    raw = _evaluate_design(sim, points)
     data = Dataset(tuple(points), np.array([tr.apply(v) for v in raw]), transform=cfg.transform)
 
     trace = CampaignTrace(cfg, [], data, list(raw), None)
@@ -227,13 +238,13 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
         kept = [cand.points[i] for i in keep_idx]
         note = "" if len(kept) == len(cand.points) else f"skipped {int(dup.sum())} duplicate candidates"
 
-        preds = predict_batch(model, kept)
+        means, sds = predict_batch(model, kept)
         ctx = _context(cfg.strategy, level_eff, data, space.num_combos)
-        report = _remap_report(select_point(preds, ctx, cfg.strategy), keep_idx)
+        report = _remap_report(select_point(means, sds, ctx, cfg.strategy), keep_idx)
         chosen = cand.points[report.chosen_index]
 
         try:
-            y_raw = sim.evaluate(chosen)
+            y_raw = _evaluate(sim, chosen)
         except EvaluationError as exc:
             trace.aborted, trace.error = True, f"simulator failed at n={n}: {exc}"
             raise CampaignError(trace.error, trace) from exc
@@ -270,7 +281,7 @@ def run_one_shot(sim: Simulator, space: DesignSpace, n: int, seed: int,
                          per_combo=1, seed=seed, fit=fit_config, transform=transform)
     t0 = time.perf_counter()
     points = one_shot_design(space, n, derive_seed(seed, _TAG_INIT))
-    raw = [sim.evaluate(pt) for pt in points]
+    raw = _evaluate_design(sim, points)
     data = Dataset(tuple(points), np.array([tr.apply(v) for v in raw]), transform=transform)
     trace = CampaignTrace(cfg, [], data, list(raw), None)
     try:
@@ -295,7 +306,7 @@ def suggest_next(model: FittedModel, candidates: CandidateSet, strategy: Strateg
     if len(points) == 0:
         raise ValidationError("suggest_next: empty candidate set")
     level_eff = get_transform(model.data.transform).apply(level)
-    preds = predict_batch(model, points)
+    means, sds = predict_batch(model, points)
     ctx = _context(strategy, level_eff, model.data, model.space.num_combos)
-    report = select_point(preds, ctx, strategy)
+    report = select_point(means, sds, ctx, strategy)
     return points[report.chosen_index], report

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import minimize
 
-from .design_space import DesignSpace, MixedPoint, _unit_lhd
+from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
 from .errors import FitFailureError, IllConditionedModelError, ValidationError
 
 # Jitter ladder, relative to the (constant) Gram diagonal.
@@ -76,6 +76,9 @@ class Dataset:
             raise ValidationError("points and responses must have equal length")
         if len(self.points) < 2:
             raise ValidationError("a dataset needs at least 2 observations")
+        bad = np.flatnonzero(~np.isfinite(self.responses))
+        if len(bad):
+            raise ValidationError(f"non-finite responses at indices {bad.tolist()}")
         dupes = self.duplicate_pairs()
         if dupes:
             raise ValidationError(f"duplicate design points at index pairs {dupes}")
@@ -84,21 +87,15 @@ class Dataset:
         return len(self.points)
 
     def duplicate_pairs(self) -> list[tuple[int, int]]:
-        x = self.x_matrix()
-        pairs = []
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if self.points[i].z == self.points[j].z and np.max(np.abs(x[i] - x[j])) <= DUPLICATE_TOL:
-                    pairs.append((i, j))
-        return pairs
+        x, z = point_arrays(self.points)
+        rows, cols = np.nonzero(np.triu(coincident(x, z, x, z), k=1))
+        return [(int(i), int(j)) for i, j in zip(rows, cols)]
 
     def x_matrix(self) -> np.ndarray:
-        return np.array([pt.x for pt in self.points], dtype=float)
+        return point_arrays(self.points)[0]
 
     def z_matrix(self) -> np.ndarray:
-        if self.points[0].z == ():
-            return np.zeros((len(self.points), 0), dtype=int)
-        return np.array([pt.z for pt in self.points], dtype=int)
+        return point_arrays(self.points)[1]
 
     def extended(self, point: MixedPoint, y: float) -> "Dataset":
         return Dataset(self.points + (point,), np.append(self.responses, y), self.transform)
@@ -120,34 +117,33 @@ def covariance(params: EzGpParams, a: MixedPoint, b: MixedPoint) -> float:
     return float(val)
 
 
+def coincident(x1, z1, x2, z2) -> np.ndarray:
+    """(n1, n2) mask of input pairs that share every level and differ by at
+    most DUPLICATE_TOL in every quantitative coordinate."""
+    same_x = np.max(np.abs(x1[:, None, :] - x2[None, :, :]), axis=2) <= DUPLICATE_TOL
+    return same_x & np.all(z1[:, None, :] == z2[None, :, :], axis=2)
+
+
 def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     """Covariance matrix between two point sets given as (n,p) and (n,q) arrays."""
-    d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
-    k = params.sigma2[0] * np.exp(-(d2 @ params.theta0))
-    for h, mat in enumerate(params.theta):
-        for level in range(mat.shape[1]):
-            mask = (z1[:, h] == level + 1)[:, None] & (z2[:, h] == level + 1)[None, :]
-            if mask.any():
-                k += np.where(mask, params.sigma2[h + 1] * np.exp(-(d2 @ mat[:, level])), 0.0)
-    return k
+    levels = tuple(mat.shape[1] for mat in params.theta)
+    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(params)
 
 
 class _KernelWorkspace:
-    """Caches the squared-distance tensor and level masks of one dataset,
-    so repeated likelihood evaluations only reweight and exponentiate."""
+    """Caches the squared-distance tensor and shared-level masks between two
+    point sets, so repeated Gram builds only reweight and exponentiate."""
 
-    def __init__(self, data: Dataset, space: DesignSpace):
-        x = data.x_matrix()
-        z = data.z_matrix()
-        self.n = len(data)
-        self.d2 = np.square(x[:, None, :] - x[None, :, :])  # (n, n, p)
-        self.masks = []  # per factor: list of boolean (n, n) masks per level
-        for h, m in enumerate(space.qual_levels):
-            per_level = []
-            for level in range(1, m + 1):
-                eq = z[:, h] == level
-                per_level.append(eq[:, None] & eq[None, :])
-            self.masks.append(per_level)
+    def __init__(self, x1, z1, x2, z2, qual_levels):
+        self.d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
+        self.masks = [[(z1[:, h] == level)[:, None] & (z2[:, h] == level)[None, :]
+                       for level in range(1, m + 1)]
+                      for h, m in enumerate(qual_levels)]
+
+    @classmethod
+    def of(cls, data: Dataset, space: DesignSpace) -> "_KernelWorkspace":
+        x, z = point_arrays(data.points)
+        return cls(x, z, x, z, space.qual_levels)
 
     def gram(self, params: EzGpParams) -> np.ndarray:
         k = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
@@ -171,8 +167,7 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     When ``jitter`` is None, starts at 1e-8 x (mean Gram diagonal) and
     escalates tenfold up to 1e-4 before giving up.
     """
-    ws = _KernelWorkspace(data, space)
-    return _factor_gram(ws.gram(params), jitter)
+    return _factor_gram(_KernelWorkspace.of(data, space).gram(params), jitter)
 
 
 def _factor_gram(phi: np.ndarray, jitter: float | None = None):
@@ -329,14 +324,17 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     Returns the best factorizable local optimum over all starts; the
     achieved objective never exceeds any start's initial objective.
     """
-    ws = _KernelWorkspace(data, space)
+    ws = _KernelWorkspace.of(data, space)
     y = data.responses
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
 
+    def jitter_of(phi: np.ndarray) -> float:
+        return _JITTER_START * config.jitter_scale * float(np.mean(np.diag(phi)))
+
     def objective(vec: np.ndarray) -> float:
         phi = ws.gram(_unpack(vec, space))
-        factor = _try_cholesky(phi, _JITTER_START * config.jitter_scale * float(np.mean(np.diag(phi))))
+        factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
             return np.inf
         return _profiled_nll(factor, y)[0]
@@ -363,8 +361,11 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     for fb, _idx, xb, _f0 in results:
         if not np.isfinite(fb):
             continue
+        params = _unpack(xb, space)
         try:
-            model = condition(_unpack(xb, space), data, space, nll=fb)
+            # condition at the objective's jitter, so the stored nll is the
+            # likelihood of the returned factor
+            model = condition(params, data, space, jitter=jitter_of(ws.gram(params)))
         except IllConditionedModelError:
             continue
         model.start_objectives = path
@@ -374,23 +375,20 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
 def predict(model: FittedModel, w: MixedPoint) -> Prediction:
     """Predictive mean and standard deviation at one input."""
-    return predict_batch(model, [w])[0]
+    means, sds = predict_batch(model, [w])
+    return Prediction(float(means[0]), float(sds[0]))
 
 
-def predict_batch(model: FittedModel, pts) -> list[Prediction]:
-    """Elementwise predictions, order preserved.
+def predict_batch(model: FittedModel, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive (means, sds) arrays, order preserved.
 
     Accepts a CandidateSet or any sequence of MixedPoint.
     """
     seq = pts.points if hasattr(pts, "points") else pts
     if len(seq) == 0:
-        return []
-    xc = np.array([pt.x for pt in seq], dtype=float)
-    zc = (np.array([pt.z for pt in seq], dtype=int)
-          if seq[0].z != () else np.zeros((len(seq), 0), dtype=int))
-    x = model.data.x_matrix()
-    z = model.data.z_matrix()
-    r = cross_covariance(model.params, x, z, xc, zc)  # (n, m)
+        return np.empty(0), np.empty(0)
+    x, z = point_arrays(model.data.points)
+    r = cross_covariance(model.params, x, z, *point_arrays(seq))  # (n, m)
     means = model.mu_hat + r.T @ model.resid_solve
     sol_r = sla.cho_solve(model.factor, r)
     quad = np.sum(r * sol_r, axis=0)
@@ -399,8 +397,7 @@ def predict_batch(model: FittedModel, pts) -> list[Prediction]:
     clipped = var < -1e-8
     if clipped.any():
         model.clip_count += int(np.sum(clipped))
-    var = np.maximum(var, 0.0)
-    return [Prediction(float(m), float(sd)) for m, sd in zip(means, np.sqrt(var))]
+    return means, np.sqrt(np.maximum(var, 0.0))
 
 
 def params_to_dict(params: EzGpParams) -> dict:

@@ -60,3 +60,8 @@ def random_points(space, n, rng, min_dist=0.02):
             points.append(cs.MixedPoint(x, z))
     assert len(points) == n
     return points
+
+
+def arrays(preds):
+    """(means, sds) arrays of a list of predictions."""
+    return np.array([p.mean for p in preds]), np.array([p.sd for p in preds])

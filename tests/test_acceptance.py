@@ -145,8 +145,10 @@ def test_criterion_4_partition_invariants():
         n = int(rng.integers(1, 80))
         preds = [cs.Prediction(float(rng.normal(scale=2.0)), float(rng.uniform(0, 2.0)))
                  for _ in range(n)]
+        means = np.array([p.mean for p in preds])
+        sds = np.array([p.sd for p in preds])
         ctx = cs.AcquisitionContext(float(rng.normal()), int(rng.integers(1, 60)), 3, delta=0.05)
-        part = cs.partition(preds, ctx)
+        part = cs.partition(means, sds, ctx)
         assert len(part.a1) + len(part.a2) == n
         assert set(part.a1).isdisjoint(part.a2)
         assert set(part.a1_min) <= set(part.a1)
@@ -154,7 +156,7 @@ def test_criterion_4_partition_invariants():
             assert part.lb[i] <= part.min_ub
         for i in set(part.a1) - set(part.a1_min):
             assert part.lb[i] > part.min_ub
-        idx = cs.select_arsd(preds, ctx)
+        idx = cs.select_arsd(means, sds, ctx)
         assert 0 <= idx < n
     report(4, "1000 random prediction sets")
 

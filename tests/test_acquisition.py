@@ -8,6 +8,8 @@ import contour_seeker as cs
 from contour_seeker.acquisition import Finalist
 from contour_seeker.errors import SelectionError, ValidationError
 
+from conftest import arrays
+
 P = cs.Prediction
 
 
@@ -134,12 +136,12 @@ def random_preds(rng, n):
 class TestPartition:
     def test_huge_sd_everything_in_band_region(self):
         preds = [P(5.0, 100.0), P(-3.0, 50.0)]
-        part = cs.partition(preds, ctx_for())
+        part = cs.partition(*arrays(preds), ctx_for())
         assert len(part.a1) == 0 and list(part.a2) == [0, 1]
 
     def test_zero_sd_means_off_level(self):
         preds = [P(2.0, 0.0), P(1.5, 0.0), P(3.0, 0.0), P(1.5, 0.0)]
-        part = cs.partition(preds, ctx_for(level=1.0))
+        part = cs.partition(*arrays(preds), ctx_for(level=1.0))
         assert len(part.a2) == 0
         assert sorted(part.a1) == [0, 1, 2, 3]
         # the filter keeps exactly the argmin-|mean-level| set
@@ -149,7 +151,7 @@ class TestPartition:
     def test_disjoint_cover(self, n, seed):
         rng = np.random.default_rng(seed)
         preds = random_preds(rng, n)
-        part = cs.partition(preds, ctx_for())
+        part = cs.partition(*arrays(preds), ctx_for())
         assert len(part.a1) + len(part.a2) == n
         assert set(part.a1).isdisjoint(part.a2)
         assert set(part.a1_min) <= set(part.a1)
@@ -164,46 +166,46 @@ class TestSelectA1:
     def test_singleton(self):
         preds = [P(10.0, 0.1), P(0.0, 5.0)]
         ctx = ctx_for(level=0.0, n=100)
-        part = cs.partition(preds, ctx)
+        part = cs.partition(*arrays(preds), ctx)
         if len(part.a1_min) == 1:
-            assert cs.select_a1(preds, part) == part.a1_min[0]
+            assert cs.select_a1(arrays(preds)[1], part) == part.a1_min[0]
 
     def test_tie_smallest_index(self):
         # a wide A2 candidate keeps min_ub large enough to admit both A1 points
         preds = [P(3.0, 0.1), P(3.0, 0.1), P(0.0, 5.0)]
-        part = cs.partition(preds, ctx_for(level=0.0))
+        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
         assert sorted(part.a1) == [0, 1]
         assert sorted(part.a1_min) == [0, 1]
-        assert cs.select_a1(preds, part) == 0
+        assert cs.select_a1(arrays(preds)[1], part) == 0
 
     def test_empty_region(self):
         preds = [P(0.0, 10.0)]
-        part = cs.partition(preds, ctx_for())
-        assert cs.select_a1(preds, part) is None
+        part = cs.partition(*arrays(preds), ctx_for())
+        assert cs.select_a1(arrays(preds)[1], part) is None
 
 
 class TestSelectA2:
     def test_singleton(self):
         preds = [P(100.0, 0.01), P(0.0, 1.0)]
-        part = cs.partition(preds, ctx_for(level=0.0))
+        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
         assert list(part.a2) == [1]
-        assert cs.select_a2(preds, part, ctx_for(level=0.0)) == 1
+        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) == 1
 
     def test_entropy_peak_wins(self):
         preds = [P(0.0, 1.0), P(0.9, 1.0), P(-2.0, 1.5)]
-        part = cs.partition(preds, ctx_for(level=0.0))
-        assert cs.select_a2(preds, part, ctx_for(level=0.0)) == 0
+        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
+        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) == 0
 
     def test_empty_region(self):
         preds = [P(50.0, 0.001)]
-        part = cs.partition(preds, ctx_for(level=0.0))
-        assert cs.select_a2(preds, part, ctx_for(level=0.0)) is None
+        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
+        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) is None
 
     def test_ei_inner(self):
         preds = [P(10.0, 4.0), P(0.0, 4.0)]
         ctx = ctx_for(level=0.0)
-        part = cs.partition(preds, ctx)
-        assert cs.select_a2(preds, part, ctx, inner="ei") == 1
+        part = cs.partition(*arrays(preds), ctx)
+        assert cs.select_a2(*arrays(preds), part, ctx, inner="ei") == 1
 
 
 class TestArbitrate:
@@ -211,76 +213,76 @@ class TestArbitrate:
         # both finalists within delta of the level: score reduces to sd/delta
         ctx = ctx_for(level=0.0, delta=0.5)
         preds = [P(0.1, 0.4), P(-0.2, 1.1)]
-        report = cs.arbitrate(preds, 0, 1, ctx)
+        report = cs.arbitrate(*arrays(preds), 0, 1, ctx)
         assert report.chosen_index == 1
 
     def test_single_finalist_is_fallback(self):
         ctx = ctx_for(level=0.0)
         preds = [P(0.3, 0.2), P(5.0, 0.1)]
-        report = cs.arbitrate(preds, None, 1, ctx)
+        report = cs.arbitrate(*arrays(preds), None, 1, ctx)
         assert report.chosen_index == 1 and report.region == "fallback"
-        report = cs.arbitrate(preds, 0, None, ctx)
+        report = cs.arbitrate(*arrays(preds), 0, None, ctx)
         assert report.chosen_index == 0 and report.region == "fallback"
 
     def test_no_finalists(self):
         with pytest.raises(SelectionError):
-            cs.arbitrate([P(0.0, 1.0)], None, None, ctx_for())
+            cs.arbitrate(*arrays([P(0.0, 1.0)]), None, None, ctx_for())
 
     def test_score_shift_invariance(self):
         preds_a = [P(1.3, 0.6), P(2.0, 0.9)]
         preds_b = [P(11.3, 0.6), P(12.0, 0.9)]
-        ra = cs.arbitrate(preds_a, 0, 1, ctx_for(level=1.0))
-        rb = cs.arbitrate(preds_b, 0, 1, ctx_for(level=11.0))
+        ra = cs.arbitrate(*arrays(preds_a), 0, 1, ctx_for(level=1.0))
+        rb = cs.arbitrate(*arrays(preds_b), 0, 1, ctx_for(level=11.0))
         assert ra.chosen_index == rb.chosen_index
         assert ra.a1_finalist.score == pytest.approx(rb.a1_finalist.score, rel=1e-12)
 
     def test_tie_prefers_band_region(self):
         ctx = ctx_for(level=0.0, delta=1.0)
         preds = [P(0.0, 0.7), P(0.0, 0.7)]
-        assert cs.arbitrate(preds, 0, 1, ctx).region == "A2"
+        assert cs.arbitrate(*arrays(preds), 0, 1, ctx).region == "A2"
 
 
 class TestSelectArsd:
     def test_single_candidate(self):
-        assert cs.select_arsd([P(3.0, 1.0)], ctx_for()) == 0
+        assert cs.select_arsd(*arrays([P(3.0, 1.0)]), ctx_for()) == 0
 
     def test_rho_zero_equal_sd(self):
         ctx = ctx_for(level=1.0, rho=0.0)
         preds = [P(3.0, 1.0), P(1.2, 1.0), P(0.0, 1.0)]
-        assert cs.select_arsd(preds, ctx) == 1
+        assert cs.select_arsd(*arrays(preds), ctx) == 1
 
     def test_high_lb_excluded(self):
         # candidate 0 is precisely known and far from the level: lb > min ub
         ctx = ctx_for(level=0.0, n=50, rho=1000.0)
         preds = [P(10.0, 1e-6), P(0.5, 0.01)]
-        part = cs.partition(preds, ctx)
+        part = cs.partition(*arrays(preds), ctx)
         assert part.lb[0] > part.min_ub
-        assert cs.select_arsd(preds, ctx) == 1
+        assert cs.select_arsd(*arrays(preds), ctx) == 1
 
     @given(st.integers(1, 50), st.integers(0, 10_000))
     def test_restriction_never_empty(self, n, seed):
         rng = np.random.default_rng(seed)
         preds = random_preds(rng, n)
-        idx = cs.select_arsd(preds, ctx_for())
+        idx = cs.select_arsd(*arrays(preds), ctx_for())
         assert 0 <= idx < n
 
 
 class TestSelectGlobal:
     def test_single_candidate(self):
         for kind in ("ei", "ecl", "lcb"):
-            assert cs.select_global([P(1.0, 1.0)], ctx_for(), kind) == 0
+            assert cs.select_global(*arrays([P(1.0, 1.0)]), ctx_for(), kind) == 0
 
     def test_ecl_prefers_uncertain_level_point(self):
         preds = [P(0.0, 0.0), P(0.0, 1.0), P(3.0, 0.0)]
-        assert cs.select_global(preds, ctx_for(level=0.0), "ecl") == 1
+        assert cs.select_global(*arrays(preds), ctx_for(level=0.0), "ecl") == 1
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         preds = random_preds(rng, 20)
         shifted = [P(p.mean + 5.0, p.sd) for p in preds]
         for kind in ("ei", "ecl", "lcb"):
-            assert (cs.select_global(preds, ctx_for(level=0.0), kind)
-                    == cs.select_global(shifted, ctx_for(level=5.0), kind))
+            assert (cs.select_global(*arrays(preds), ctx_for(level=0.0), kind)
+                    == cs.select_global(*arrays(shifted), ctx_for(level=5.0), kind))
 
     def test_permutation_maps_back(self):
         rng = np.random.default_rng(8)
@@ -288,30 +290,30 @@ class TestSelectGlobal:
         perm = rng.permutation(15)
         permuted = [preds[i] for i in perm]
         for kind in ("ei", "ecl", "lcb"):
-            i = cs.select_global(preds, ctx_for(), kind)
-            j = cs.select_global(permuted, ctx_for(), kind)
+            i = cs.select_global(*arrays(preds), ctx_for(), kind)
+            j = cs.select_global(*arrays(permuted), ctx_for(), kind)
             # unique optimum: the permuted winner is the same prediction
             assert permuted[j] == preds[i]
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            cs.select_global([P(0.0, 1.0)], ctx_for(), "nope")
+            cs.select_global(*arrays([P(0.0, 1.0)]), ctx_for(), "nope")
 
 
 class TestSelectRcc:
     def test_band_only_candidates_fall_back(self):
         preds = [P(0.0, 10.0), P(1.0, 10.0)]
         ctx = ctx_for(level=0.0)
-        report = cs.select_rcc(preds, ctx)
-        part = cs.partition(preds, ctx)
+        report = cs.select_rcc(*arrays(preds), ctx)
+        part = cs.partition(*arrays(preds), ctx)
         assert len(part.a1) == 0
         assert report.region == "fallback"
-        assert report.chosen_index == cs.select_a2(preds, part, ctx)
+        assert report.chosen_index == cs.select_a2(*arrays(preds), part, ctx)
 
     def test_report_records_both_finalists(self):
         ctx = ctx_for(level=0.0, n=30, delta=0.1)
         preds = [P(8.0, 0.3), P(0.2, 0.5), P(-4.0, 0.2)]
-        report = cs.select_rcc(preds, ctx)
+        report = cs.select_rcc(*arrays(preds), ctx)
         assert report.a1_size + report.a2_size == 3
         if report.a1_finalist and report.a2_finalist:
             assert isinstance(report.a1_finalist, Finalist)

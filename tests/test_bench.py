@@ -124,6 +124,21 @@ class TestReplicateBenchmark:
         assert not summary.valid
         assert math.isnan(summary.mean_m_c0)
 
+    def test_nonfinite_responses_keep_the_grid(self):
+        sim = cs.builtin_simulator("example1")
+        # level 1 has no finite response, and every starting design visits it
+        blind = cs.FunctionSimulator(
+            sim.space, lambda x, z: float("nan") if z[0] == 1 else sim.fn(x, z), "blind")
+        cfg = cs.BenchConfig(
+            strategies=(cs.Strategy("rcc", delta=0.05), cs.Strategy("one_shot")),
+            levels=(0.5,), budgets=(11,), n0=9, replicates=2,
+            per_combo=10, ref_per_combo=60, eps=0.05, seed=3, fit=QUICK_FIT,
+        )
+        result = cs.replicate_benchmark(blind, cfg)
+        assert len(result.rows) == 4
+        assert all(r.failed and "starting design" in r.error for r in result.rows)
+        assert [s.valid for s in result.summary] == [False, False]
+
 
 class TestCoverage:
     def truth(self, space):

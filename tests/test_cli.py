@@ -79,6 +79,19 @@ class TestRun:
         _, trows = read_csv(tmp_path / "out" / "trace.csv")
         assert trows == []
 
+    def test_nonfinite_table_response_exits_3(self, tmp_path, capsys):
+        table = tmp_path / "grid.csv"
+        rows = [f"{x / 10},{z},{'nan' if z == 2 else x / 10}" for x in range(11) for z in (1, 2)]
+        table.write_text("x_1,z_1,y\n" + "\n".join(rows) + "\n")
+        cfg = run_config(tmp_path, simulator={"table": str(table)},
+                         space={"quant_bounds": [[0.0, 1.0]], "qual_levels": [2]},
+                         level=0.5, n0=4, N=6)
+        assert main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "CampaignError" and "nan" in doc["message"]
+
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -233,9 +246,14 @@ class TestVerify:
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
         cfg = run_config(tmp_path, out=str(tmp_path / "pm"))
+        # the child imports the same package as this process, installed or not
+        src = str(Path(cs.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "contour_seeker", "run", str(cfg)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,8 @@ from contour_seeker.errors import CampaignError, ValidationError
 from contour_seeker.ezgp import condition, params_from_dict
 from contour_seeker.traceio import read_csv
 
+from conftest import arrays
+
 P = cs.Prediction
 
 
@@ -107,8 +109,61 @@ class TestRunAdaptive:
         assert len(trace.records) == 1
         assert len(trace.dataset) == 10
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_response_aborts_with_partial_trace(self, ex1_sim, bad):
+        class BadAfter:
+            space = ex1_sim.space
+            name = "nonfinite"
+
+            def __init__(self, limit):
+                self.calls = 0
+                self.limit = limit
+
+            def evaluate(self, point):
+                self.calls += 1
+                return bad if self.calls > self.limit else ex1_sim.evaluate(point)
+
+        with pytest.raises(CampaignError, match="simulator failed at n=10") as err:
+            cs.run_adaptive(BadAfter(10), quick_cfg(ex1_sim))
+        assert isinstance(err.value.__cause__, cs.EvaluationError)
+        trace = err.value.trace
+        assert trace.aborted
+        assert len(trace.records) == 1
+        assert len(trace.dataset) == 10
+
+        with pytest.raises(CampaignError, match="starting design"):
+            cs.run_adaptive(BadAfter(3), quick_cfg(ex1_sim))
+        with pytest.raises(CampaignError, match="starting design"):
+            cs.run_one_shot(BadAfter(3), ex1_sim.space, 6, seed=4,
+                            fit_config=cs.FitConfig(n_starts=2, max_fev=100))
+
 
 class TestDuplicateGuard:
+    @pytest.mark.parametrize("existing,cands,expected", [
+        # q=0: quantitative coordinates alone decide
+        ([((0.25, 0.5), ()), ((0.75, 0.1), ())],
+         [((0.25, 0.5), ()), ((0.25 + 5e-13, 0.5), ()), ((0.25, 0.5 + 1e-9), ())],
+         [True, True, False]),
+        # q=3: every level must match
+        ([((0.25,), (1, 2, 3)), ((0.75,), (3, 2, 1))],
+         [((0.25,), (1, 2, 3)), ((0.25,), (1, 2, 1)), ((0.75 - 5e-13,), (3, 2, 1)), ((0.75,), (1, 2, 3))],
+         [True, False, True, False]),
+    ])
+    def test_mask_factor_counts(self, existing, cands, expected):
+        data = cs.Dataset(tuple(cs.MixedPoint(x, z) for x, z in existing), np.array([1.0, 2.0]))
+        mask = _duplicate_mask([cs.MixedPoint(x, z) for x, z in cands], data)
+        assert mask.tolist() == expected
+
+    @pytest.mark.parametrize("pts,pairs", [
+        ([((0.1, 0.2), ()), ((0.3, 0.4), ()), ((0.1, 0.2), ()), ((0.3, 0.4 + 5e-13), ())],
+         [(0, 2), (1, 3)]),
+        ([((0.1,), (1, 1, 2)), ((0.1,), (1, 1, 1)), ((0.1,), (1, 1, 2))], [(0, 2)]),
+    ])
+    def test_dataset_duplicate_pairs(self, pts, pairs):
+        points = tuple(cs.MixedPoint(x, z) for x, z in pts)
+        with pytest.raises(ValidationError, match=", ".join(rf"\({i}, {j}\)" for i, j in pairs)):
+            cs.Dataset(points, np.arange(len(points), dtype=float))
+
     def test_mask_flags_exact_copy(self, ex1_space):
         pts = (cs.MixedPoint((0.25,), (1,)), cs.MixedPoint((0.75,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0]))
@@ -130,17 +185,17 @@ class TestSelectPointDispatch:
     def test_ecl_returns_max_entropy_candidate(self):
         preds = [P(1.0, 0.0), P(0.0, 2.0), P(4.0, 0.1)]
         ctx = cs.AcquisitionContext(0.0, 9, 3, delta=0.05)
-        report = select_point(preds, ctx, cs.Strategy("ecl"))
+        report = select_point(*arrays(preds), ctx, cs.Strategy("ecl"))
         assert report.chosen_index == 1
         assert report.region == "global"
 
     def test_rcc_all_in_band_equals_a2_pick(self):
         preds = [P(0.5, 10.0), P(0.0, 10.0)]
         ctx = cs.AcquisitionContext(0.0, 9, 3, delta=0.05)
-        report = select_point(preds, ctx, cs.Strategy("rcc"))
-        part = cs.partition(preds, ctx)
+        report = select_point(*arrays(preds), ctx, cs.Strategy("rcc"))
+        part = cs.partition(*arrays(preds), ctx)
         assert len(part.a1) == 0
-        assert report.chosen_index == cs.select_a2(preds, part, ctx)
+        assert report.chosen_index == cs.select_a2(*arrays(preds), part, ctx)
 
     def test_unknown_strategy_kind(self):
         with pytest.raises(ValidationError):
@@ -158,10 +213,10 @@ class TestSuggestNext:
 
     def test_matches_global_selector(self, small_model):
         cand = cs.candidate_set(small_model.space, 40, seed=12)
-        preds = cs.predict_batch(small_model, cand)
+        means, sds = cs.predict_batch(small_model, cand)
         ctx = cs.AcquisitionContext(-0.9, len(small_model.data), 3,
                                     delta=0.05, rho=2.0, ei_alpha=1.96)
-        expected = cs.select_global(preds, ctx, "ecl")
+        expected = cs.select_global(means, sds, ctx, "ecl")
         point, report = cs.suggest_next(small_model, cand,
                                         cs.Strategy("ecl", delta=0.05), level=-0.9)
         assert report.chosen_index == expected
@@ -229,11 +284,11 @@ class TestTracePersistence:
             cand = cs.candidate_set(space, cfg.per_combo, int(row[col["candidate_seed"]]))
             mask = _duplicate_mask(cand.points, data)
             keep = np.flatnonzero(~mask)
-            preds = cs.predict_batch(model, [cand.points[i] for i in keep])
+            means, sds = cs.predict_batch(model, [cand.points[i] for i in keep])
             ctx = cs.AcquisitionContext(cfg.level, n_before, space.num_combos,
                                         alpha=cfg.strategy.alpha, delta=float(row[col["delta"]]),
                                         rho=cfg.strategy.rho, ei_alpha=cfg.strategy.ei_alpha)
-            report = select_point(preds, ctx, cfg.strategy)
+            report = select_point(means, sds, ctx, cfg.strategy)
             assert int(keep[report.chosen_index]) == int(row[col["chosen_index"]])
 
     def test_partial_trace_persisted_on_abort(self, ex1_sim, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
 from contour_seeker.errors import ValidationError
@@ -77,6 +78,22 @@ class TestCovariance:
             a, b = random_points(sp, 2, rng, min_dist=0.0)
             assert cs.covariance(params, a, b) == cs.covariance(params, b, a)
 
+    @pytest.mark.parametrize("levels", [(3, 3, 3), ()])
+    def test_cross_covariance_matches_scalar_oracle(self, levels):
+        sp = cs.make_space([(0, 1)] * 3, levels)
+        rng = np.random.default_rng(11)
+        for n1, n2 in [(4, 9), (7, 2), (1, 5)]:
+            params = random_params(sp, rng)
+            a = random_points(sp, n1, rng, min_dist=0.0)
+            b = random_points(sp, n2, rng, min_dist=0.0)
+            x1, z1 = np.array([p.x for p in a]), np.array([p.z for p in a], dtype=int)
+            x2, z2 = np.array([p.x for p in b]), np.array([p.z for p in b], dtype=int)
+            k = cross_covariance(params, x1, z1, x2, z2)
+            assert k.shape == (n1, n2)
+            for i, u in enumerate(a):
+                for j, v in enumerate(b):
+                    assert k[i, j] == pytest.approx(cs.covariance(params, u, v), rel=1e-12, abs=0)
+
 
 class TestDataset:
     def test_minimum_size(self):
@@ -87,6 +104,12 @@ class TestDataset:
         pts = (cs.MixedPoint((0.5,), (1,)), cs.MixedPoint((0.2,), (2,)), cs.MixedPoint((0.5,), (1,)))
         with pytest.raises(ValidationError, match=r"\(0, 2\)"):
             cs.Dataset(pts, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_responses_rejected(self, bad):
+        pts = (cs.MixedPoint((0.1,), (1,)), cs.MixedPoint((0.9,), (2,)), cs.MixedPoint((0.5,), (1,)))
+        with pytest.raises(ValidationError, match=r"\[1\]"):
+            cs.Dataset(pts, np.array([1.0, bad, 2.0]))
 
     def test_same_x_different_level_allowed(self):
         pts = (cs.MixedPoint((0.5,), (1,)), cs.MixedPoint((0.5,), (2,)))
@@ -224,25 +247,26 @@ class TestPredictBatch:
     def test_singleton_matches_predict(self, small_model):
         w = cs.MixedPoint((0.42,), (2,))
         single = cs.predict(small_model, w)
-        batch = cs.predict_batch(small_model, [w])
-        assert batch == [single]
+        means, sds = cs.predict_batch(small_model, [w])
+        assert (means[0], sds[0]) == (single.mean, single.sd)
 
     def test_training_point_interpolates(self, small_model):
         pt = small_model.data.points[0]
-        pred = cs.predict_batch(small_model, [cs.MixedPoint((0.5,), (1,)), pt])[1]
+        means, _ = cs.predict_batch(small_model, [cs.MixedPoint((0.5,), (1,)), pt])
         span = float(np.ptp(small_model.data.responses))
-        assert abs(pred.mean - small_model.data.responses[0]) <= 1e-6 * span
+        assert abs(means[1] - small_model.data.responses[0]) <= 1e-6 * span
 
     def test_permutation(self, small_model):
         pts = [cs.MixedPoint((v,), (int(z),)) for v, z in zip((0.1, 0.4, 0.8), (1, 2, 3))]
         fwd = cs.predict_batch(small_model, pts)
         rev = cs.predict_batch(small_model, pts[::-1])
-        assert fwd == rev[::-1]
+        for a, b in zip(fwd, rev):
+            np.testing.assert_array_equal(a, b[::-1])
 
     def test_accepts_candidate_set(self, small_model):
         cand = cs.candidate_set(small_model.space, 3, seed=0)
-        preds = cs.predict_batch(small_model, cand)
-        assert len(preds) == len(cand.points)
+        means, sds = cs.predict_batch(small_model, cand)
+        assert len(means) == len(sds) == len(cand.points)
 
 
 class TestFit:
@@ -257,6 +281,17 @@ class TestFit:
         for a, b in zip(m1.params.theta, m2.params.theta):
             np.testing.assert_array_equal(a, b)
         assert m1.nll == m2.nll
+
+    @pytest.mark.parametrize("jitter_scale", [1.0, 100.0])
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 10_000))
+    def test_stored_nll_is_likelihood_of_factor(self, jitter_scale, seed):
+        sim = cs.builtin_simulator("example1")
+        points = cs.initial_design(sim.space, 9, seed=seed)
+        data = cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
+        config = cs.FitConfig(n_starts=2, max_fev=200, seed=seed, jitter_scale=jitter_scale)
+        m = cs.fit(data, sim.space, config)
+        assert neg_log_likelihood(m.params, m.data, m.space, m.jitter) == m.nll
 
     def test_never_worse_than_any_start(self, small_model):
         achieved = small_model.nll
@@ -302,8 +337,8 @@ class TestFit:
         fitted = cs.fit(data, sp, cs.FitConfig(n_starts=6, seed=1, max_fev=900))
 
         test_pts = [all_pts[i] for i in test]
-        mae_known = np.mean([abs(p.mean - y[i]) for p, i in zip(cs.predict_batch(known, test_pts), test)])
-        mae_fit = np.mean([abs(p.mean - y[i]) for p, i in zip(cs.predict_batch(fitted, test_pts), test)])
+        mae_known = np.mean(np.abs(cs.predict_batch(known, test_pts)[0] - y[test]))
+        mae_fit = np.mean(np.abs(cs.predict_batch(fitted, test_pts)[0] - y[test]))
         assert mae_fit <= 1.5 * mae_known + 1e-9
 
 
@@ -330,6 +365,7 @@ class TestSerialization:
         grid = [cs.MixedPoint((v,), (int(zb),)) for v in np.linspace(0, 1, 17) for zb in (1, 2, 3)]
         a = cs.predict_batch(small_model, grid)
         b = cs.predict_batch(loaded, grid)
-        assert a == b
+        for u, v in zip(a, b):
+            np.testing.assert_array_equal(u, v)
         assert loaded.jitter == small_model.jitter
         assert loaded.mu_hat == small_model.mu_hat
