@@ -12,7 +12,7 @@ from .acquisition import (AcquisitionContext, RegionPartition, SelectionReport, 
 from .bench import (BenchConfig, BenchResult, CoverageResult, ReferenceContour, coverage_check,
                     m_c0, reference_contour, replicate_benchmark)
 from .design_space import (CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design,
-                           latin_hypercube, make_space, one_shot_design)
+                           latin_hypercube, make_space)
 from .engine import (CampaignConfig, CampaignTrace, Strategy, derive_seed, run_adaptive,
                      run_one_shot, suggest_next)
 from .errors import (CampaignError, ContourSeekerError, EvaluationError, FitFailureError,

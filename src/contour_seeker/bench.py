@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import AcquisitionContext, partition
-from .design_space import DesignSpace, MixedPoint, candidate_set, point_arrays
+from .design_space import DesignSpace, candidate_set
 from .engine import CampaignConfig, Strategy, derive_seed, run_adaptive, run_one_shot
 from .errors import ContourSeekerError, MetricUndefinedError, ValidationError
 from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, condition,
@@ -32,9 +32,11 @@ _TAG_ONESHOT = 7
 
 @dataclass(frozen=True)
 class ReferenceContour:
-    """Near-contour reference points with their true (modeling-scale) values."""
+    """Near-contour reference points, as (r, p) coordinates and (r, q) levels,
+    with their true (modeling-scale) values."""
 
-    points: tuple[MixedPoint, ...]
+    x: np.ndarray
+    z: np.ndarray
     truths: np.ndarray
     level: float
     eps: float
@@ -57,14 +59,13 @@ def reference_contour(sim: Simulator, space: DesignSpace, level: float, eps: flo
     if not keep.any():
         raise MetricUndefinedError(
             f"no reference points within {eps} of level {level}; use a larger eps")
-    pts = tuple(pt for pt, k in zip(cand.points, keep) if k)
-    return ReferenceContour(pts, truths[keep], level_eff, eps)
+    return ReferenceContour(cand.x[keep], cand.z[keep], truths[keep], level_eff, eps)
 
 
 def m_c0(model: FittedModel, ref: ReferenceContour) -> float:
     """Mean absolute gap between true values and predictive means on the
     reference set; zero iff the surrogate is exact there."""
-    means, _ = predict_batch(model, ref.points)
+    means, _ = predict_batch(model, ref.x, ref.z)
     return float(np.mean(np.abs(ref.truths - means)))
 
 
@@ -127,8 +128,9 @@ class BenchResult:
     fairness_violations: int = 0
 
 
-def _dataset_fingerprint(data: Dataset):
-    return tuple((pt.x, pt.z, float(y)) for pt, y in zip(data.points, data.responses))
+def _initial_fingerprint(data: Dataset, n0: int):
+    """The first n0 design points and responses, as comparable lists."""
+    return data.x[:n0].tolist(), data.z[:n0].tolist(), data.responses[:n0].tolist()
 
 
 def _fail_rows(strategy: Strategy, level: float, budgets, replicate: int, exc) -> list[BenchRow]:
@@ -171,16 +173,12 @@ def _run_replicate(sim: Simulator, cfg: BenchConfig, replicate: int, refs: dict)
                 rows.extend(_fail_rows(strategy, level, cfg.budgets, replicate, exc))
                 continue
             fingerprints.append((strategy.kind, level,
-                                 _dataset_fingerprint(_initial_slice(trace.dataset, cfg.n0))))
+                                 _initial_fingerprint(trace.dataset, cfg.n0)))
             for n in cfg.budgets:
                 rows.append(BenchRow(strategy.kind, level, n, replicate,
                                      m_c0(trace.checkpoints[n], refs[level]),
                                      trace.checkpoint_times[n]))
     return rows, fingerprints
-
-
-def _initial_slice(data: Dataset, n0: int) -> Dataset:
-    return Dataset(data.points[:n0], data.responses[:n0], data.transform)
 
 
 def resolve_workers(requested: int) -> int:
@@ -284,12 +282,11 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     if n_train < 2:
         raise ValidationError("coverage_check: n_train must be >= 2")
     grid = candidate_set(space, per_combo, derive_seed(seed, 0))
-    points = grid.points
-    n_grid = len(points)
+    x, z, points = grid.x, grid.z, grid.points
+    n_grid = len(x)
     if n_train > n_grid:
         raise ValidationError(f"n_train={n_train} exceeds grid size {n_grid}")
 
-    x, z = point_arrays(points)
     chol = np.tril(_factor_gram(cross_covariance(true_params, x, z, x, z))[0][0])
     ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
                              alpha=alpha, delta=1.0)
@@ -305,7 +302,7 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         except ContourSeekerError:
             skipped += 1
             continue
-        means, sds = predict_batch(model, points)
+        means, sds = predict_batch(model, x, z)
         part = partition(means, sds, ctx)
         h = np.abs(path - level)
         h_min = float(np.min(h))

@@ -16,17 +16,16 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .bench import BenchConfig, coverage_check, replicate_benchmark, resolve_workers
 from .design_space import CandidateSet, MixedPoint, candidate_set
 from .engine import (CampaignConfig, Strategy, run_adaptive, run_one_shot, suggest_next)
 from .errors import CampaignError, ContourSeekerError, ValidationError
 from .ezgp import Dataset, FitConfig, fit, load_model, save_model
-from .simulators import builtin_simulator, get_transform, tabular_simulator
-from .traceio import (config_to_dict, fit_config_from_dict, fit_config_to_dict, read_csv,
-                      save_trace, space_from_dict, space_to_dict, strategy_from_dict,
-                      strategy_to_dict, write_csv)
+from .simulators import builtin_simulator, read_table, tabular_simulator
+# read_csv is not called here; it stays bound as cli.read_csv, one of the
+# boundaries that perfbench/tracing.py rebinds
+from .traceio import (fit_config_from_dict, fit_config_to_dict, read_csv, save_trace,
+                      space_from_dict, strategy_from_dict, strategy_to_dict, write_csv)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -131,34 +130,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _read_points_csv(path, space) -> list[MixedPoint]:
-    header, rows = read_csv(path)
-    wanted = [f"x_{k + 1}" for k in range(space.p)] + [f"z_{h + 1}" for h in range(space.q)]
-    try:
-        cols = [header.index(c) for c in wanted]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: missing column ({exc}); expected {wanted}")
-    points = []
-    for i, row in enumerate(rows):
-        try:
-            x_phys = [float(row[c]) for c in cols[:space.p]]
-            z = tuple(int(row[c]) for c in cols[space.p:])
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}: row {i + 1}: {exc}")
-        point = MixedPoint(space.normalize(x_phys), z)
+def _read_points(path, space, response_column=None, transform="identity"):
+    """The points of a CSV, each checked against the space, and its
+    ``read_table`` arrays."""
+    cols = read_table(path, space, response_column, transform)
+    points = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(cols[0].tolist(), cols[1].tolist()))
+    for point in points:
         space.validate_point(point)
-        points.append(point)
-    return points
+    return points, cols
 
 
 def cmd_suggest(args) -> int:
     model = load_model(args.model)
     strategy = _build_strategy(args.strategy or "rcc", _strategy_overrides(args), "suggest")
     if args.candidates:
-        points = _read_points_csv(args.candidates, model.space)
-        if not points:
-            raise ValidationError(f"{args.candidates}: no candidate rows")
-        cands = CandidateSet(tuple(points), per_combo=0, seed=-1)
+        cands = CandidateSet(*_read_points(args.candidates, model.space)[1], per_combo=0, seed=-1)
     else:
         cands = candidate_set(model.space, args.per_combo, args.seed or 0)
     if args.level is None:
@@ -182,16 +168,8 @@ def cmd_suggest(args) -> int:
 
 def cmd_fit(args) -> int:
     space = space_from_dict(_load_json(args.space))
-    header, rows = read_csv(args.data)
-    if len(rows) < 2:
-        raise ValidationError(f"{args.data}: need at least 2 data rows, got {len(rows)}")
-    tr = get_transform(args.transform)
-    if "y" not in header:
-        raise ValidationError(f"{args.data}: missing response column 'y'")
-    y_col = header.index("y")
-    points = _read_points_csv(args.data, space)
-    responses = np.array([tr.apply(float(row[y_col])) for row in rows])
-    data = Dataset(tuple(points), responses, transform=args.transform)
+    points, (_, _, y) = _read_points(args.data, space, "y", args.transform)
+    data = Dataset(points, y, transform=args.transform)
     config = FitConfig(n_starts=args.starts, seed=args.seed or 0, max_fev=args.max_fev)
     model = fit(data, space, config)
     save_model(model, args.out)

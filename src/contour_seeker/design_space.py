@@ -3,13 +3,17 @@
 Quantitative coordinates are kept normalized to [0,1]^p everywhere inside
 the library; physical units appear only at the I/O boundary
 (``DesignSpace.denormalize`` / ``normalize``).  Qualitative factors are
-1-based level indices.  All generators are pure functions of their inputs
+1-based level indices.  Point sets travel as an (n, p) float array of
+coordinates and an (n, q) int array of levels; a per-point ``MixedPoint``
+is built only where one input is handed out (a simulator call, the chosen
+point, a serializer).  All generators are pure functions of their inputs
 and a seed.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,13 +99,23 @@ def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
             np.array([pt.z for pt in points], dtype=int))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """per_combo quantitative LHD points attached to every level combination."""
+    """per_combo quantitative LHD points attached to every level combination,
+    as (m, p) normalized coordinates ``x`` and (m, q) level indices ``z``."""
 
-    points: tuple[MixedPoint, ...]
+    x: np.ndarray
+    z: np.ndarray
     per_combo: int
     seed: int
+
+    def point(self, i: int) -> MixedPoint:
+        """Candidate i with Python float coordinates and int levels."""
+        return MixedPoint(tuple(self.x[i].tolist()), tuple(self.z[i].tolist()))
+
+    @cached_property
+    def points(self) -> tuple[MixedPoint, ...]:
+        return tuple(self.point(i) for i in range(len(self.x)))
 
 
 def make_space(quant_bounds, qual_levels=()) -> DesignSpace:
@@ -140,11 +154,9 @@ def candidate_set(space: DesignSpace, per_combo: int, seed: int) -> CandidateSet
     if per_combo < 1:
         raise ValidationError(f"candidate_set: per_combo must be >= 1, got {per_combo}")
     rng = np.random.default_rng(seed)
-    points = []
-    for combo in space.level_combos():
-        block = _unit_lhd(per_combo, space.p, rng)
-        points.extend(MixedPoint(tuple(row), combo) for row in block)
-    return CandidateSet(tuple(points), per_combo, seed)
+    combos = np.array(space.level_combos(), dtype=int).reshape(space.num_combos, space.q)
+    x = np.concatenate([_unit_lhd(per_combo, space.p, rng) for _ in combos])
+    return CandidateSet(x, np.repeat(combos, per_combo, axis=0), per_combo, seed)
 
 
 def _balanced_combo_sample(space: DesignSpace, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
@@ -173,14 +185,7 @@ def initial_design(space: DesignSpace, n0: int, seed: int) -> list[MixedPoint]:
     rng = np.random.default_rng(seed)
     grid = _unit_lhd(n0, space.p, rng)
     combos = _balanced_combo_sample(space, n0, rng)
-    return [MixedPoint(tuple(row), combo) for row, combo in zip(grid, combos)]
-
-
-def one_shot_design(space: DesignSpace, n: int, seed: int) -> list[MixedPoint]:
-    """Non-adaptive baseline design; same construction as initial_design."""
-    if n < 2:
-        raise ValidationError(f"one_shot_design: n must be >= 2, got {n}")
-    return initial_design(space, n, seed)
+    return [MixedPoint(tuple(row.tolist()), combo) for row, combo in zip(grid, combos)]
 
 
 def points_to_rows(space: DesignSpace, points) -> list[list[float]]:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .acquisition import AcquisitionContext, SelectionReport, select_arsd, select_global, select_rcc
-from .design_space import (CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design,
-                           one_shot_design, point_arrays)
+from .design_space import CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design
 from .errors import CampaignError, ContourSeekerError, EvaluationError, ValidationError
 from .ezgp import Dataset, FitConfig, FittedModel, coincident, fit, params_to_dict, predict_batch
-from .simulators import Simulator, get_transform
+from .simulators import ResponseTransform, Simulator, get_transform
 
 STRATEGY_KINDS = ("rcc", "rcc_ei", "arsd", "ecl", "ei", "lcb", "one_shot")
 
@@ -153,26 +152,26 @@ def select_point(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
     return SelectionReport(idx, "global", None, None, 0, 0, 0, float("nan"))
 
 
-def _duplicate_mask(points, data: Dataset) -> np.ndarray:
-    """True where a candidate coincides with an existing design point."""
-    x, z = point_arrays(data.points)
-    return coincident(*point_arrays(points), x, z).any(axis=1)
-
-
-def _evaluate(sim: Simulator, point: MixedPoint) -> float:
-    """The simulator's response at one input; a non-finite response is an EvaluationError."""
+def _evaluate(sim: Simulator, point: MixedPoint, tr: ResponseTransform) -> tuple[float, float]:
+    """(raw, modeling-scale) response at one input; a non-finite response, or
+    one the transform rejects, is an EvaluationError."""
     y = sim.evaluate(point)
     if not math.isfinite(y):
         raise EvaluationError(f"simulator returned {y!r} at x={point.x}, z={point.z}")
-    return y
-
-
-def _evaluate_design(sim: Simulator, points) -> list[float]:
-    """Responses of a starting design; a failure here aborts before any trace exists."""
     try:
-        return [_evaluate(sim, pt) for pt in points]
+        return y, tr.apply(y)
+    except ValidationError as exc:
+        raise EvaluationError(f"{exc} at x={point.x}, z={point.z}") from exc
+
+
+def _evaluate_design(sim: Simulator, points, tr: ResponseTransform) -> tuple[list[float], Dataset]:
+    """Raw responses and dataset of a starting design; a failure here aborts
+    before any trace exists."""
+    try:
+        raw, y_model = zip(*(_evaluate(sim, pt, tr) for pt in points))
     except EvaluationError as exc:
         raise CampaignError(f"simulator failed on the starting design: {exc}") from exc
+    return list(raw), Dataset(tuple(points), np.array(y_model), transform=tr.name)
 
 
 def _remap_report(report: SelectionReport, keep_idx: np.ndarray) -> SelectionReport:
@@ -205,10 +204,9 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
     t0 = time.perf_counter()
 
     points = initial_design(space, cfg.n0, derive_seed(cfg.seed, _TAG_INIT))
-    raw = _evaluate_design(sim, points)
-    data = Dataset(tuple(points), np.array([tr.apply(v) for v in raw]), transform=cfg.transform)
+    raw, data = _evaluate_design(sim, points, tr)
 
-    trace = CampaignTrace(cfg, [], data, list(raw), None)
+    trace = CampaignTrace(cfg, [], data, raw, None)
     checkpoints = set(cfg.checkpoint_sizes)
     warm = None
     iteration = 0
@@ -230,25 +228,23 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 
         cand_seed = derive_seed(cfg.seed, _TAG_CAND, n)
         cand = candidate_set(space, cfg.per_combo, cand_seed)
-        dup = _duplicate_mask(cand.points, data)
-        keep_idx = np.flatnonzero(~dup)
+        keep_idx = np.flatnonzero(~coincident(cand.x, cand.z, data.x, data.z).any(axis=1))
         if len(keep_idx) == 0:
             trace.aborted, trace.error = True, f"all candidates duplicate existing design points at n={n}"
             raise CampaignError(trace.error, trace)
-        kept = [cand.points[i] for i in keep_idx]
-        note = "" if len(kept) == len(cand.points) else f"skipped {int(dup.sum())} duplicate candidates"
+        skipped = len(cand.x) - len(keep_idx)
+        note = f"skipped {skipped} duplicate candidates" if skipped else ""
 
-        means, sds = predict_batch(model, kept)
+        means, sds = predict_batch(model, cand.x[keep_idx], cand.z[keep_idx])
         ctx = _context(cfg.strategy, level_eff, data, space.num_combos)
         report = _remap_report(select_point(means, sds, ctx, cfg.strategy), keep_idx)
-        chosen = cand.points[report.chosen_index]
+        chosen = cand.point(report.chosen_index)
 
         try:
-            y_raw = _evaluate(sim, chosen)
+            y_raw, y_model = _evaluate(sim, chosen, tr)
         except EvaluationError as exc:
             trace.aborted, trace.error = True, f"simulator failed at n={n}: {exc}"
             raise CampaignError(trace.error, trace) from exc
-        y_model = tr.apply(y_raw)
         data = data.extended(chosen, y_model)
         trace.raw_responses.append(y_raw)
         trace.records.append(IterationRecord(
@@ -276,14 +272,12 @@ def run_one_shot(sim: Simulator, space: DesignSpace, n: int, seed: int,
     """Fixed design, one evaluation pass, one fit; no adaptive records."""
     if n < 2:
         raise ValidationError(f"one-shot design size must be >= 2, got {n}")
-    tr = get_transform(transform)
     cfg = CampaignConfig(space, Strategy("one_shot"), level, n0=n, total_runs=n,
                          per_combo=1, seed=seed, fit=fit_config, transform=transform)
     t0 = time.perf_counter()
-    points = one_shot_design(space, n, derive_seed(seed, _TAG_INIT))
-    raw = _evaluate_design(sim, points)
-    data = Dataset(tuple(points), np.array([tr.apply(v) for v in raw]), transform=transform)
-    trace = CampaignTrace(cfg, [], data, list(raw), None)
+    points = initial_design(space, n, derive_seed(seed, _TAG_INIT))
+    raw, data = _evaluate_design(sim, points, get_transform(transform))
+    trace = CampaignTrace(cfg, [], data, raw, None)
     try:
         model = _fit_with_retry(data, space, fit_config.reseeded(derive_seed(seed, _TAG_FIT, n)), None)
     except ContourSeekerError as exc:
@@ -302,11 +296,10 @@ def suggest_next(model: FittedModel, candidates: CandidateSet, strategy: Strateg
     ``level`` is on the raw response scale and is mapped through the
     model's response transform.
     """
-    points = candidates.points if hasattr(candidates, "points") else tuple(candidates)
-    if len(points) == 0:
+    if len(candidates.x) == 0:
         raise ValidationError("suggest_next: empty candidate set")
     level_eff = get_transform(model.data.transform).apply(level)
-    means, sds = predict_batch(model, points)
+    means, sds = predict_batch(model, candidates.x, candidates.z)
     ctx = _context(strategy, level_eff, model.data, model.space.num_combos)
     report = select_point(means, sds, ctx, strategy)
-    return points[report.chosen_index], report
+    return candidates.point(report.chosen_index), report

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,11 +64,16 @@ class EzGpParams:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered training pairs on the modeling (possibly transformed) scale."""
+    """Ordered training pairs on the modeling (possibly transformed) scale.
+
+    ``x`` (n, p) and ``z`` (n, q) are the arrays of ``points``, built once.
+    """
 
     points: tuple[MixedPoint, ...]
     responses: np.ndarray
     transform: str = "identity"
+    x: np.ndarray = field(init=False, repr=False)
+    z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "responses", np.asarray(self.responses, dtype=float))
@@ -76,6 +81,9 @@ class Dataset:
             raise ValidationError("points and responses must have equal length")
         if len(self.points) < 2:
             raise ValidationError("a dataset needs at least 2 observations")
+        x, z = point_arrays(self.points)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
         bad = np.flatnonzero(~np.isfinite(self.responses))
         if len(bad):
             raise ValidationError(f"non-finite responses at indices {bad.tolist()}")
@@ -87,15 +95,8 @@ class Dataset:
         return len(self.points)
 
     def duplicate_pairs(self) -> list[tuple[int, int]]:
-        x, z = point_arrays(self.points)
-        rows, cols = np.nonzero(np.triu(coincident(x, z, x, z), k=1))
+        rows, cols = np.nonzero(np.triu(coincident(self.x, self.z, self.x, self.z), k=1))
         return [(int(i), int(j)) for i, j in zip(rows, cols)]
-
-    def x_matrix(self) -> np.ndarray:
-        return point_arrays(self.points)[0]
-
-    def z_matrix(self) -> np.ndarray:
-        return point_arrays(self.points)[1]
 
     def extended(self, point: MixedPoint, y: float) -> "Dataset":
         return Dataset(self.points + (point,), np.append(self.responses, y), self.transform)
@@ -140,11 +141,6 @@ class _KernelWorkspace:
                        for level in range(1, m + 1)]
                       for h, m in enumerate(qual_levels)]
 
-    @classmethod
-    def of(cls, data: Dataset, space: DesignSpace) -> "_KernelWorkspace":
-        x, z = point_arrays(data.points)
-        return cls(x, z, x, z, space.qual_levels)
-
     def gram(self, params: EzGpParams) -> np.ndarray:
         k = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
         for h, per_level in enumerate(self.masks):
@@ -167,7 +163,8 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     When ``jitter`` is None, starts at 1e-8 x (mean Gram diagonal) and
     escalates tenfold up to 1e-4 before giving up.
     """
-    return _factor_gram(_KernelWorkspace.of(data, space).gram(params), jitter)
+    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
+    return _factor_gram(ws.gram(params), jitter)
 
 
 def _factor_gram(phi: np.ndarray, jitter: float | None = None):
@@ -324,7 +321,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     Returns the best factorizable local optimum over all starts; the
     achieved objective never exceeds any start's initial objective.
     """
-    ws = _KernelWorkspace.of(data, space)
+    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
     y = data.responses
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
@@ -375,20 +372,16 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
 def predict(model: FittedModel, w: MixedPoint) -> Prediction:
     """Predictive mean and standard deviation at one input."""
-    means, sds = predict_batch(model, [w])
+    means, sds = predict_batch(model, *point_arrays([w]))
     return Prediction(float(means[0]), float(sds[0]))
 
 
-def predict_batch(model: FittedModel, pts) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive (means, sds) arrays, order preserved.
-
-    Accepts a CandidateSet or any sequence of MixedPoint.
-    """
-    seq = pts.points if hasattr(pts, "points") else pts
-    if len(seq) == 0:
+def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive (means, sds) arrays at the (m, p) coordinates and (m, q)
+    levels of a point set, order preserved."""
+    if len(x) == 0:
         return np.empty(0), np.empty(0)
-    x, z = point_arrays(model.data.points)
-    r = cross_covariance(model.params, x, z, *point_arrays(seq))  # (n, m)
+    r = cross_covariance(model.params, model.data.x, model.data.z, x, z)  # (n, m)
     means = model.mu_hat + r.T @ model.resid_solve
     sol_r = sla.cho_solve(model.factor, r)
     quad = np.sum(r * sol_r, axis=0)
@@ -432,8 +425,8 @@ def model_to_dict(model: FittedModel) -> dict:
         "jitter": float(model.jitter),
         "nll": float(model.nll),
         "data": {
-            "x_norm": [[float(v) for v in pt.x] for pt in model.data.points],
-            "z": [list(pt.z) for pt in model.data.points],
+            "x_norm": model.data.x.tolist(),
+            "z": model.data.z.tolist(),
             "y": [float(v) for v in model.data.responses],
             "transform": model.data.transform,
         },

@@ -136,6 +136,62 @@ class TabularSimulator:
         return float(self.y[rows[np.argmin(d2)]])
 
 
+def read_table(path, space: DesignSpace, response_column: str | None = None,
+               transform: str = "identity"):
+    """Arrays of a CSV with columns x_1..x_p (physical units), z_1..z_q and,
+    when ``response_column`` is given, a response.
+
+    Returns (x_norm, z) or (x_norm, z, y), with y passed through the named
+    transform.  Lines starting with '#' are ignored.  An unreadable file, a
+    table without data rows, a missing column, a malformed cell, a level
+    outside its range, or a response that is non-finite or rejected by the
+    transform raises IngestionError, carrying the 1-based line number where
+    there is one.
+    """
+    tr = get_transform(transform)
+    try:
+        with open(path, newline="") as fh:
+            rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh))
+                    if row and not row[0].lstrip().startswith("#")]
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot read table ({exc.strerror})") from None
+    if not rows:
+        raise IngestionError(f"{path}: empty table", row=None)
+
+    header = [c.strip() for c in rows[0][1]]
+    wanted = ([f"x_{k + 1}" for k in range(space.p)] + [f"z_{h + 1}" for h in range(space.q)]
+              + ([response_column] if response_column else []))
+    try:
+        cols = [header.index(c) for c in wanted]
+    except ValueError as exc:
+        raise IngestionError(f"{path}: missing column ({exc}); expected {wanted}", row=rows[0][0]) from None
+
+    def bad(lineno, problem):
+        return IngestionError(f"{path}: line {lineno}: {problem}", row=lineno)
+
+    n = len(rows) - 1
+    if n == 0:
+        raise IngestionError(f"{path}: table has a header but no data rows", row=rows[0][0])
+    x, z, y = np.empty((n, space.p)), np.empty((n, space.q), dtype=int), np.empty(n)
+    for i, (lineno, row) in enumerate(rows[1:]):
+        try:
+            vals = [row[c] for c in cols]
+            x[i] = [float(v) for v in vals[:space.p]]
+            z[i] = [int(v) for v in vals[space.p:space.p + space.q]]
+            if response_column:
+                y[i] = tr.apply(float(vals[-1]))
+        except (ValueError, IndexError, ValidationError) as exc:
+            raise bad(lineno, exc) from None
+        for h, (l, m) in enumerate(zip(z[i], space.qual_levels)):
+            if not 1 <= l <= m:
+                raise bad(lineno, f"z_{h + 1}={l} outside 1..{m}")
+        if response_column and not math.isfinite(y[i]):
+            raise bad(lineno, f"non-finite response {vals[-1]!r}")
+    lo, hi = np.array(space.quant_bounds).T
+    x_norm = (x - lo) / (hi - lo)
+    return (x_norm, z, y) if response_column else (x_norm, z)
+
+
 def tabular_simulator(path, space: DesignSpace, transform: str = "identity",
                       response_column: str = "y") -> TabularSimulator:
     """Ingest a CSV grid with columns x_1..x_p, z_1..z_q and a response.
@@ -143,45 +199,5 @@ def tabular_simulator(path, space: DesignSpace, transform: str = "identity",
     Lines starting with '#' are ignored.  The optional log transform is
     applied to the response at load time.
     """
-    tr = get_transform(transform)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(i + 1, row) for i, row in enumerate(reader)
-                if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise IngestionError("empty table", row=None)
-
-    header = [c.strip() for c in rows[0][1]]
-    wanted = [f"x_{k + 1}" for k in range(space.p)] + [f"z_{h + 1}" for h in range(space.q)] + [response_column]
-    try:
-        cols = [header.index(c) for c in wanted]
-    except ValueError as exc:
-        raise IngestionError(f"missing column: {exc}", row=rows[0][0]) from None
-
-    x_list, z_list, y_list = [], [], []
-    for lineno, row in rows[1:]:
-        try:
-            vals = [row[c] for c in cols]
-            x_phys = [float(v) for v in vals[:space.p]]
-            z = [int(v) for v in vals[space.p:space.p + space.q]]
-            y = float(vals[-1])
-        except (ValueError, IndexError) as exc:
-            raise IngestionError(f"row {lineno}: {exc}", row=lineno) from None
-        for h, (l, m) in enumerate(zip(z, space.qual_levels)):
-            if not 1 <= l <= m:
-                raise IngestionError(f"row {lineno}: z_{h + 1}={l} outside 1..{m}", row=lineno)
-        try:
-            y_list.append(tr.apply(y))
-        except ValidationError as exc:
-            raise IngestionError(f"row {lineno}: {exc}", row=lineno) from None
-        x_list.append(space.normalize(x_phys))
-        z_list.append(z)
-    if not x_list:
-        raise IngestionError("table has a header but no data rows", row=rows[0][0])
-
-    return TabularSimulator(
-        space=space,
-        x_norm=np.array(x_list, dtype=float),
-        z=np.array(z_list, dtype=int).reshape(len(z_list), space.q),
-        y=np.array(y_list, dtype=float),
-    )
+    x_norm, z, y = read_table(path, space, response_column, transform)
+    return TabularSimulator(space=space, x_norm=x_norm, z=z, y=y)

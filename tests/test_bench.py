@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import contour_seeker as cs
+from contour_seeker.design_space import point_arrays
 from contour_seeker.errors import MetricUndefinedError, ValidationError
 
 QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
@@ -10,7 +11,7 @@ QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
 class TestReferenceContour:
     def test_example1_band_nonempty(self, ex1_sim):
         ref = cs.reference_contour(ex1_sim, ex1_sim.space, -0.9, 0.05, 200, seed=42)
-        assert len(ref.points) > 0
+        assert len(ref.truths) > 0
         assert np.all(np.abs(ref.truths - (-0.9)) <= 0.05)
 
     def test_level_above_maximum_is_undefined(self, ex1_sim):
@@ -19,7 +20,7 @@ class TestReferenceContour:
 
     def test_huge_eps_keeps_everything(self, ex1_sim):
         ref = cs.reference_contour(ex1_sim, ex1_sim.space, 0.0, 1e9, 40, seed=1)
-        assert len(ref.points) == 40 * 3
+        assert len(ref.truths) == 40 * 3
 
     def test_eps_must_be_positive(self, ex1_sim):
         with pytest.raises(ValidationError):
@@ -35,7 +36,7 @@ class TestMc0:
         params = cs.EzGpParams(0.0, np.array([1.0, 0.5]), np.array([4.0]),
                                (np.array([[4.0, 4.0]]),))
         model = cs.condition(params, data, sp, jitter=1e-12)
-        ref = cs.ReferenceContour(pts, np.array([1.0, 2.0]), level=1.5, eps=0.6)
+        ref = cs.ReferenceContour(*point_arrays(pts), np.array([1.0, 2.0]), level=1.5, eps=0.6)
         assert cs.m_c0(model, ref) == pytest.approx(0.15, abs=1e-7)
 
     def test_interpolating_model_scores_zero(self, ex1_sim):
@@ -45,7 +46,7 @@ class TestMc0:
         params = cs.EzGpParams(0.0, np.array([1.0, 0.5]), np.array([6.0]),
                                (np.array([[6.0, 6.0, 6.0]]),))
         model = cs.condition(params, data, ex1_sim.space)
-        ref = cs.ReferenceContour(pts, truths, level=0.0, eps=1e9)
+        ref = cs.ReferenceContour(*point_arrays(pts), truths, level=0.0, eps=1e9)
         assert cs.m_c0(model, ref) <= 1e-6
 
 

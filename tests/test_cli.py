@@ -79,18 +79,33 @@ class TestRun:
         _, trows = read_csv(tmp_path / "out" / "trace.csv")
         assert trows == []
 
-    def test_nonfinite_table_response_exits_3(self, tmp_path, capsys):
+    def test_nonfinite_table_response_rejected_at_load(self, tmp_path, capsys):
         table = tmp_path / "grid.csv"
         rows = [f"{x / 10},{z},{'nan' if z == 2 else x / 10}" for x in range(11) for z in (1, 2)]
         table.write_text("x_1,z_1,y\n" + "\n".join(rows) + "\n")
         cfg = run_config(tmp_path, simulator={"table": str(table)},
                          space={"quant_bounds": [[0.0, 1.0]], "qual_levels": [2]},
                          level=0.5, n0=4, N=6)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "IngestionError" and "line 3" in doc["message"] and "nan" in doc["message"]
+
+    def test_transform_rejection_exits_3(self, tmp_path, capsys):
+        # a log campaign over a table holding non-positive responses: the
+        # starting design hits one, which is a runtime failure, not bad input
+        table = tmp_path / "grid.csv"
+        rows = [f"{x / 10},{z},{x / 10 + 1 if z == 1 else -1.0}" for x in range(11) for z in (1, 2)]
+        table.write_text("x_1,z_1,y\n" + "\n".join(rows) + "\n")
+        cfg = run_config(tmp_path, simulator={"table": str(table)},
+                         space={"quant_bounds": [[0.0, 1.0]], "qual_levels": [2]},
+                         level=1.5, n0=4, N=6, transform="log")
         assert main(["run", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         doc = json.loads(err)
-        assert doc["error"] == "CampaignError" and "nan" in doc["message"]
+        assert doc["error"] == "CampaignError" and "positive response" in doc["message"]
 
     def test_bad_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -164,6 +179,33 @@ class TestFit:
                      "--out", str(tmp_path / "m.json")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "(0, 2)" in err["message"]
+
+    @pytest.mark.parametrize("cell", ["oops", "", "nan", "inf"])
+    def test_bad_response_cell_exits_2(self, tmp_path, capsys, cell):
+        space = self.make_space_file(tmp_path)
+        data = tmp_path / "data.csv"
+        data.write_text(f"x_1,z_1,y\n0.2,1,1.0\n0.8,2,{cell}\n0.5,1,2.0\n")
+        assert main(["fit", "--data", str(data), "--space", str(space),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "IngestionError" and "line 3" in doc["message"]
+
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        space = self.make_space_file(tmp_path)
+        assert main(["fit", "--data", str(tmp_path / "absent.csv"), "--space", str(space),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IngestionError"
+
+    def test_missing_response_cell_exits_2(self, tmp_path, capsys):
+        space = self.make_space_file(tmp_path)
+        data = tmp_path / "data.csv"
+        data.write_text("x_1,z_1,y\n0.2,1,1.0\n0.8,2\n0.5,1,2.0\n")
+        assert main(["fit", "--data", str(data), "--space", str(space),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "IngestionError" and "line 3" in doc["message"]
 
     def test_refit_reproduces_nll(self, tmp_path, capsys):
         space = self.make_space_file(tmp_path)

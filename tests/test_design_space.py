@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import contour_seeker as cs
+from contour_seeker.design_space import _unit_lhd, point_arrays
 from contour_seeker.errors import ValidationError
 
 
@@ -92,7 +94,30 @@ class TestCandidateSet:
 
     def test_deterministic(self):
         sp = cs.make_space([(0, 1)], [2])
-        assert cs.candidate_set(sp, 5, seed=4) == cs.candidate_set(sp, 5, seed=4)
+        a, b = cs.candidate_set(sp, 5, seed=4), cs.candidate_set(sp, 5, seed=4)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.z, b.z)
+
+    @pytest.mark.parametrize("levels", [[], [3], [2, 3, 2]])
+    def test_arrays_match_points(self, levels):
+        # reference: one LHD block per combination, built point by point
+        sp = cs.make_space([(0, 1), (0, 1)], levels)
+        rng = np.random.default_rng(7)
+        ref = tuple(cs.MixedPoint(tuple(row), combo)
+                    for combo in sp.level_combos() for row in _unit_lhd(4, sp.p, rng))
+        cand = cs.candidate_set(sp, 4, seed=7)
+        x, z = point_arrays(ref)
+        assert cand.x.shape == (4 * sp.num_combos, 2) and cand.z.shape == (4 * sp.num_combos, sp.q)
+        np.testing.assert_array_equal(cand.x, x)
+        np.testing.assert_array_equal(cand.z, z)
+        assert cand.points == ref
+
+    def test_point_has_python_entries(self):
+        sp = cs.make_space([(0, 1)], [3, 2])
+        pt = cs.candidate_set(sp, 3, seed=1).point(4)
+        assert all(type(v) is float for v in pt.x)
+        assert all(type(v) is int for v in pt.z)
+        assert json.loads(json.dumps({"x": pt.x, "z": pt.z})) == {"x": list(pt.x), "z": [1, 2]}
 
 
 class TestInitialDesign:
@@ -140,24 +165,24 @@ class TestInitialDesign:
 class TestOneShotDesign:
     def test_balanced(self):
         sp = cs.make_space([(0, 1)], [3])
-        counts = Counter(pt.z for pt in cs.one_shot_design(sp, 21, seed=5))
+        counts = Counter(pt.z for pt in cs.initial_design(sp, 21, seed=5))
         assert sorted(counts.values()) == [7, 7, 7]
 
     def test_near_balance_many_combos(self):
         sp = cs.make_space([(0, 1), (0, 1)], [3, 3])
-        counts = Counter(pt.z for pt in cs.one_shot_design(sp, 12, seed=6))
+        counts = Counter(pt.z for pt in cs.initial_design(sp, 12, seed=6))
         values = [counts.get(c, 0) for c in sp.level_combos()]
         assert sum(values) == 12
         assert set(values) <= {1, 2}
 
     def test_each_combo_once(self):
         sp = cs.make_space([(0, 1)], [2, 2])
-        counts = Counter(pt.z for pt in cs.one_shot_design(sp, 4, seed=7))
+        counts = Counter(pt.z for pt in cs.initial_design(sp, 4, seed=7))
         assert sorted(counts.values()) == [1, 1, 1, 1]
 
     def test_deterministic(self):
         sp = cs.make_space([(0, 1)], [3])
-        assert cs.one_shot_design(sp, 9, seed=11) == cs.one_shot_design(sp, 9, seed=11)
+        assert cs.initial_design(sp, 9, seed=11) == cs.initial_design(sp, 9, seed=11)
 
 
 class TestCsvRows:

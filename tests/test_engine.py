@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import contour_seeker as cs
-from contour_seeker.engine import _duplicate_mask, derive_seed, select_point
+from contour_seeker.design_space import point_arrays
+from contour_seeker.engine import derive_seed, select_point
 from contour_seeker.errors import CampaignError, ValidationError
-from contour_seeker.ezgp import condition, params_from_dict
+from contour_seeker.ezgp import coincident, condition, params_from_dict
 from contour_seeker.traceio import read_csv
 
 from conftest import arrays
@@ -137,6 +139,34 @@ class TestRunAdaptive:
             cs.run_one_shot(BadAfter(3), ex1_sim.space, 6, seed=4,
                             fit_config=cs.FitConfig(n_starts=2, max_fev=100))
 
+    def test_transform_rejection_aborts_with_partial_trace(self, ex1_sim):
+        class NegativeAfter:
+            space = ex1_sim.space
+            name = "negative"
+
+            def __init__(self, limit):
+                self.calls = 0
+                self.limit = limit
+
+            def evaluate(self, point):
+                self.calls += 1
+                return -1.0 if self.calls > self.limit else 2.0 + ex1_sim.evaluate(point)
+
+        cfg = replace(quick_cfg(ex1_sim), level=2.5, transform="log")
+        with pytest.raises(CampaignError, match="simulator failed at n=10") as err:
+            cs.run_adaptive(NegativeAfter(10), cfg)
+        assert isinstance(err.value.__cause__, cs.EvaluationError)
+        trace = err.value.trace
+        assert trace.aborted
+        assert len(trace.records) == 1
+        assert len(trace.dataset) == 10
+
+        with pytest.raises(CampaignError, match="starting design"):
+            cs.run_adaptive(NegativeAfter(3), cfg)
+        with pytest.raises(CampaignError, match="starting design"):
+            cs.run_one_shot(NegativeAfter(3), ex1_sim.space, 6, seed=4, transform="log",
+                            fit_config=cs.FitConfig(n_starts=2, max_fev=100))
+
 
 class TestDuplicateGuard:
     @pytest.mark.parametrize("existing,cands,expected", [
@@ -151,7 +181,7 @@ class TestDuplicateGuard:
     ])
     def test_mask_factor_counts(self, existing, cands, expected):
         data = cs.Dataset(tuple(cs.MixedPoint(x, z) for x, z in existing), np.array([1.0, 2.0]))
-        mask = _duplicate_mask([cs.MixedPoint(x, z) for x, z in cands], data)
+        mask = coincident(*point_arrays([cs.MixedPoint(x, z) for x, z in cands]), data.x, data.z).any(axis=1)
         assert mask.tolist() == expected
 
     @pytest.mark.parametrize("pts,pairs", [
@@ -170,14 +200,14 @@ class TestDuplicateGuard:
         cands = [cs.MixedPoint((0.25,), (1,)),   # exact duplicate
                  cs.MixedPoint((0.25,), (2,)),   # same x, other level: kept
                  cs.MixedPoint((0.26,), (1,))]
-        mask = _duplicate_mask(cands, data)
+        mask = coincident(*point_arrays(cands), data.x, data.z).any(axis=1)
         assert mask.tolist() == [True, False, False]
 
     def test_mask_tolerance(self, ex1_space):
         pts = (cs.MixedPoint((0.25,), (1,)), cs.MixedPoint((0.75,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0]))
         cands = [cs.MixedPoint((0.25 + 5e-13,), (1,)), cs.MixedPoint((0.25 + 1e-9,), (1,))]
-        mask = _duplicate_mask(cands, data)
+        mask = coincident(*point_arrays(cands), data.x, data.z).any(axis=1)
         assert mask.tolist() == [True, False]
 
 
@@ -213,7 +243,7 @@ class TestSuggestNext:
 
     def test_matches_global_selector(self, small_model):
         cand = cs.candidate_set(small_model.space, 40, seed=12)
-        means, sds = cs.predict_batch(small_model, cand)
+        means, sds = cs.predict_batch(small_model, cand.x, cand.z)
         ctx = cs.AcquisitionContext(-0.9, len(small_model.data), 3,
                                     delta=0.05, rho=2.0, ei_alpha=1.96)
         expected = cs.select_global(means, sds, ctx, "ecl")
@@ -223,7 +253,7 @@ class TestSuggestNext:
         assert point == cand.points[expected]
 
     def test_empty_candidates_rejected(self, small_model):
-        empty = cs.CandidateSet((), per_combo=0, seed=0)
+        empty = cs.CandidateSet(np.empty((0, 1)), np.empty((0, 1), dtype=int), per_combo=0, seed=0)
         with pytest.raises(ValidationError):
             cs.suggest_next(small_model, empty, cs.Strategy("rcc"), level=0.0)
 
@@ -282,9 +312,9 @@ class TestTracePersistence:
             params = params_from_dict(json.loads(row[col["params"]]))
             model = condition(params, data, space)
             cand = cs.candidate_set(space, cfg.per_combo, int(row[col["candidate_seed"]]))
-            mask = _duplicate_mask(cand.points, data)
+            mask = coincident(cand.x, cand.z, data.x, data.z).any(axis=1)
             keep = np.flatnonzero(~mask)
-            means, sds = cs.predict_batch(model, [cand.points[i] for i in keep])
+            means, sds = cs.predict_batch(model, cand.x[keep], cand.z[keep])
             ctx = cs.AcquisitionContext(cfg.level, n_before, space.num_combos,
                                         alpha=cfg.strategy.alpha, delta=float(row[col["delta"]]),
                                         rho=cfg.strategy.rho, ei_alpha=cfg.strategy.ei_alpha)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
+from contour_seeker.design_space import point_arrays
 from contour_seeker.errors import ValidationError
 from contour_seeker.ezgp import condition, cross_covariance, neg_log_likelihood
 
@@ -247,25 +248,25 @@ class TestPredictBatch:
     def test_singleton_matches_predict(self, small_model):
         w = cs.MixedPoint((0.42,), (2,))
         single = cs.predict(small_model, w)
-        means, sds = cs.predict_batch(small_model, [w])
+        means, sds = cs.predict_batch(small_model, *point_arrays([w]))
         assert (means[0], sds[0]) == (single.mean, single.sd)
 
     def test_training_point_interpolates(self, small_model):
         pt = small_model.data.points[0]
-        means, _ = cs.predict_batch(small_model, [cs.MixedPoint((0.5,), (1,)), pt])
+        means, _ = cs.predict_batch(small_model, *point_arrays([cs.MixedPoint((0.5,), (1,)), pt]))
         span = float(np.ptp(small_model.data.responses))
         assert abs(means[1] - small_model.data.responses[0]) <= 1e-6 * span
 
     def test_permutation(self, small_model):
         pts = [cs.MixedPoint((v,), (int(z),)) for v, z in zip((0.1, 0.4, 0.8), (1, 2, 3))]
-        fwd = cs.predict_batch(small_model, pts)
-        rev = cs.predict_batch(small_model, pts[::-1])
+        fwd = cs.predict_batch(small_model, *point_arrays(pts))
+        rev = cs.predict_batch(small_model, *point_arrays(pts[::-1]))
         for a, b in zip(fwd, rev):
             np.testing.assert_array_equal(a, b[::-1])
 
     def test_accepts_candidate_set(self, small_model):
         cand = cs.candidate_set(small_model.space, 3, seed=0)
-        means, sds = cs.predict_batch(small_model, cand)
+        means, sds = cs.predict_batch(small_model, cand.x, cand.z)
         assert len(means) == len(sds) == len(cand.points)
 
 
@@ -337,8 +338,8 @@ class TestFit:
         fitted = cs.fit(data, sp, cs.FitConfig(n_starts=6, seed=1, max_fev=900))
 
         test_pts = [all_pts[i] for i in test]
-        mae_known = np.mean(np.abs(cs.predict_batch(known, test_pts)[0] - y[test]))
-        mae_fit = np.mean(np.abs(cs.predict_batch(fitted, test_pts)[0] - y[test]))
+        mae_known = np.mean(np.abs(cs.predict_batch(known, *point_arrays(test_pts))[0] - y[test]))
+        mae_fit = np.mean(np.abs(cs.predict_batch(fitted, *point_arrays(test_pts))[0] - y[test]))
         assert mae_fit <= 1.5 * mae_known + 1e-9
 
 
@@ -346,8 +347,8 @@ class TestCachedSolves:
     def test_solves_satisfy_linear_systems(self, small_model):
         # Phi := Gram + jitter I must reproduce both cached right-hand sides
         space = small_model.space
-        x = small_model.data.x_matrix()
-        z = small_model.data.z_matrix()
+        x = small_model.data.x
+        z = small_model.data.z
         phi = cross_covariance(small_model.params, x, z, x, z)
         phi = phi + small_model.jitter * np.eye(len(phi))
         y = small_model.data.responses
@@ -363,8 +364,8 @@ class TestSerialization:
         cs.save_model(small_model, path)
         loaded = cs.load_model(path)
         grid = [cs.MixedPoint((v,), (int(zb),)) for v in np.linspace(0, 1, 17) for zb in (1, 2, 3)]
-        a = cs.predict_batch(small_model, grid)
-        b = cs.predict_batch(loaded, grid)
+        a = cs.predict_batch(small_model, *point_arrays(grid))
+        b = cs.predict_batch(loaded, *point_arrays(grid))
         for u, v in zip(a, b):
             np.testing.assert_array_equal(u, v)
         assert loaded.jitter == small_model.jitter

@@ -124,6 +124,21 @@ class TestTabular:
             cs.tabular_simulator(path, grid_space)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_response_reports_line(self, tmp_path, grid_space, bad):
+        path = tmp_path / "grid.csv"
+        path.write_text(f"# schema=1\nx_1,x_2,z_1,y\n2.0,0.5,1,1.0\n4.0,0.5,2,{bad}\n")
+        with pytest.raises(IngestionError) as err:
+            cs.tabular_simulator(path, grid_space)
+        assert err.value.row == 4  # comment is line 1, header line 2
+
+    def test_log_rejection_reports_line(self, tmp_path, grid_space):
+        path = tmp_path / "grid.csv"
+        write_table(path, ["2.0,0.5,1,1.0", "4.0,0.5,1,0.0"])
+        with pytest.raises(IngestionError) as err:
+            cs.tabular_simulator(path, grid_space, transform="log")
+        assert err.value.row == 3
+
     def test_missing_column(self, tmp_path, grid_space):
         path = tmp_path / "grid.csv"
         path.write_text("x_1,z_1,y\n1.0,1,2.0\n")
