@@ -277,6 +277,7 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     |min |mean - level| - min |Y - level|| <= sqrt(beta) * sup sd over the
     union of the restricted regions.
     """
+    true_params.validate(space)
     if draws < 1:
         raise ValidationError("coverage_check: draws must be >= 1")
     if n_train < 2:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
@@ -41,6 +41,8 @@ class EzGpParams:
     theta: tuple[np.ndarray, ...]  # q arrays of shape (p, m_h)
 
     def validate(self, space: DesignSpace) -> None:
+        if not all(np.all(np.isfinite(v)) for v in (self.sigma2, self.theta0, *self.theta)):
+            raise ValidationError("variances and rates must be finite")
         if len(self.sigma2) != space.q + 1:
             raise ValidationError(f"sigma2 must have length q+1={space.q + 1}")
         if self.sigma2[0] <= 0 or np.any(np.asarray(self.sigma2) < 0):
@@ -132,33 +134,58 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
 
 
 class _KernelWorkspace:
-    """Caches the squared-distance tensor and shared-level masks between two
-    point sets, so repeated Gram builds only reweight and exponentiate."""
+    """Caches what repeated Gram builds between two point sets share.
+
+    ``d2`` is the (n1, n2, p) squared-distance tensor.  ``terms`` holds, per
+    factor h, the flat indices in the (n1, n2) grid of the pairs that share
+    a level of h, and for each such level l its column and the gathered
+    ``d2`` rows of its pairs.  A Gram build exponentiates the level terms on
+    those pairs only; levels no pair shares are dropped.
+    """
 
     def __init__(self, x1, z1, x2, z2, qual_levels):
         self.d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
-        self.masks = [[(z1[:, h] == level)[:, None] & (z2[:, h] == level)[None, :]
-                       for level in range(1, m + 1)]
-                      for h, m in enumerate(qual_levels)]
+        rows = self.d2.reshape(-1, self.d2.shape[2])
+        self.terms = []
+        for h, m in enumerate(qual_levels):
+            idxs, levels = [], []
+            for col in range(m):
+                idx = np.flatnonzero((z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :])
+                if len(idx):
+                    idxs.append(idx)
+                    levels.append((col, rows[idx]))
+            if levels:
+                # a pair shares at most one level of h, so the index sets are disjoint
+                self.terms.append((h, np.concatenate(idxs), levels))
 
     def gram(self, params: EzGpParams) -> np.ndarray:
         k = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
-        for h, per_level in enumerate(self.masks):
-            for level, mask in enumerate(per_level):
-                if mask.any():
-                    k += np.where(mask, params.sigma2[h + 1] * np.exp(-(self.d2 @ params.theta[h][:, level])), 0.0)
+        flat = k.reshape(-1)
+        for h, idx, levels in self.terms:
+            rates = np.concatenate([d2_l @ params.theta[h][:, col] for col, d2_l in levels])
+            flat[idx] += params.sigma2[h + 1] * np.exp(-rates)
         return k
 
 
 def _try_cholesky(phi: np.ndarray, jitter: float):
-    try:
-        return sla.cho_factor(phi + jitter * np.eye(phi.shape[0]), lower=True)
-    except np.linalg.LinAlgError:
-        return None
+    """Lower LAPACK factor ``(c, True)`` of phi + jitter I, or None."""
+    # column-major, so potrf factors this copy in place instead of copying again
+    a = np.array(phi, order="F")
+    a.flat[::len(a) + 1] += jitter
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    return None if info != 0 else (c, True)
+
+
+def _solve(factor, b: np.ndarray) -> np.ndarray:
+    """Phi^{-1} b from a ``(c, True)`` factor."""
+    return dpotrs(factor[0], b, lower=1)[0]
 
 
 def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None):
-    """Factorize the jittered Gram matrix; returns (cho_factor, jitter_used).
+    """Factorize the jittered Gram matrix; returns ((c, True), jitter_used).
+
+    ``c`` is LAPACK ``potrf``'s lower factor; its strict upper triangle
+    still holds the Gram entries, so read it through ``np.tril``.
 
     When ``jitter`` is None, starts at 1e-8 x (mean Gram diagonal) and
     escalates tenfold up to 1e-4 before giving up.
@@ -167,8 +194,15 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     return _factor_gram(ws.gram(params), jitter)
 
 
+def _diag_mean(phi: np.ndarray) -> float:
+    """Mean of the Gram diagonal (the same bits as ``np.mean(np.diag(phi))``)."""
+    return float(phi.trace()) / phi.shape[0]
+
+
 def _factor_gram(phi: np.ndarray, jitter: float | None = None):
-    scale = float(np.mean(np.diag(phi)))
+    scale = _diag_mean(phi)
+    if not math.isfinite(scale):
+        raise IllConditionedModelError(f"Gram diagonal mean is {scale}")
     if jitter is not None:
         ladder = [jitter]
     else:
@@ -190,10 +224,10 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
 def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float]:
     """(objective, profiled mean): log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2."""
     n = len(y)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    logdet = 2.0 * float(np.log(factor[0].diagonal()).sum())
     ones = np.ones(n)
-    sol_y = sla.cho_solve(factor, y)
-    sol_1 = sla.cho_solve(factor, ones)
+    sol_y = _solve(factor, y)
+    sol_1 = _solve(factor, ones)
     one_quad = float(ones @ sol_1)
     one_y = float(ones @ sol_y)
     obj = logdet + float(y @ sol_y) - one_y * one_y / one_quad
@@ -246,8 +280,8 @@ def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
     y = data.responses
     obj, mu_hat = _profiled_nll(factor, y)
     ones = np.ones(len(y))
-    resid_solve = sla.cho_solve(factor, y - mu_hat * ones)
-    ones_solve = sla.cho_solve(factor, ones)
+    resid_solve = _solve(factor, y - mu_hat * ones)
+    ones_solve = _solve(factor, ones)
     return FittedModel(
         params=replace(params, mu=mu_hat),
         data=data,
@@ -292,11 +326,12 @@ def _pack(params: EzGpParams) -> np.ndarray:
 
 def _unpack(vec: np.ndarray, space: DesignSpace) -> EzGpParams:
     p, q = space.p, space.q
-    sigma2 = np.exp(vec[:q + 1])
-    theta0 = np.exp(vec[q + 1:q + 1 + p])
+    e = np.exp(vec)
+    sigma2 = e[:q + 1]
+    theta0 = e[q + 1:q + 1 + p]
     mats, pos = [], q + 1 + p
     for m in space.qual_levels:
-        mats.append(np.exp(vec[pos:pos + p * m]).reshape(p, m))
+        mats.append(e[pos:pos + p * m].reshape(p, m))
         pos += p * m
     return EzGpParams(mu=0.0, sigma2=sigma2, theta0=theta0, theta=tuple(mats))
 
@@ -327,7 +362,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     dim = len(lo)
 
     def jitter_of(phi: np.ndarray) -> float:
-        return _JITTER_START * config.jitter_scale * float(np.mean(np.diag(phi)))
+        return _JITTER_START * config.jitter_scale * _diag_mean(phi)
 
     def objective(vec: np.ndarray) -> float:
         phi = ws.gram(_unpack(vec, space))
@@ -383,7 +418,7 @@ def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.
         return np.empty(0), np.empty(0)
     r = cross_covariance(model.params, model.data.x, model.data.z, x, z)  # (n, m)
     means = model.mu_hat + r.T @ model.resid_solve
-    sol_r = sla.cho_solve(model.factor, r)
+    sol_r = _solve(model.factor, r)
     quad = np.sum(r * sol_r, axis=0)
     s = r.T @ model.ones_solve
     var = model.params.total_variance - quad + np.square(1.0 - s) / model.ones_quad
@@ -451,5 +486,18 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    """Read a ``save_model`` file; an unreadable, non-JSON or incomplete one
+    is a ValidationError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read model file {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})")
+    try:
+        return model_from_dict(doc)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}")
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"{path}: malformed model ({exc})")

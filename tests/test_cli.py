@@ -154,6 +154,28 @@ class TestSuggest:
     def test_level_required(self, model_path, capsys):
         assert main(["suggest", "--model", str(model_path)]) == 2
 
+    @pytest.mark.parametrize("content, match", [
+        (None, "cannot read"), ("{nope", "invalid JSON"), ('{"schema": 1}', "missing field 'space'"),
+        ("[1, 2]", "malformed model")])
+    def test_bad_model_file_exits_2(self, tmp_path, capsys, content, match):
+        path = tmp_path / "model.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["suggest", "--model", str(path), "--level", "-0.9"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ValidationError" and match in doc["message"]
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_nonfinite_model_params_exit_2(self, model_path, capsys, bad):
+        doc = json.loads(model_path.read_text())
+        doc["params"]["sigma2"][0] = bad
+        model_path.write_text(json.dumps(doc))
+        assert main(["suggest", "--model", str(model_path), "--level", "-0.9"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and "finite" in err["message"]
+
 
 class TestFit:
     def make_space_file(self, tmp_path):
@@ -263,7 +285,7 @@ class TestBench:
 
 
 class TestVerify:
-    def test_smoke(self, tmp_path, capsys):
+    def config(self, tmp_path, **params):
         doc = {
             "space": {"quant_bounds": [[0.0, 1.0]], "qual_levels": [3]},
             "params": {"mu": 0.0, "sigma2": [1.0, 0.5], "theta0": [5.0],
@@ -276,14 +298,27 @@ class TestVerify:
             "seed": 0,
             "out": str(tmp_path / "verify"),
         }
+        doc["params"].update(params)
         path = tmp_path / "verify.json"
         path.write_text(json.dumps(doc))
+        return path
+
+    def test_smoke(self, tmp_path, capsys):
+        path = self.config(tmp_path)
         assert main(["verify", "--config", str(path)]) == 0
         capsys.readouterr()
         header, rows = read_csv(tmp_path / "verify" / "coverage.csv")
         assert "theorem1_violations" in header
         coverage = float(rows[0][header.index("coverage")])
         assert 0.0 <= coverage <= 1.0
+
+    @pytest.mark.parametrize("params", [{"sigma2": [float("inf"), 0.5]},
+                                        {"theta": [[[5.0, float("nan"), 5.0]]]}])
+    def test_nonfinite_params_exit_2(self, tmp_path, capsys, params):
+        # an infinite variance used to grow the jitter ladder without end
+        assert main(["verify", "--config", str(self.config(tmp_path, **params))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError" and "finite" in err["message"]
 
 
 class TestModuleEntry:

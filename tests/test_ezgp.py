@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
+from contour_seeker import ezgp
 from contour_seeker.design_space import point_arrays
-from contour_seeker.errors import ValidationError
+from contour_seeker.errors import IllConditionedModelError, ValidationError
 from contour_seeker.ezgp import condition, cross_covariance, neg_log_likelihood
 
 from conftest import random_params, random_points
@@ -95,6 +97,23 @@ class TestCovariance:
                 for j, v in enumerate(b):
                     assert k[i, j] == pytest.approx(cs.covariance(params, u, v), rel=1e-12, abs=0)
 
+    def test_cross_covariance_skips_one_sided_levels(self):
+        # factor 1 level 3 occurs only on the left, factor 2 level 2 only on
+        # the right: no pair shares them, so their terms are dropped
+        sp = cs.make_space([(0, 1)] * 2, [3, 2])
+        rng = np.random.default_rng(5)
+        params = random_params(sp, rng)
+        a = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 1), (3, 1), (3, 1), (2, 1), (1, 1)]]
+        b = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 2), (2, 2), (1, 1)]]
+        (x1, z1), (x2, z2) = point_arrays(a), point_arrays(b)
+        ws = ezgp._KernelWorkspace(x1, z1, x2, z2, sp.qual_levels)
+        assert [(h, [col for col, _ in levels]) for h, _, levels in ws.terms] == [(0, [0, 1]), (1, [0])]
+        k = cross_covariance(params, x1, z1, x2, z2)
+        assert k.shape == (5, 3)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                assert k[i, j] == pytest.approx(cs.covariance(params, u, v), rel=1e-12, abs=0)
+
 
 class TestDataset:
     def test_minimum_size(self):
@@ -146,6 +165,29 @@ class TestGram:
             eigmin = float(np.linalg.eigvalsh(gram)[0])
             assert eigmin >= -1e-8 * np.trace(gram) / n
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_diagonal_is_ill_conditioned(self, bad):
+        # an infinite diagonal used to grow the jitter ladder without end,
+        # a NaN one to fail inside numpy's condition-number SVD
+        phi = np.eye(3)
+        phi[1, 1] = bad
+        with pytest.raises(IllConditionedModelError, match="diagonal"):
+            ezgp._factor_gram(phi)
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["sigma2", "theta0", "theta"])
+    def test_rejected(self, field, bad):
+        sp = cs.make_space([(0, 1)], [2])
+        params = simple_params(sp)
+        (params.theta[0] if field == "theta" else getattr(params, field)).flat[-1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            params.validate(sp)
+        data = cs.Dataset((cs.MixedPoint((0.2,), (1,)), cs.MixedPoint((0.7,), (2,))), np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            condition(params, data, sp)
+
 
 class TestLikelihood:
     def test_constant_response_profiles_mean(self):
@@ -196,6 +238,92 @@ class TestLikelihood:
         logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
         quad = base_obj - logdet
         assert scaled_obj == pytest.approx(logdet + n * math.log(c) + quad / c, rel=1e-10)
+
+
+def reference_gram(params, x, z, qual_levels):
+    """Full-grid Gram build: one np.where over all pairs per shared level."""
+    d2 = np.square(x[:, None, :] - x[None, :, :])
+    k = params.sigma2[0] * np.exp(-(d2 @ params.theta0))
+    for h, m in enumerate(qual_levels):
+        for level in range(m):
+            mask = (z[:, h] == level + 1)[:, None] & (z[:, h] == level + 1)[None, :]
+            if mask.any():
+                k += np.where(mask, params.sigma2[h + 1] * np.exp(-(d2 @ params.theta[h][:, level])), 0.0)
+    return k
+
+
+def reference_unpack(vec, space):
+    """Log-parameter vector to EzGpParams, one exp per parameter block."""
+    p, q = space.p, space.q
+    mats, pos = [], q + 1 + p
+    for m in space.qual_levels:
+        mats.append(np.exp(vec[pos:pos + p * m]).reshape(p, m))
+        pos += p * m
+    return cs.EzGpParams(0.0, np.exp(vec[:q + 1]), np.exp(vec[q + 1:q + 1 + p]), tuple(mats))
+
+
+def reference_nll(phi, jitter, y):
+    """Profiled objective through scipy's cho_factor/cho_solve, or None when
+    the jittered Gram is not positive definite."""
+    try:
+        factor = sla.cho_factor(phi + jitter * np.eye(len(y)), lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    ones = np.ones(len(y))
+    sol_y = sla.cho_solve(factor, y)
+    sol_1 = sla.cho_solve(factor, ones)
+    one_quad = float(ones @ sol_1)
+    one_y = float(ones @ sol_y)
+    return logdet + float(y @ sol_y) - one_y * one_y / one_quad
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestBitIdentity:
+    """The likelihood hot path gives exactly the bits of the plain
+    full-grid, cho_factor/cho_solve formulation."""
+
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)])
+    def test_objective_and_nll_equal_reference(self, name, n, monkeypatch):
+        sim = cs.builtin_simulator(name)
+        space = sim.space
+        points = cs.initial_design(space, n, seed=3)
+        data = cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
+        y = data.responses
+
+        captured = []
+
+        def capture(fun, x0, **kwargs):
+            captured.append(fun)
+            raise _Captured
+
+        monkeypatch.setattr(ezgp, "minimize", capture)
+        with pytest.raises(_Captured):
+            cs.fit(data, space)
+        objective = captured[0]
+
+        lo, hi = ezgp._log_bounds(space, cs.FitConfig(), y)
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            vec = lo + rng.random(len(lo)) * (hi - lo)
+            params = reference_unpack(vec, space)
+            phi = reference_gram(params, data.x, data.z, space.qual_levels)
+            assert np.array_equal(cross_covariance(params, data.x, data.z, data.x, data.z), phi)
+            scale = float(np.mean(np.diag(phi)))
+            ref = reference_nll(phi, 1e-8 * scale, y)
+            assert objective(vec) == (np.inf if ref is None else ref)
+            j = 1e-8 * scale
+            while ref is None and j * 10 <= 1e-4 * scale * (1 + 1e-9):
+                j *= 10
+                ref = reference_nll(phi, j, y)
+            if ref is None:
+                with pytest.raises(IllConditionedModelError):
+                    neg_log_likelihood(params, data, space)
+            else:
+                assert neg_log_likelihood(params, data, space) == ref
 
 
 class TestPredict:
