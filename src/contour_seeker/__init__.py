@@ -19,10 +19,9 @@ from .errors import (CampaignError, ContourSeekerError, EvaluationError, FitFail
                      IllConditionedModelError, IngestionError, MetricUndefinedError,
                      SelectionError, ValidationError)
 from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, Prediction, build_gram, condition,
-                   covariance, fit, load_model, neg_log_likelihood, predict, predict_batch,
-                   save_model)
+                   covariance, fit, neg_log_likelihood, predict, predict_batch)
 from .simulators import (FunctionSimulator, Simulator, TabularSimulator, builtin_simulator,
                          get_transform, tabular_simulator)
-from .traceio import save_trace
+from .traceio import load_model, save_model, save_trace
 
 __version__ = "0.1.0"

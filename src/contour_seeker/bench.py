@@ -199,11 +199,11 @@ def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> B
     summary.  Relative efficiency is the one-shot mean divided by the
     strategy mean for the same (level, budget) cell.
     """
+    workers = resolve_workers(workers)
     refs = {level: reference_contour(sim, sim.space, level, cfg.eps, cfg.ref_per_combo,
                                      derive_seed(cfg.seed, _TAG_REFERENCE, i), cfg.transform)
             for i, level in enumerate(cfg.levels)}
 
-    workers = resolve_workers(workers)
     if workers > 1 and cfg.replicates > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_replicate,

@@ -15,17 +15,20 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
+from functools import partial
 
-from .bench import BenchConfig, coverage_check, replicate_benchmark, resolve_workers
+from .bench import BenchConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
-from .engine import (CampaignConfig, Strategy, run_adaptive, run_one_shot, suggest_next)
+from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, run_one_shot, suggest_next
 from .errors import CampaignError, ContourSeekerError, ValidationError
-from .ezgp import Dataset, FitConfig, fit, load_model, save_model
+from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
-from .traceio import (fit_config_from_dict, fit_config_to_dict, read_csv, save_trace,
-                      space_from_dict, strategy_from_dict, strategy_to_dict, write_csv)
+from .traceio import (fit_config_from_dict, fit_config_to_dict, load_document, load_model, read_csv,
+                      save_model, save_trace, space_from_dict, strategy_from_dict, strategy_to_dict,
+                      write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -38,48 +41,23 @@ def _fail(exc, code: int) -> int:
     return code
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})")
-
-
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ValidationError(f"{where}: missing field {key!r}")
-    return doc[key]
-
-
-def _build_simulator(doc: dict, where: str):
-    sim_doc = _require(doc, "simulator", where)
-    if "builtin" in sim_doc:
-        return builtin_simulator(sim_doc["builtin"])
+def _simulator(doc: dict):
+    """The simulator a config names."""
+    sim_doc = doc["simulator"]
     if "table" in sim_doc:
-        space = space_from_dict(_require(doc, "space", where))
-        # Campaign-level transform is applied at ingestion, so the table
-        # itself is loaded untransformed here.
-        return tabular_simulator(sim_doc["table"], space,
+        # the campaign-level transform is applied at evaluation, so the
+        # table itself is loaded untransformed here
+        return tabular_simulator(sim_doc["table"], space_from_dict(doc["space"]),
                                  response_column=sim_doc.get("response_column", "y"))
-    raise ValidationError(f"{where}: simulator must declare 'builtin' or 'table'")
+    return builtin_simulator(sim_doc["builtin"])
 
 
-def _build_strategy(spec, overrides: dict, where: str) -> Strategy:
-    if isinstance(spec, str):
-        base = Strategy(spec)
-    elif isinstance(spec, dict):
-        base = strategy_from_dict({**spec, "kind": _require(spec, "kind", where)})
-    else:
-        raise ValidationError(f"{where}: strategy must be a name or an object")
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if not fields:
-        return base
-    merged = strategy_to_dict(base)
-    merged.update(fields)
-    return strategy_from_dict(merged)
+def _strategy(spec, overrides: dict | None = None) -> Strategy:
+    """A strategy from its name or object, with the set CLI overrides applied."""
+    if not isinstance(spec, (str, dict)):
+        raise TypeError("strategy must be a name or an object")
+    base = Strategy(spec) if isinstance(spec, str) else strategy_from_dict(spec)
+    return replace(base, **{k: v for k, v in (overrides or {}).items() if v is not None})
 
 
 def _strategy_overrides(args) -> dict:
@@ -87,46 +65,42 @@ def _strategy_overrides(args) -> dict:
             "alpha": args.alpha, "ei_alpha": args.ei_alpha}
 
 
-def cmd_run(args) -> int:
-    doc = _load_json(args.config)
-    where = args.config
-    sim = _build_simulator(doc, where)
-    space = space_from_dict(doc["space"]) if "space" in doc else sim.space
-    strategy = _build_strategy(doc.get("strategy", "rcc"), _strategy_overrides(args), where)
-
-    level = args.level if args.level is not None else _require(doc, "level", where)
-    n0 = int(_require(doc, "n0", where))
-    total = int(_require(doc, "N", where))
+def _decode_run(args, doc: dict):
+    """(simulator, campaign config, config extras) of a run config."""
+    sim = _simulator(doc)
+    strategy = _strategy(doc.get("strategy", "rcc"), _strategy_overrides(args))
+    n0, total = int(doc["n0"]), int(doc["N"])
     if n0 >= total and strategy.kind != "one_shot":
-        raise ValidationError(f"{where}: field 'n0' must be smaller than field 'N' (got n0={n0}, N={total})")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    per_combo = (args.candidates_per_combo if args.candidates_per_combo is not None
-                 else int(doc.get("candidates_per_combo", 100)))
+        raise ValueError(f"field 'n0' must be smaller than field 'N' (got n0={n0}, N={total})")
     cfg = CampaignConfig(
-        space=space,
+        space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
         strategy=strategy,
-        level=float(level),
+        level=float(args.level if args.level is not None else doc["level"]),
         n0=n0,
         total_runs=total,
-        per_combo=per_combo,
-        seed=seed,
+        per_combo=(args.candidates_per_combo if args.candidates_per_combo is not None
+                   else int(doc.get("candidates_per_combo", 100))),
+        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
         fit=fit_config_from_dict(doc.get("fit", {})),
         transform=doc.get("transform", "identity"),
         checkpoint_sizes=tuple(doc.get("checkpoint_sizes", [])),
     )
-    outdir = args.out or _require(doc, "out", where)
-    extra = {"simulator": doc["simulator"], "out": outdir}
+    return sim, cfg, {"simulator": doc["simulator"], "out": args.out or doc["out"]}
+
+
+def cmd_run(args) -> int:
+    sim, cfg, extra = load_document(args.config, partial(_decode_run, args), "run config")
     try:
-        if strategy.kind == "one_shot":
-            trace = run_one_shot(sim, space, total, seed, cfg.fit, cfg.transform, cfg.level)
+        if cfg.strategy.kind == "one_shot":
+            trace = run_one_shot(sim, cfg.space, cfg.total_runs, cfg.seed, cfg.fit, cfg.transform, cfg.level)
         else:
             trace = run_adaptive(sim, cfg)
     except CampaignError as exc:
         if exc.trace is not None:
-            save_trace(exc.trace, outdir, extra)
+            save_trace(exc.trace, extra["out"], extra)
         raise
-    save_trace(trace, outdir, extra)
-    print(json.dumps({"out": outdir, "n": len(trace.dataset), "iterations": len(trace.records)}))
+    save_trace(trace, extra["out"], extra)
+    print(json.dumps({"out": extra["out"], "n": len(trace.dataset), "iterations": len(trace.records)}))
     return EXIT_OK
 
 
@@ -142,7 +116,7 @@ def _read_points(path, space, response_column=None, transform="identity"):
 
 def cmd_suggest(args) -> int:
     model = load_model(args.model)
-    strategy = _build_strategy(args.strategy or "rcc", _strategy_overrides(args), "suggest")
+    strategy = _strategy(args.strategy or "rcc", _strategy_overrides(args))
     if args.candidates:
         cands = CandidateSet(*_read_points(args.candidates, model.space)[1], per_combo=0, seed=-1)
     else:
@@ -167,7 +141,7 @@ def cmd_suggest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    space = space_from_dict(_load_json(args.space))
+    space = load_document(args.space, space_from_dict, "space")
     points, (_, _, y) = _read_points(args.data, space, "y", args.transform)
     data = Dataset(points, y, transform=args.transform)
     config = FitConfig(n_starts=args.starts, seed=args.seed or 0, max_fev=args.max_fev)
@@ -178,16 +152,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    doc = _load_json(args.config)
-    where = args.config
-    sim = _build_simulator(doc, where)
-    strategies = tuple(_build_strategy(s, {}, where) for s in _require(doc, "strategies", where))
+def _decode_bench(args, doc: dict):
+    """(simulator, bench config, config extras) of a bench config."""
+    sim = _simulator(doc)
     cfg = BenchConfig(
-        strategies=strategies,
-        levels=tuple(float(v) for v in _require(doc, "levels", where)),
-        budgets=tuple(int(v) for v in _require(doc, "budgets", where)),
-        n0=int(_require(doc, "n0", where)),
+        strategies=tuple(_strategy(s) for s in doc["strategies"]),
+        levels=tuple(float(v) for v in doc["levels"]),
+        budgets=tuple(int(v) for v in doc["budgets"]),
+        n0=int(doc["n0"]),
         replicates=args.replicates or int(doc.get("replicates", 10)),
         per_combo=int(doc.get("candidates_per_combo", 100)),
         ref_per_combo=int(doc.get("ref_per_combo", 200)),
@@ -196,8 +168,13 @@ def cmd_bench(args) -> int:
         fit=fit_config_from_dict(doc.get("fit", {})),
         transform=doc.get("transform", "identity"),
     )
-    outdir = args.out or _require(doc, "out", where)
-    result = replicate_benchmark(sim, cfg, workers=resolve_workers(args.parallel))
+    return sim, cfg, {"simulator": doc["simulator"], "out": args.out or doc["out"]}
+
+
+def cmd_bench(args) -> int:
+    sim, cfg, extra = load_document(args.config, partial(_decode_bench, args), "bench config")
+    outdir = extra["out"]
+    result = replicate_benchmark(sim, cfg, workers=args.parallel)
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, "results.csv"),
               ["strategy", "a", "N", "replicate", "m_c0", "wall_time_s", "failed", "error"],
@@ -208,39 +185,39 @@ def cmd_bench(args) -> int:
               [[s.strategy, s.level, s.budget, s.mean_m_c0, s.rel_efficiency,
                 s.n_ok, s.n_failed, int(s.valid)] for s in result.summary])
     resolved = {
-        "simulator": doc["simulator"],
+        **extra,
         "strategies": [strategy_to_dict(s) for s in cfg.strategies],
         "levels": list(cfg.levels), "budgets": list(cfg.budgets), "n0": cfg.n0,
         "replicates": cfg.replicates, "candidates_per_combo": cfg.per_combo,
         "ref_per_combo": cfg.ref_per_combo, "eps": cfg.eps, "seed": cfg.seed,
-        "transform": cfg.transform, "fit": fit_config_to_dict(cfg.fit), "out": outdir,
+        "transform": cfg.transform, "fit": fit_config_to_dict(cfg.fit),
         "fairness_checked": result.fairness_checked,
         "fairness_violations": result.fairness_violations,
     }
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "config.json"), resolved, sort_keys=True)
     print(json.dumps({"out": outdir, "rows": len(result.rows),
                       "fairness_violations": result.fairness_violations}))
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    doc = _load_json(args.config)
-    where = args.config
-    from .ezgp import params_from_dict, params_to_dict
-    space = space_from_dict(_require(doc, "space", where))
-    params = params_from_dict(_require(doc, "params", where))
-    resolved = {
+def _decode_verify(args, doc: dict):
+    """(space, true parameters, resolved config) of a verify config."""
+    space, params = space_from_dict(doc["space"]), params_from_dict(doc["params"])
+    return space, params, {
         "space": doc["space"],
         "params": params_to_dict(params),
-        "level": float(_require(doc, "level", where)),
+        "level": float(doc["level"]),
         "alpha": float(doc.get("alpha", 0.1)),
         "draws": int(doc.get("draws", 500)),
         "per_combo": int(doc.get("per_combo", 50)),
         "seed": args.seed if args.seed is not None else int(doc.get("seed", 0)),
         "n_train": int(doc.get("n_train", 10)),
+        "out": args.out or doc["out"],
     }
+
+
+def cmd_verify(args) -> int:
+    space, params, resolved = load_document(args.config, partial(_decode_verify, args), "verify config")
     result = coverage_check(
         space=space,
         true_params=params,
@@ -251,25 +228,22 @@ def cmd_verify(args) -> int:
         seed=resolved["seed"],
         n_train=resolved["n_train"],
     )
-    outdir = args.out or _require(doc, "out", where)
+    outdir = resolved["out"]
     os.makedirs(outdir, exist_ok=True)
-    resolved["out"] = outdir
     write_csv(os.path.join(outdir, "coverage.csv"),
               ["alpha", "draws", "hits", "skipped", "coverage", "target",
                "theorem1_checked", "theorem1_violations"],
               [[resolved["alpha"], result.draws, result.hits, result.skipped,
                 result.coverage, result.target, result.theorem1_checked,
                 result.theorem1_violations]])
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "config.json"), resolved, sort_keys=True)
     print(json.dumps({"coverage": result.coverage, "target": result.target,
                       "theorem1_violations": result.theorem1_violations}))
     return EXIT_OK
 
 
 def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=["rcc", "rcc_ei", "arsd", "ecl", "ei", "lcb", "one_shot"])
+    p.add_argument("--strategy", choices=STRATEGY_KINDS)
     p.add_argument("--level", type=float, help="contour level on the raw response scale")
     p.add_argument("--delta", type=float, help="arbitration threshold")
     p.add_argument("--rho", type=float, help="confidence-bound tuning parameter")

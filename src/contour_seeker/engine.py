@@ -199,7 +199,8 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
     trace attached if the simulator or a retried fit fails (no trace when
     the starting design fails)."""
     tr = get_transform(cfg.transform)
-    level_eff = tr.apply(cfg.level)
+    # only a selection step needs the level on the modeling scale
+    level_eff = tr.apply(cfg.level) if cfg.n0 < cfg.total_runs else None
     space = cfg.space
     t0 = time.perf_counter()
 
@@ -214,7 +215,7 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
         n = len(data)
         it_start = time.perf_counter()
         try:
-            model = _fit_with_retry(data, space, cfg.fit.reseeded(derive_seed(cfg.seed, _TAG_FIT, n)), warm)
+            model = _fit_with_retry(data, space, replace(cfg.fit, seed=derive_seed(cfg.seed, _TAG_FIT, n)), warm)
         except ContourSeekerError as exc:
             trace.aborted, trace.error = True, f"fit failed at n={n}: {exc}"
             raise CampaignError(trace.error, trace) from exc
@@ -269,24 +270,11 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 def run_one_shot(sim: Simulator, space: DesignSpace, n: int, seed: int,
                  fit_config: FitConfig = FitConfig(), transform: str = "identity",
                  level: float = 0.0) -> CampaignTrace:
-    """Fixed design, one evaluation pass, one fit; no adaptive records."""
-    if n < 2:
-        raise ValidationError(f"one-shot design size must be >= 2, got {n}")
+    """A campaign whose budget is its starting design: one evaluation pass,
+    one fit, no adaptive records."""
     cfg = CampaignConfig(space, Strategy("one_shot"), level, n0=n, total_runs=n,
                          per_combo=1, seed=seed, fit=fit_config, transform=transform)
-    t0 = time.perf_counter()
-    points = initial_design(space, n, derive_seed(seed, _TAG_INIT))
-    raw, data = _evaluate_design(sim, points, get_transform(transform))
-    trace = CampaignTrace(cfg, [], data, raw, None)
-    try:
-        model = _fit_with_retry(data, space, fit_config.reseeded(derive_seed(seed, _TAG_FIT, n)), None)
-    except ContourSeekerError as exc:
-        trace.aborted, trace.error = True, f"fit failed: {exc}"
-        raise CampaignError(trace.error, trace) from exc
-    trace.model = model
-    trace.checkpoints[n] = model
-    trace.checkpoint_times[n] = time.perf_counter() - t0
-    return trace
+    return run_adaptive(sim, cfg)
 
 
 def suggest_next(model: FittedModel, candidates: CandidateSet, strategy: Strategy,

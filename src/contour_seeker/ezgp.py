@@ -5,11 +5,12 @@ coordinates plus, for each qualitative factor, a level-specific
 squared-exponential term that is active only when both points share that
 level.  Hyperparameters are estimated by multi-start bounded Nelder-Mead
 on the profiled negative log-likelihood (the process mean has a closed
-form given the rest).
+form given the rest).  ``params_to_dict``/``params_from_dict`` give the
+JSON form of the hyperparameters; files are read and written by
+``traceio``.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -242,12 +243,7 @@ def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, ji
 
 @dataclass
 class FittedModel:
-    """Conditioned surrogate: hyperparameters plus cached Gram factorization.
-
-    Immutable in all fields that matter for prediction; ``clip_count`` is a
-    diagnostic counter (number of variance clips larger than 1e-8) and is
-    not synchronized across threads.
-    """
+    """Conditioned surrogate: hyperparameters plus cached Gram factorization."""
 
     params: EzGpParams
     data: Dataset
@@ -260,7 +256,6 @@ class FittedModel:
     ones_quad: float          # 1' Phi^{-1} 1
     nll: float
     start_objectives: tuple[tuple[float, float], ...] = ()
-    clip_count: int = 0
 
     @property
     def prior_variance(self) -> float:
@@ -313,9 +308,6 @@ class FitConfig:
     sigma2_rel_bounds: tuple[float, float] = (1e-6, 10.0)
     max_fev: int | None = None
     jitter_scale: float = 1.0
-
-    def reseeded(self, seed: int) -> "FitConfig":
-        return replace(self, seed=seed)
 
 
 def _pack(params: EzGpParams) -> np.ndarray:
@@ -422,9 +414,6 @@ def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.
     quad = np.sum(r * sol_r, axis=0)
     s = r.T @ model.ones_solve
     var = model.params.total_variance - quad + np.square(1.0 - s) / model.ones_quad
-    clipped = var < -1e-8
-    if clipped.any():
-        model.clip_count += int(np.sum(clipped))
     return means, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -444,60 +433,3 @@ def params_from_dict(d: dict) -> EzGpParams:
         theta0=np.array(d["theta0"], dtype=float),
         theta=tuple(np.array(mat, dtype=float) for mat in d["theta"]),
     )
-
-
-def model_to_dict(model: FittedModel) -> dict:
-    """JSON-ready document; reloading reproduces predictions bit-for-bit
-    under the same numeric environment (cross-platform equality is
-    best-effort)."""
-    return {
-        "schema": 1,
-        "space": {
-            "quant_bounds": [[lo, hi] for lo, hi in model.space.quant_bounds],
-            "qual_levels": list(model.space.qual_levels),
-        },
-        "params": params_to_dict(model.params),
-        "jitter": float(model.jitter),
-        "nll": float(model.nll),
-        "data": {
-            "x_norm": model.data.x.tolist(),
-            "z": model.data.z.tolist(),
-            "y": [float(v) for v in model.data.responses],
-            "transform": model.data.transform,
-        },
-    }
-
-
-def model_from_dict(doc: dict) -> FittedModel:
-    space = DesignSpace(
-        tuple((float(lo), float(hi)) for lo, hi in doc["space"]["quant_bounds"]),
-        tuple(int(m) for m in doc["space"]["qual_levels"]),
-    )
-    pts = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(doc["data"]["x_norm"], doc["data"]["z"]))
-    data = Dataset(pts, np.array(doc["data"]["y"], dtype=float), doc["data"].get("transform", "identity"))
-    return condition(params_from_dict(doc["params"]), data, space,
-                     jitter=float(doc["jitter"]), nll=float(doc["nll"]))
-
-
-def save_model(model: FittedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> FittedModel:
-    """Read a ``save_model`` file; an unreadable, non-JSON or incomplete one
-    is a ValidationError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc.strerror or exc}")
-    except ValueError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})")
-    try:
-        return model_from_dict(doc)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}")
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: malformed model ({exc})")

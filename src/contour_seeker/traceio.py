@@ -1,4 +1,5 @@
-"""Stable on-disk formats for campaign traces and tabular results.
+"""Stable on-disk formats: campaign traces, tabular results, saved models
+and the JSON input documents.
 
 A trace directory holds ``trace.csv`` (one row per adaptive iteration),
 ``design.csv`` (the final dataset), ``model.json`` (final fit),
@@ -6,6 +7,10 @@ A trace directory holds ``trace.csv`` (one row per adaptive iteration),
 (wall-clock durations, kept separate so the other files are byte-stable
 across reruns).  CSV files start with a ``# schema=1`` comment line;
 floats are written with ``repr`` for lossless round-trips.
+
+``model.json`` (``save_model``/``load_model``) and the config documents of
+the command line (run, bench and verify configs, and the space file of
+``fit``) are JSON objects, read only through ``load_document``.
 """
 from __future__ import annotations
 
@@ -13,10 +18,12 @@ import csv
 import json
 import os
 
-from .design_space import DesignSpace
+import numpy as np
+
+from .design_space import DesignSpace, MixedPoint
 from .engine import CampaignConfig, CampaignTrace, Strategy
-from .errors import IngestionError
-from .ezgp import FitConfig, model_to_dict
+from .errors import IngestionError, ValidationError
+from .ezgp import Dataset, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
 
 SCHEMA_LINE = "# schema=1"
 
@@ -45,6 +52,37 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise IngestionError(f"{path}: no rows")
     return rows[0], rows[1:]
+
+
+def load_document(path, decode, kind: str):
+    """``decode`` applied to the JSON object in ``path``; the only reader of
+    JSON input files.
+
+    An unreadable file, invalid JSON, a document that is not an object, a
+    missing field or a malformed value is a ValidationError naming the
+    file; ContourSeekerErrors raised by ``decode`` pass through unchanged.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return decode(doc)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ValidationError(f"{path}: malformed {kind} ({exc})") from None
+
+
+def write_json(path, doc: dict, sort_keys: bool = False) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def space_to_dict(space: DesignSpace) -> dict:
@@ -93,6 +131,43 @@ def fit_config_from_dict(d: dict) -> FitConfig:
         max_fev=None if d.get("max_fev") is None else int(d["max_fev"]),
         jitter_scale=float(d.get("jitter_scale", 1.0)),
     )
+
+
+def model_to_dict(model: FittedModel) -> dict:
+    """JSON-ready document; reloading reproduces predictions bit-for-bit
+    under the same numeric environment (cross-platform equality is
+    best-effort)."""
+    return {
+        "schema": 1,
+        "space": space_to_dict(model.space),
+        "params": params_to_dict(model.params),
+        "jitter": float(model.jitter),
+        "nll": float(model.nll),
+        "data": {
+            "x_norm": model.data.x.tolist(),
+            "z": model.data.z.tolist(),
+            "y": [float(v) for v in model.data.responses],
+            "transform": model.data.transform,
+        },
+    }
+
+
+def model_from_dict(doc: dict) -> FittedModel:
+    space = space_from_dict(doc["space"])
+    d = doc["data"]
+    pts = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(d["x_norm"], d["z"]))
+    data = Dataset(pts, np.array(d["y"], dtype=float), d.get("transform", "identity"))
+    return condition(params_from_dict(doc["params"]), data, space,
+                     jitter=float(doc["jitter"]), nll=float(doc["nll"]))
+
+
+def save_model(model: FittedModel, path) -> None:
+    write_json(path, model_to_dict(model))
+
+
+def load_model(path) -> FittedModel:
+    """Read a ``save_model`` file (see ``load_document`` for its failures)."""
+    return load_document(path, model_from_dict, "model")
 
 
 def config_to_dict(cfg: CampaignConfig) -> dict:
@@ -162,11 +237,6 @@ def save_trace(trace: CampaignTrace, outdir, extra_config: dict | None = None) -
     doc["aborted"] = trace.aborted
     if trace.error:
         doc["error"] = trace.error
-    with open(os.path.join(outdir, "config.json"), "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
+    write_json(os.path.join(outdir, "config.json"), doc, sort_keys=True)
     if trace.model is not None:
-        with open(os.path.join(outdir, "model.json"), "w") as fh:
-            json.dump(model_to_dict(trace.model), fh, indent=1)
-            fh.write("\n")
+        save_model(trace.model, os.path.join(outdir, "model.json"))

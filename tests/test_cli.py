@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contour_seeker as cs
+from contour_seeker import cli
 from contour_seeker.cli import main
 from contour_seeker.traceio import read_csv
 
@@ -24,6 +25,16 @@ def run_config(tmp_path, name="run.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def assert_invalid(argv, path, capsys, match=""):
+    """``main(argv)`` exits 2 with one line of JSON: a ValidationError naming ``path``."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError"
+    assert str(path) in doc["message"] and match in doc["message"]
 
 
 class TestRun:
@@ -111,6 +122,24 @@ class TestRun:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"space": {"qual_levels": [3]}}, "missing field 'quant_bounds'"),
+        ({"strategy": {"kind": "rcc", "rho": "x"}}, "malformed"),
+        ({"fit": {"n_starts": "x"}}, "malformed"),
+        ({"fit": {"theta_bounds": 5}}, "malformed"),
+        ({"n0": "x"}, "malformed"),
+        ({"level": "x"}, "malformed"),
+    ], ids=["space-no-bounds", "rho", "n_starts", "theta_bounds", "n0", "level"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, match):
+        cfg = run_config(tmp_path, **overrides)
+        assert_invalid(["run", str(cfg)], cfg, capsys, match)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(["simulator", "level"]))
+        assert_invalid(["run", str(path)], path, capsys, "JSON object")
 
 
 @pytest.fixture
@@ -220,6 +249,16 @@ class TestFit:
                      "--out", str(tmp_path / "m.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "IngestionError"
 
+    def test_malformed_space_exits_2(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"qual_levels": [2]}))
+        data = tmp_path / "data.csv"
+        data.write_text("x_1,z_1,y\n0.2,1,1.0\n0.8,2,2.0\n")
+        assert_invalid(["fit", "--data", str(data), "--space", str(space),
+                        "--out", str(tmp_path / "m.json")], space, capsys,
+                       "missing field 'quant_bounds'")
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_response_cell_exits_2(self, tmp_path, capsys):
         space = self.make_space_file(tmp_path)
         data = tmp_path / "data.csv"
@@ -284,8 +323,20 @@ class TestBench:
         assert len(rows) == 2
 
 
+    def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        from contour_seeker import bench
+
+        def no_work(*args, **kwargs):
+            pytest.fail("reference contours were computed before the thread cap was checked")
+
+        monkeypatch.setattr(bench, "reference_contour", no_work)
+        monkeypatch.setenv("CONTOUR_SEEKER_THREADS", "lots")
+        assert main(["bench", "--config", str(self.bench_config(tmp_path))]) == 2
+        assert "CONTOUR_SEEKER_THREADS" in json.loads(capsys.readouterr().err)["message"]
+
+
 class TestVerify:
-    def config(self, tmp_path, **params):
+    def config(self, tmp_path, drop=(), **params):
         doc = {
             "space": {"quant_bounds": [[0.0, 1.0]], "qual_levels": [3]},
             "params": {"mu": 0.0, "sigma2": [1.0, 0.5], "theta0": [5.0],
@@ -299,6 +350,10 @@ class TestVerify:
             "out": str(tmp_path / "verify"),
         }
         doc["params"].update(params)
+        for key in drop:
+            doc.pop(key, None)
+            doc["space"].pop(key, None)
+            doc["params"].pop(key, None)
         path = tmp_path / "verify.json"
         path.write_text(json.dumps(doc))
         return path
@@ -319,6 +374,20 @@ class TestVerify:
         assert main(["verify", "--config", str(self.config(tmp_path, **params))]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError" and "finite" in err["message"]
+
+
+    @pytest.mark.parametrize("drop", ["quant_bounds", "theta0"])
+    def test_missing_field_exits_2(self, tmp_path, capsys, drop):
+        path = self.config(tmp_path, drop=(drop,))
+        assert_invalid(["verify", "--config", str(path)], path, capsys, f"missing field {drop!r}")
+
+    def test_missing_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_draws(**kwargs):
+            pytest.fail("coverage_check ran before the config was fully decoded")
+
+        monkeypatch.setattr(cli, "coverage_check", no_draws)
+        path = self.config(tmp_path, drop=("out",))
+        assert_invalid(["verify", "--config", str(path)], path, capsys, "missing field 'out'")
 
 
 class TestModuleEntry:

@@ -168,6 +168,24 @@ class TestRunAdaptive:
                             fit_config=cs.FitConfig(n_starts=2, max_fev=100))
 
 
+    def test_unmappable_level_rejected_before_evaluation(self, ex1_sim):
+        # a one-shot campaign never maps its level; an adaptive one must,
+        # and must do it before the first simulator call
+        class Counting:
+            space = ex1_sim.space
+            name = "counting"
+            calls = 0
+
+            def evaluate(self, point):
+                self.calls += 1
+                return 2.0 + ex1_sim.evaluate(point)
+
+        sim = Counting()
+        with pytest.raises(ValidationError, match="positive"):
+            cs.run_adaptive(sim, replace(quick_cfg(ex1_sim), level=-0.9, transform="log"))
+        assert sim.calls == 0
+
+
 class TestDuplicateGuard:
     @pytest.mark.parametrize("existing,cands,expected", [
         # q=0: quantitative coordinates alone decide
