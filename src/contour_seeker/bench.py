@@ -18,10 +18,11 @@ import numpy as np
 
 from .acquisition import AcquisitionContext, partition
 from .design_space import DesignSpace, candidate_set
-from .engine import CampaignConfig, Strategy, derive_seed, run_adaptive, run_one_shot
-from .errors import ContourSeekerError, MetricUndefinedError, ValidationError
-from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, condition,
-                   cross_covariance, predict_batch)
+from .engine import CampaignConfig, Strategy, _evaluate, derive_seed, run_adaptive, run_one_shot
+from .errors import ContourSeekerError, IllConditionedModelError, MetricUndefinedError, ValidationError
+# condition is not called here; it stays bound because perfbench/tracing.py rebinds bench.condition
+from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, _posterior, _predictive,
+                   condition, cross_covariance, predict_batch)
 from .simulators import Simulator, get_transform
 
 # Seed tags local to the benchmark layer.
@@ -47,14 +48,14 @@ def reference_contour(sim: Simulator, space: DesignSpace, level: float, eps: flo
     """Evaluate a dense candidate grid and keep points within eps of the level.
 
     Raises MetricUndefinedError when the band captures nothing; widen eps
-    (or move the level) in that case.
+    (or move the level) in that case.  A failed evaluation is an EvaluationError.
     """
     if eps <= 0:
         raise ValidationError(f"reference_contour: eps must be positive, got {eps}")
     tr = get_transform(transform)
     level_eff = tr.apply(level)
     cand = candidate_set(space, per_combo, seed)
-    truths = np.array([tr.apply(sim.evaluate(pt)) for pt in cand.points])
+    truths = np.array([_evaluate(sim, pt, tr)[1] for pt in cand.points])
     keep = np.abs(truths - level_eff) <= eps
     if not keep.any():
         raise MetricUndefinedError(
@@ -273,6 +274,9 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     with the true hyperparameters, and count how often the minimum of
     |Y - level| falls inside [min lb, min ub].
 
+    Each draw conditions on rows of the grid Gram that samples the paths;
+    a draw whose training Gram cannot be factorized counts as skipped.
+
     Also verifies, on every covered draw, the bound
     |min |mean - level| - min |Y - level|| <= sqrt(beta) * sup sd over the
     union of the restricted regions.
@@ -283,12 +287,12 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     if n_train < 2:
         raise ValidationError("coverage_check: n_train must be >= 2")
     grid = candidate_set(space, per_combo, derive_seed(seed, 0))
-    x, z, points = grid.x, grid.z, grid.points
-    n_grid = len(x)
+    n_grid = len(grid.x)
     if n_train > n_grid:
         raise ValidationError(f"n_train={n_train} exceeds grid size {n_grid}")
 
-    chol = np.tril(_factor_gram(cross_covariance(true_params, x, z, x, z))[0][0])
+    gram = cross_covariance(true_params, grid.x, grid.z, grid.x, grid.z)
+    chol = np.tril(_factor_gram(gram)[0][0])
     ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
                              alpha=alpha, delta=1.0)
     root_beta = math.sqrt(ctx.beta)
@@ -299,11 +303,11 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         path = true_params.mu + chol @ rng.standard_normal(n_grid)
         train = rng.choice(n_grid, size=n_train, replace=False)
         try:
-            model = condition(true_params, Dataset(tuple(points[i] for i in train), path[train]), space)
-        except ContourSeekerError:
+            post = _posterior(gram[np.ix_(train, train)], path[train])
+        except IllConditionedModelError:
             skipped += 1
             continue
-        means, sds = predict_batch(model, x, z)
+        means, sds = _predictive(post, true_params.total_variance, gram[train])
         part = partition(means, sds, ctx)
         h = np.abs(path - level)
         h_min = float(np.min(h))

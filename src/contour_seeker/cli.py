@@ -20,7 +20,7 @@ from functools import partial
 
 from .bench import BenchConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
-from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, run_one_shot, suggest_next
+from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, suggest_next
 from .errors import CampaignError, ContourSeekerError, ValidationError
 from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
@@ -66,20 +66,29 @@ def _strategy_overrides(args) -> dict:
 
 
 def _decode_run(args, doc: dict):
-    """(simulator, campaign config, config extras) of a run config."""
+    """(simulator, campaign config, config extras) of a run config; a one-shot
+    config takes no n0, candidates_per_combo or checkpoint_sizes."""
     sim = _simulator(doc)
     strategy = _strategy(doc.get("strategy", "rcc"), _strategy_overrides(args))
-    n0, total = int(doc["n0"]), int(doc["N"])
-    if n0 >= total and strategy.kind != "one_shot":
-        raise ValueError(f"field 'n0' must be smaller than field 'N' (got n0={n0}, N={total})")
+    total = int(doc["N"])
+    if strategy.kind == "one_shot":
+        for key in ("n0", "candidates_per_combo", "checkpoint_sizes"):
+            if key in doc or (key == "candidates_per_combo" and args.candidates_per_combo is not None):
+                raise ValueError(f"field '{key}' does not apply to a one_shot run")
+        n0, per_combo = total, 1
+    else:
+        n0 = int(doc["n0"])
+        if n0 >= total:
+            raise ValueError(f"field 'n0' must be smaller than field 'N' (got n0={n0}, N={total})")
+        per_combo = (args.candidates_per_combo if args.candidates_per_combo is not None
+                     else int(doc.get("candidates_per_combo", 100)))
     cfg = CampaignConfig(
         space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
         strategy=strategy,
         level=float(args.level if args.level is not None else doc["level"]),
         n0=n0,
         total_runs=total,
-        per_combo=(args.candidates_per_combo if args.candidates_per_combo is not None
-                   else int(doc.get("candidates_per_combo", 100))),
+        per_combo=per_combo,
         seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
         fit=fit_config_from_dict(doc.get("fit", {})),
         transform=doc.get("transform", "identity"),
@@ -91,10 +100,7 @@ def _decode_run(args, doc: dict):
 def cmd_run(args) -> int:
     sim, cfg, extra = load_document(args.config, partial(_decode_run, args), "run config")
     try:
-        if cfg.strategy.kind == "one_shot":
-            trace = run_one_shot(sim, cfg.space, cfg.total_runs, cfg.seed, cfg.fit, cfg.transform, cfg.level)
-        else:
-            trace = run_adaptive(sim, cfg)
+        trace = run_adaptive(sim, cfg)
     except CampaignError as exc:
         if exc.trace is not None:
             save_trace(exc.trace, extra["out"], extra)

@@ -187,10 +187,3 @@ def initial_design(space: DesignSpace, n0: int, seed: int) -> list[MixedPoint]:
     combos = _balanced_combo_sample(space, n0, rng)
     return [MixedPoint(tuple(row.tolist()), combo) for row, combo in zip(grid, combos)]
 
-
-def points_to_rows(space: DesignSpace, points) -> list[list[float]]:
-    """De-normalized CSV rows: x_1..x_p in physical units then z_1..z_q."""
-    rows = []
-    for pt in points:
-        rows.append([*space.denormalize(pt.x), *pt.z])
-    return rows

@@ -153,9 +153,13 @@ def select_point(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
 
 
 def _evaluate(sim: Simulator, point: MixedPoint, tr: ResponseTransform) -> tuple[float, float]:
-    """(raw, modeling-scale) response at one input; a non-finite response, or
-    one the transform rejects, is an EvaluationError."""
-    y = sim.evaluate(point)
+    """(raw, modeling-scale) response at one input, as Python floats; a simulator
+    exception (as the cause), a non-numeric or non-finite response, or one the
+    transform rejects is an EvaluationError."""
+    try:
+        y = float(sim.evaluate(point))
+    except Exception as exc:
+        raise EvaluationError(f"simulator raised {exc!r} at x={point.x}, z={point.z}") from exc
     if not math.isfinite(y):
         raise EvaluationError(f"simulator returned {y!r} at x={point.x}, z={point.z}")
     try:
@@ -268,13 +272,11 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 
 
 def run_one_shot(sim: Simulator, space: DesignSpace, n: int, seed: int,
-                 fit_config: FitConfig = FitConfig(), transform: str = "identity",
-                 level: float = 0.0) -> CampaignTrace:
+                 fit_config: FitConfig = FitConfig(), transform: str = "identity") -> CampaignTrace:
     """A campaign whose budget is its starting design: one evaluation pass,
-    one fit, no adaptive records."""
-    cfg = CampaignConfig(space, Strategy("one_shot"), level, n0=n, total_runs=n,
-                         per_combo=1, seed=seed, fit=fit_config, transform=transform)
-    return run_adaptive(sim, cfg)
+    one fit, no adaptive records, and a level that is never used."""
+    return run_adaptive(sim, CampaignConfig(space, Strategy("one_shot"), 0.0, n0=n, total_runs=n,
+                                            per_combo=1, seed=seed, fit=fit_config, transform=transform))
 
 
 def suggest_next(model: FittedModel, candidates: CandidateSet, strategy: Strategy,

@@ -242,19 +242,25 @@ def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, ji
 
 
 @dataclass
-class FittedModel:
-    """Conditioned surrogate: hyperparameters plus cached Gram factorization."""
+class _Posterior:
+    """A GP conditioned on one training Gram: jittered factor, profiled mean, objective, solves."""
 
-    params: EzGpParams
-    data: Dataset
-    space: DesignSpace
-    jitter: float
     factor: tuple
+    jitter: float
     mu_hat: float
     resid_solve: np.ndarray   # Phi^{-1} (y - mu_hat 1)
     ones_solve: np.ndarray    # Phi^{-1} 1
     ones_quad: float          # 1' Phi^{-1} 1
     nll: float
+
+
+@dataclass
+class FittedModel(_Posterior):
+    """Conditioned surrogate: hyperparameters and data plus the conditioned state."""
+
+    params: EzGpParams
+    data: Dataset
+    space: DesignSpace
     start_objectives: tuple[tuple[float, float], ...] = ()
 
     @property
@@ -263,32 +269,35 @@ class FittedModel:
         return self.params.total_variance + 1.0 / self.ones_quad
 
 
+def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
+    """The one conditioning path: training Gram ``phi``, responses ``y``, ``jitter`` as in build_gram."""
+    factor, jitter_used = _factor_gram(phi, jitter)
+    obj, mu_hat = _profiled_nll(factor, y)
+    ones = np.ones(len(y))
+    ones_solve = _solve(factor, ones)
+    return _Posterior(factor, jitter_used, mu_hat, _solve(factor, y - mu_hat * ones),
+                      ones_solve, float(ones @ ones_solve), obj)
+
+
+def _predictive(post: _Posterior, prior_var: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive (means, sds) at the columns of the (n, m) cross-covariance ``r``."""
+    means = post.mu_hat + r.T @ post.resid_solve
+    quad = np.sum(r * _solve(post.factor, r), axis=0)
+    s = r.T @ post.ones_solve
+    var = prior_var - quad + np.square(1.0 - s) / post.ones_quad
+    return means, np.sqrt(np.maximum(var, 0.0))
+
+
 def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
-              jitter: float | None = None, nll: float | None = None) -> FittedModel:
+              jitter: float | None = None) -> FittedModel:
     """Build a FittedModel from known hyperparameters (no estimation).
 
     The process mean is profiled from the data even when ``params.mu`` is
     set; the stored params carry the profiled value.
     """
     params.validate(space)
-    factor, jitter_used = build_gram(params, data, space, jitter)
-    y = data.responses
-    obj, mu_hat = _profiled_nll(factor, y)
-    ones = np.ones(len(y))
-    resid_solve = _solve(factor, y - mu_hat * ones)
-    ones_solve = _solve(factor, ones)
-    return FittedModel(
-        params=replace(params, mu=mu_hat),
-        data=data,
-        space=space,
-        jitter=jitter_used,
-        factor=factor,
-        mu_hat=mu_hat,
-        resid_solve=resid_solve,
-        ones_solve=ones_solve,
-        ones_quad=float(ones @ ones_solve),
-        nll=obj if nll is None else nll,
-    )
+    post = _posterior(cross_covariance(params, data.x, data.z, data.x, data.z), data.responses, jitter)
+    return FittedModel(params=replace(params, mu=post.mu_hat), data=data, space=space, **vars(post))
 
 
 @dataclass(frozen=True)
@@ -409,12 +418,7 @@ def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.
     if len(x) == 0:
         return np.empty(0), np.empty(0)
     r = cross_covariance(model.params, model.data.x, model.data.z, x, z)  # (n, m)
-    means = model.mu_hat + r.T @ model.resid_solve
-    sol_r = _solve(model.factor, r)
-    quad = np.sum(r * sol_r, axis=0)
-    s = r.T @ model.ones_solve
-    var = model.params.total_variance - quad + np.square(1.0 - s) / model.ones_quad
-    return means, np.sqrt(np.maximum(var, 0.0))
+    return _predictive(model, model.params.total_variance, r)
 
 
 def params_to_dict(params: EzGpParams) -> dict:

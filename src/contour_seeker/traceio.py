@@ -20,7 +20,7 @@ import os
 
 import numpy as np
 
-from .design_space import DesignSpace, MixedPoint
+from .design_space import DesignSpace, MixedPoint, make_space
 from .engine import CampaignConfig, CampaignTrace, Strategy
 from .errors import IngestionError, ValidationError
 from .ezgp import Dataset, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
@@ -93,10 +93,7 @@ def space_to_dict(space: DesignSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> DesignSpace:
-    return DesignSpace(
-        tuple((float(lo), float(hi)) for lo, hi in d["quant_bounds"]),
-        tuple(int(m) for m in d.get("qual_levels", [])),
-    )
+    return make_space(d["quant_bounds"], d.get("qual_levels", []))
 
 
 def strategy_to_dict(s: Strategy) -> dict:
@@ -157,8 +154,8 @@ def model_from_dict(doc: dict) -> FittedModel:
     d = doc["data"]
     pts = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(d["x_norm"], d["z"]))
     data = Dataset(pts, np.array(d["y"], dtype=float), d.get("transform", "identity"))
-    return condition(params_from_dict(doc["params"]), data, space,
-                     jitter=float(doc["jitter"]), nll=float(doc["nll"]))
+    # the stored nll is not read: conditioning at the stored jitter recomputes it
+    return condition(params_from_dict(doc["params"]), data, space, jitter=float(doc["jitter"]))
 
 
 def save_model(model: FittedModel, path) -> None:

@@ -1,11 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
 import contour_seeker as cs
+from contour_seeker import bench, ezgp
 from contour_seeker.design_space import point_arrays
+from contour_seeker.engine import derive_seed
 from contour_seeker.errors import MetricUndefinedError, ValidationError
 
 QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
+
+
+class Poisoned:
+    """example1, except that evaluating ``poison`` divides by zero.
+
+    Defined at module level so that bench worker processes can unpickle it.
+    """
+
+    def __init__(self, poison):
+        self.sim = cs.builtin_simulator("example1")
+        self.space, self.name, self.poison = self.sim.space, "poisoned", poison
+
+    def evaluate(self, point):
+        if point == self.poison:
+            return 1.0 / 0.0
+        return self.sim.evaluate(point)
 
 
 class TestReferenceContour:
@@ -25,6 +45,20 @@ class TestReferenceContour:
     def test_eps_must_be_positive(self, ex1_sim):
         with pytest.raises(ValidationError):
             cs.reference_contour(ex1_sim, ex1_sim.space, 0.0, 0.0, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "raise"])
+    def test_failed_truth_is_evaluation_error(self, ex1_sim, bad):
+        # level 2 fails; a non-finite truth used to be dropped without a word
+        def fn(x, z):
+            if z[0] != 2:
+                return ex1_sim.fn(x, z)
+            return 1.0 / 0.0 if bad == "raise" else float(bad)
+
+        sim = cs.FunctionSimulator(ex1_sim.space, fn, "half-broken")
+        with pytest.raises(cs.EvaluationError, match="z=\\(2,\\)") as err:
+            cs.reference_contour(sim, sim.space, 0.0, 1e9, 20, seed=1)
+        if bad == "raise":
+            assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 class TestMc0:
@@ -125,11 +159,37 @@ class TestReplicateBenchmark:
         assert not summary.valid
         assert math.isnan(summary.mean_m_c0)
 
-    def test_nonfinite_responses_keep_the_grid(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_simulator_keeps_the_grid(self, workers):
+        # the simulator divides by zero at the point replicate 1 picks first,
+        # after its starting design and first fit
+        sim = cs.builtin_simulator("example1")
+        cfg = cs.BenchConfig(
+            strategies=(cs.Strategy("rcc", delta=0.05),),
+            levels=(-0.9,), budgets=(10, 11), n0=9, replicates=2,
+            per_combo=10, ref_per_combo=60, eps=0.05, seed=3, fit=QUICK_FIT,
+        )
+        first_step = cs.run_adaptive(sim, cs.CampaignConfig(
+            space=sim.space, strategy=cfg.strategies[0], level=-0.9, n0=9, total_runs=10,
+            per_combo=10, seed=derive_seed(cfg.seed, bench._TAG_REPLICATE, 1), fit=QUICK_FIT))
+        poisoned = Poisoned(first_step.records[0].point)
+        result = cs.replicate_benchmark(poisoned, cfg, workers=workers)
+        assert [(r.replicate, r.budget, r.failed) for r in result.rows] == \
+               [(0, 10, False), (0, 11, False), (1, 10, True), (1, 11, True)]
+        assert all("ZeroDivisionError" in r.error and "simulator failed at n=9" in r.error
+                   for r in result.rows if r.failed)
+        assert all(math.isfinite(r.m_c0) for r in result.rows if not r.failed)
+        assert [(s.budget, s.n_ok, s.n_failed) for s in result.summary] == [(10, 1, 1), (11, 1, 1)]
+
+    def test_nonfinite_responses_keep_the_grid(self, monkeypatch):
         sim = cs.builtin_simulator("example1")
         # level 1 has no finite response, and every starting design visits it
         blind = cs.FunctionSimulator(
             sim.space, lambda x, z: float("nan") if z[0] == 1 else sim.fn(x, z), "blind")
+        # a non-finite truth is an error, so the reference comes from the healthy function
+        real_reference = bench.reference_contour
+        monkeypatch.setattr(bench, "reference_contour",
+                            lambda _sim, *args: real_reference(sim, *args))
         cfg = cs.BenchConfig(
             strategies=(cs.Strategy("rcc", delta=0.05), cs.Strategy("one_shot")),
             levels=(0.5,), budgets=(11,), n0=9, replicates=2,
@@ -172,6 +232,57 @@ class TestCoverage:
                                 draws=30, per_combo=10, seed=11, n_train=6)
         assert res.coverage >= 0.8
         assert res.theorem1_violations == 0
+
+    def test_ill_conditioned_draws_are_skipped(self, monkeypatch):
+        # a training factorization that fails at every jitter rung skips its
+        # draw; here the draws whose first two training points covary weakly
+        real, failed = ezgp._try_cholesky, set()
+
+        def try_cholesky(phi, jitter):
+            if len(phi) == 6 and phi[0, 1] < 0.5:
+                failed.add(phi.tobytes())
+                return None
+            return real(phi, jitter)
+
+        monkeypatch.setattr(ezgp, "_try_cholesky", try_cholesky)
+        space = cs.make_space([(0, 1)], [3])
+        res = cs.coverage_check(space, self.truth(space), level=0.0, alpha=0.5,
+                                draws=20, per_combo=10, seed=11, n_train=6)
+        assert 0 < len(failed) < res.draws
+        assert res.skipped == len(failed)
+        assert 0 < res.hits <= res.draws - res.skipped
+
+    def test_draws_equal_condition_and_predict_batch(self, monkeypatch):
+        # each draw conditions on rows of the grid Gram; that must give the
+        # bits of a model conditioned on the same training points
+        space = cs.make_space([(0, 1)] * 3, [3, 3, 3])
+        truth = cs.EzGpParams(0.0, np.array([1.0, 0.3, 0.2, 0.4]), np.array([2.0, 3.0, 1.5]),
+                              tuple(np.full((3, 3), r) for r in (1.0, 2.0, 0.5)))
+        seed, per_combo, n_train, draws = 4, 2, 10, 5
+        responses, predictions = [], []
+        real_posterior, real_partition = bench._posterior, bench.partition
+
+        def posterior(phi, y, jitter=None):
+            responses.append(y)
+            return real_posterior(phi, y, jitter)
+
+        def partition(means, sds, ctx):
+            predictions.append((means, sds))
+            return real_partition(means, sds, ctx)
+
+        monkeypatch.setattr(bench, "_posterior", posterior)
+        monkeypatch.setattr(bench, "partition", partition)
+        res = cs.coverage_check(space, truth, level=0.0, alpha=0.1, draws=draws,
+                                per_combo=per_combo, seed=seed, n_train=n_train)
+        assert res.skipped == 0 and len(predictions) == draws
+        grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
+        for d, (y, (means, sds)) in enumerate(zip(responses, predictions)):
+            rng = np.random.default_rng(derive_seed(seed, 1, d))
+            rng.standard_normal(len(grid.x))
+            train = rng.choice(len(grid.x), size=n_train, replace=False)
+            model = cs.condition(truth, cs.Dataset(tuple(grid.point(i) for i in train), y), space)
+            ref_means, ref_sds = cs.predict_batch(model, grid.x, grid.z)
+            assert np.array_equal(means, ref_means) and np.array_equal(sds, ref_sds)
 
     def test_validation(self):
         space = cs.make_space([(0, 1)], [3])

@@ -1,4 +1,6 @@
 import json
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ import pytest
 import contour_seeker as cs
 from contour_seeker import cli
 from contour_seeker.cli import main
-from contour_seeker.traceio import read_csv
+from contour_seeker.traceio import load_document, read_csv
 
 
-def run_config(tmp_path, name="run.json", **overrides):
+def run_config(tmp_path, name="run.json", drop=(), **overrides):
     doc = {
         "simulator": {"builtin": "example1"},
         "strategy": {"kind": "rcc", "delta": 0.05},
@@ -21,6 +23,8 @@ def run_config(tmp_path, name="run.json", **overrides):
         "fit": {"n_starts": 2, "max_fev": 250},
         "out": str(tmp_path / "out"),
     }
+    for key in drop:
+        del doc[key]
     doc.update(overrides)
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -83,12 +87,33 @@ class TestRun:
         assert resolved["seed"] == 9
 
     def test_one_shot_strategy(self, tmp_path, capsys):
-        cfg = run_config(tmp_path, strategy="one_shot", N=10)
+        cfg = run_config(tmp_path, strategy="one_shot", N=10, drop=("n0", "candidates_per_combo"))
         assert main(["run", str(cfg)]) == 0
         _, rows = read_csv(tmp_path / "out" / "design.csv")
         assert len(rows) == 10
         _, trows = read_csv(tmp_path / "out" / "trace.csv")
         assert trows == []
+
+    def test_one_shot_config_reports_what_ran(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, strategy="one_shot", N=10, drop=("n0", "candidates_per_combo"))
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        resolved = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert (resolved["n0"], resolved["N"], resolved["candidates_per_combo"]) == (10, 10, 1)
+        assert resolved["checkpoint_sizes"] == [] and resolved["strategy"]["kind"] == "one_shot"
+
+    @pytest.mark.parametrize("field, value", [("n0", 9), ("candidates_per_combo", 30),
+                                              ("checkpoint_sizes", [10])])
+    def test_one_shot_rejects_adaptive_fields(self, tmp_path, capsys, field, value):
+        cfg = run_config(tmp_path, strategy="one_shot", N=10, drop=("n0", "candidates_per_combo"),
+                         **{field: value})
+        assert_invalid(["run", str(cfg)], cfg, capsys, f"field '{field}' does not apply")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_shot_rejects_candidates_flag(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, strategy="one_shot", N=10, drop=("n0", "candidates_per_combo"))
+        assert_invalid(["run", str(cfg), "--candidates-per-combo", "30"], cfg, capsys,
+                       "field 'candidates_per_combo' does not apply")
 
     def test_nonfinite_table_response_rejected_at_load(self, tmp_path, capsys):
         table = tmp_path / "grid.csv"
@@ -388,6 +413,25 @@ class TestVerify:
         monkeypatch.setattr(cli, "coverage_check", no_draws)
         path = self.config(tmp_path, drop=("out",))
         assert_invalid(["verify", "--config", str(path)], path, capsys, "missing field 'out'")
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_decodes(path):
+    # decode only: the command is named by the file's prefix, and nothing runs
+    command = path.name.split("_")[0] if path.name.startswith(("bench_", "verify_")) else "run"
+    argv, decode = {"run": ([str(path)], cli._decode_run),
+                    "bench": (["--config", str(path)], cli._decode_bench),
+                    "verify": (["--config", str(path)], cli._decode_verify)}[command]
+    args = cli.build_parser().parse_args([command, *argv])
+    decoded = load_document(path, partial(decode, args), f"{command} config")
+    if command == "verify":
+        space, params, _ = decoded
+        params.validate(space)
+    else:
+        assert isinstance(decoded[1], cs.CampaignConfig if command == "run" else cs.BenchConfig)
 
 
 class TestModuleEntry:

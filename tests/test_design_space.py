@@ -185,14 +185,6 @@ class TestOneShotDesign:
         assert cs.initial_design(sp, 9, seed=11) == cs.initial_design(sp, 9, seed=11)
 
 
-class TestCsvRows:
-    def test_points_exported_in_physical_units(self):
-        from contour_seeker.design_space import points_to_rows
-        sp = cs.make_space([(0.0, 10.0)], [2])
-        pts = [cs.MixedPoint((0.25,), (2,)), cs.MixedPoint((1.0,), (1,))]
-        assert points_to_rows(sp, pts) == [[2.5, 2], [10.0, 1]]
-
-
 class TestNormalization:
     @given(st.floats(-50, 50), st.floats(0.1, 100), st.lists(st.floats(0, 1), min_size=1, max_size=4))
     def test_round_trip(self, lo, width, xs):

@@ -9,7 +9,7 @@ from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed, select_point
 from contour_seeker.errors import CampaignError, ValidationError
 from contour_seeker.ezgp import coincident, condition, params_from_dict
-from contour_seeker.traceio import read_csv
+from contour_seeker.traceio import read_csv, save_trace
 
 from conftest import arrays
 
@@ -110,6 +110,49 @@ class TestRunAdaptive:
         assert trace.aborted
         assert len(trace.records) == 1
         assert len(trace.dataset) == 10
+
+    def test_simulator_exception_aborts_with_partial_trace(self, ex1_sim):
+        class DividesByZeroAfter:
+            space = ex1_sim.space
+            name = "dividing"
+
+            def __init__(self, limit):
+                self.calls = 0
+                self.limit = limit
+
+            def evaluate(self, point):
+                self.calls += 1
+                return 1.0 / 0.0 if self.calls > self.limit else ex1_sim.evaluate(point)
+
+        with pytest.raises(CampaignError, match="simulator failed at n=10") as err:
+            cs.run_adaptive(DividesByZeroAfter(10), quick_cfg(ex1_sim))
+        cause = err.value.__cause__
+        assert isinstance(cause, cs.EvaluationError) and isinstance(cause.__cause__, ZeroDivisionError)
+        assert "ZeroDivisionError" in str(cause) and "x=(" in str(cause)
+        assert len(err.value.trace.records) == 1 and len(err.value.trace.dataset) == 10
+
+        with pytest.raises(CampaignError, match="starting design"):
+            cs.run_adaptive(DividesByZeroAfter(3), quick_cfg(ex1_sim))
+
+    def test_responses_are_python_floats(self, ex1_sim, tmp_path):
+        # a numpy float used to be written to design.csv as "np.float64(...)"
+        class Returning:
+            space = ex1_sim.space
+            name = "returning"
+
+            def __init__(self, wrap):
+                self.wrap = wrap
+
+            def evaluate(self, point):
+                return self.wrap(ex1_sim.evaluate(point))
+
+        trace = cs.run_one_shot(Returning(np.float64), ex1_sim.space, 4, seed=1,
+                                fit_config=cs.FitConfig(n_starts=1, max_fev=30))
+        assert all(type(y) is float for y in trace.raw_responses)
+        save_trace(trace, tmp_path)
+        assert "np.float64" not in (tmp_path / "design.csv").read_text()
+        with pytest.raises(CampaignError, match="starting design.*ValueError"):
+            cs.run_one_shot(Returning(lambda y: "oops"), ex1_sim.space, 4, seed=1)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_nonfinite_response_aborts_with_partial_trace(self, ex1_sim, bad):
