@@ -1,15 +1,20 @@
 """Acquisition criteria for contour search over a finite candidate set.
 
-Includes the contour expected improvement, the Bernoulli-entropy locator,
-the contour lower-confidence-bound, confidence-band region partitioning
-with the per-region selectors, the restricted-region distance criterion,
-and the two-finalist arbitration rule.  All selectors break ties toward
+Every criterion is scored by one array function, ``_criterion``, the only
+place a criterion name is read: the Bernoulli-entropy locator (``ecl``),
+the contour expected improvement (``ei``) and the contour
+lower-confidence-bound (``lcb``), each as scores where larger is better.
+``partition`` computes the confidence bounds on |Y - a| once and holds the
+adaptive search region {lb <= min ub}; the region-based cooperative step
+(RCC), the restricted-region distance criterion (ARSD) and the
+coverage check all read that partition.  All selectors break ties toward
 the smallest candidate index so that results are deterministic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
@@ -17,6 +22,7 @@ from scipy.stats import norm
 from .errors import SelectionError, ValidationError
 
 _PROB_CLIP = 1e-12
+_RCC_INNER = ("ecl", "ei")
 
 
 def beta_n(n: int, num_combos: int, alpha: float) -> float:
@@ -67,13 +73,29 @@ class AcquisitionContext:
         return beta_n(self.n, self.num_combos, self.alpha)
 
 
-def _ei_array(means: np.ndarray, sds: np.ndarray, level: float, ei_alpha: float) -> np.ndarray:
-    out = np.zeros_like(means)
+def _criterion(kind: str, means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
+    """Scores of criterion ``kind`` ("ecl", "ei" or "lcb"); larger is better.
+
+    ``lcb`` scores are the negated distance bound |mean - a| - rho sd.
+    ``ecl`` and ``ei`` are zero where sd is zero.
+    """
+    level = ctx.contour_level
+    if kind == "lcb":
+        return -(np.abs(means - level) - ctx.rho * sds)
+    if kind not in _RCC_INNER:
+        raise ValidationError(f"unknown criterion {kind!r}; choose from ('ecl', 'ei', 'lcb')")
+    out = np.zeros(len(means))
     pos = sds > 0
     if not pos.any():
         return out
     mu, sd = means[pos], sds[pos]
-    eps = ei_alpha * sd
+    if kind == "ecl":
+        with np.errstate(over="ignore"):
+            p = norm.cdf((mu - level) / sd)
+        p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
+        out[pos] = -(1.0 - p) * np.log1p(-p) - p * np.log(p)
+        return out
+    eps = ctx.ei_alpha * sd
     # u may overflow to +/-inf for extreme |mu - level| / sd; the improvement
     # tends to 0 there, so non-finite intermediates are mapped to 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -82,9 +104,12 @@ def _ei_array(means: np.ndarray, sds: np.ndarray, level: float, ei_alpha: float)
         val = ((eps ** 2 - (mu - level) ** 2 - sd ** 2) * (norm.cdf(u2) - norm.cdf(u1))
                + sd ** 2 * (u2 * norm.pdf(u2) - u1 * norm.pdf(u1))
                + 2.0 * (mu - level) * sd * (norm.pdf(u2) - norm.pdf(u1)))
-    val = np.where(np.isfinite(val), val, 0.0)
-    out[pos] = np.maximum(val, 0.0)
+    out[pos] = np.maximum(np.where(np.isfinite(val), val, 0.0), 0.0)
     return out
+
+
+def _scalar(kind: str, mean: float, sd: float, ctx: AcquisitionContext) -> float:
+    return float(_criterion(kind, np.array([mean]), np.array([sd]), ctx)[0])
 
 
 def ei_contour(mean: float, sd: float, ctx: AcquisitionContext) -> float:
@@ -93,19 +118,7 @@ def ei_contour(mean: float, sd: float, ctx: AcquisitionContext) -> float:
     The improvement of a response y is eps^2 - min{(y - a)^2, eps^2}
     with eps = ei_alpha * sd; zero when sd is zero.
     """
-    return float(_ei_array(np.array([mean]), np.array([sd]), ctx.contour_level, ctx.ei_alpha)[0])
-
-
-def _ecl_array(means: np.ndarray, sds: np.ndarray, level: float) -> np.ndarray:
-    out = np.zeros_like(means)
-    pos = sds > 0
-    if not pos.any():
-        return out
-    with np.errstate(over="ignore"):
-        p = norm.cdf((means[pos] - level) / sds[pos])
-    p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
-    out[pos] = -(1.0 - p) * np.log1p(-p) - p * np.log(p)
-    return out
+    return _scalar("ei", mean, sd, ctx)
 
 
 def ecl(mean: float, sd: float, level: float) -> float:
@@ -114,60 +127,67 @@ def ecl(mean: float, sd: float, level: float) -> float:
     Maximal where the surrogate is most uncertain about which side of
     the contour the point lies on; zero when sd is zero.
     """
-    return float(_ecl_array(np.array([mean]), np.array([sd]), level)[0])
+    return _scalar("ecl", mean, sd, AcquisitionContext(level, n=1, num_combos=1))
 
 
 def lcb_contour(mean: float, sd: float, ctx: AcquisitionContext) -> float:
     """|mean - a| - rho * sd; smaller is better."""
-    return abs(mean - ctx.contour_level) - ctx.rho * sd
-
-
-def bounds(mean: float, sd: float, ctx: AcquisitionContext) -> tuple[float, float]:
-    """Confidence bounds on the distance |Y - a|: |mean - a| -/+ sqrt(beta) sd."""
-    dist = abs(mean - ctx.contour_level)
-    half = math.sqrt(ctx.beta) * sd
-    return dist - half, dist + half
-
-
-def _bound_arrays(means, sds, ctx) -> tuple[np.ndarray, np.ndarray]:
-    dist = np.abs(means - ctx.contour_level)
-    half = math.sqrt(ctx.beta) * sds
-    return dist - half, dist + half
+    return -_scalar("lcb", mean, sd, ctx)
 
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Candidate split by whether the level lies outside the confidence band.
+    """Candidates split by the confidence bounds lb, ub on |Y - a|.
 
     ``a1`` holds indices whose lower bound is positive (level outside the
-    band), ``a2`` the rest; ``a1_min`` is the subset of a1 whose lower
-    bound does not exceed the global minimum upper bound ``min_ub``.
+    band), ``a2`` the rest.  ``restricted`` is the adaptive search region
+    {lb <= min_ub}, ``min_ub`` the global minimum upper bound; it contains
+    all of a2, and ``a1_min`` is its part in a1.  Index arrays ascend and
+    are computed on first use.
     """
 
-    a1: np.ndarray
-    a2: np.ndarray
-    a1_min: np.ndarray
-    min_ub: float
     lb: np.ndarray
     ub: np.ndarray
+
+    @cached_property
+    def min_ub(self) -> float:
+        return float(np.min(self.ub))
+
+    @cached_property
+    def a1(self) -> np.ndarray:
+        return np.flatnonzero(self.lb > 0)
+
+    @cached_property
+    def a2(self) -> np.ndarray:
+        return np.flatnonzero(~(self.lb > 0))
+
+    @cached_property
+    def restricted(self) -> np.ndarray:
+        return np.flatnonzero(self.lb <= self.min_ub)
+
+    @cached_property
+    def a1_min(self) -> np.ndarray:
+        return self.restricted[self.lb[self.restricted] > 0]
 
 
 def partition(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> RegionPartition:
     if len(means) == 0:
         raise ValidationError("partition: empty prediction arrays")
-    lb, ub = _bound_arrays(means, sds, ctx)
-    idx = np.arange(len(means))
-    in_a1 = lb > 0
-    min_ub = float(np.min(ub))
-    a1 = idx[in_a1]
-    return RegionPartition(
-        a1=a1,
-        a2=idx[~in_a1],
-        a1_min=a1[lb[a1] <= min_ub],
-        min_ub=min_ub,
-        lb=lb,
-        ub=ub,
-    )
+    dist = np.abs(means - ctx.contour_level)
+    half = math.sqrt(ctx.beta) * sds
+    return RegionPartition(dist - half, dist + half)
+
+
+def bounds(mean: float, sd: float, ctx: AcquisitionContext) -> tuple[float, float]:
+    """Confidence bounds on the distance |Y - a|: |mean - a| -/+ sqrt(beta) sd."""
+    part = partition(np.array([mean]), np.array([sd]), ctx)
+    return float(part.lb[0]), float(part.ub[0])
+
+
+def _check_inner(inner: str) -> None:
+    """RCC's band-region criterion is the entropy or the expected improvement."""
+    if inner not in _RCC_INNER:
+        raise ValidationError(f"unknown inner criterion {inner!r}; choose from {_RCC_INNER}")
 
 
 def select_a1(sds: np.ndarray, part: RegionPartition) -> int | None:
@@ -180,15 +200,10 @@ def select_a1(sds: np.ndarray, part: RegionPartition) -> int | None:
 def select_a2(means: np.ndarray, sds: np.ndarray, part: RegionPartition, ctx: AcquisitionContext,
               inner: str = "ecl") -> int | None:
     """Best inner criterion (entropy or expected improvement) inside the band region."""
+    _check_inner(inner)
     if len(part.a2) == 0:
         return None
-    if inner == "ecl":
-        vals = _ecl_array(means[part.a2], sds[part.a2], ctx.contour_level)
-    elif inner == "ei":
-        vals = _ei_array(means[part.a2], sds[part.a2], ctx.contour_level, ctx.ei_alpha)
-    else:
-        raise ValidationError(f"unknown inner criterion {inner!r}")
-    return int(part.a2[np.argmax(vals)])
+    return int(part.a2[np.argmax(_criterion(inner, means[part.a2], sds[part.a2], ctx))])
 
 
 @dataclass(frozen=True)
@@ -214,13 +229,9 @@ class SelectionReport:
     min_ub: float
 
 
-def _score(mean: float, sd: float, ctx: AcquisitionContext) -> float:
-    return float(sd / max(ctx.delta, abs(mean - ctx.contour_level)))
-
-
 def _finalist(means, sds, i: int, ctx: AcquisitionContext, acq_value: float) -> Finalist:
     mean, sd = float(means[i]), float(sds[i])
-    return Finalist(i, mean, sd, acq_value, _score(mean, sd, ctx))
+    return Finalist(i, mean, sd, acq_value, float(sd / max(ctx.delta, abs(mean - ctx.contour_level))))
 
 
 def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None,
@@ -231,21 +242,19 @@ def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None
     Ties go to the band-region finalist; a single finalist is chosen with
     region tag "fallback".
     """
+    _check_inner(inner)
     if i1 is None and i2 is None:
         raise SelectionError("arbitrate: no finalist from either region")
     f1 = _finalist(means, sds, i1, ctx, float(sds[i1])) if i1 is not None else None
     f2 = None
     if i2 is not None:
-        mean2, sd2 = float(means[i2]), float(sds[i2])
-        acq2 = ecl(mean2, sd2, ctx.contour_level) if inner == "ecl" else ei_contour(mean2, sd2, ctx)
+        acq2 = float(_criterion(inner, means[i2:i2 + 1], sds[i2:i2 + 1], ctx)[0])
         f2 = _finalist(means, sds, i2, ctx, acq2)
 
     if f1 is not None and f2 is not None:
         chosen, region = (f1.index, "A1") if f1.score > f2.score else (f2.index, "A2")
-    elif f1 is not None:
-        chosen, region = f1.index, "fallback"
     else:
-        chosen, region = f2.index, "fallback"
+        chosen, region = (f1 or f2).index, "fallback"
 
     sizes = (len(part.a1), len(part.a2), len(part.a1_min)) if part is not None else (0, 0, 0)
     min_ub = part.min_ub if part is not None else float("nan")
@@ -262,27 +271,17 @@ def select_rcc(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
 
 
 def select_arsd(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> int:
-    """Distance criterion restricted to the adaptive region {lb <= min ub}.
+    """LCB restricted to the adaptive region {lb <= min ub}.
 
     The restriction is never empty: the candidate attaining the minimum
     upper bound has lb <= ub = min_ub.
     """
-    if len(means) == 0:
-        raise ValidationError("select_arsd: empty prediction arrays")
-    lb, ub = _bound_arrays(means, sds, ctx)
-    restricted = np.flatnonzero(lb <= np.min(ub))
-    crit = np.abs(means[restricted] - ctx.contour_level) - ctx.rho * sds[restricted]
-    return int(restricted[np.argmin(crit)])
+    region = partition(means, sds, ctx).restricted
+    return int(region[np.argmax(_criterion("lcb", means[region], sds[region], ctx))])
 
 
 def select_global(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext, kind: str) -> int:
-    """Unrestricted argmax (EI, ECL) or argmin (LCB) over all candidates."""
+    """Unrestricted best of criterion ``kind`` (EI, ECL or LCB) over all candidates."""
     if len(means) == 0:
         raise ValidationError("select_global: empty prediction arrays")
-    if kind == "ei":
-        return int(np.argmax(_ei_array(means, sds, ctx.contour_level, ctx.ei_alpha)))
-    if kind == "ecl":
-        return int(np.argmax(_ecl_array(means, sds, ctx.contour_level)))
-    if kind == "lcb":
-        return int(np.argmin(np.abs(means - ctx.contour_level) - ctx.rho * sds))
-    raise ValidationError(f"unknown global criterion {kind!r}")
+    return int(np.argmax(_criterion(kind, means, sds, ctx)))

@@ -279,7 +279,7 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
 
     Also verifies, on every covered draw, the bound
     |min |mean - level| - min |Y - level|| <= sqrt(beta) * sup sd over the
-    union of the restricted regions.
+    adaptive search region {lb <= min ub} (``RegionPartition.restricted``).
     """
     true_params.validate(space)
     if draws < 1:
@@ -311,12 +311,11 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         part = partition(means, sds, ctx)
         h = np.abs(path - level)
         h_min = float(np.min(h))
-        lo, hi = float(np.min(part.lb)), float(np.min(part.ub))
+        lo, hi = float(np.min(part.lb)), part.min_ub
         if lo - 1e-12 <= h_min <= hi + 1e-12:
             hits += 1
             checked += 1
-            region = np.concatenate([part.a1_min, part.a2])
-            sup_sd = float(np.max(sds[region])) if len(region) else 0.0
+            sup_sd = float(np.max(sds[part.restricted]))
             mu_tilde_min = float(np.min(np.abs(means - level)))
             if abs(mu_tilde_min - h_min) > root_beta * sup_sd + 1e-12:
                 violations += 1

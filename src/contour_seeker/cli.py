@@ -45,8 +45,6 @@ def _simulator(doc: dict):
     """The simulator a config names."""
     sim_doc = doc["simulator"]
     if "table" in sim_doc:
-        # the campaign-level transform is applied at evaluation, so the
-        # table itself is loaded untransformed here
         return tabular_simulator(sim_doc["table"], space_from_dict(doc["space"]),
                                  response_column=sim_doc.get("response_column", "y"))
     return builtin_simulator(sim_doc["builtin"])

@@ -139,16 +139,14 @@ def _context(strategy: Strategy, level_eff: float, data: Dataset, num_combos: in
 def select_point(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
                  strategy: Strategy) -> SelectionReport:
     """Dispatch one selection step; returns a report with the chosen index."""
-    if strategy.kind == "rcc":
-        return select_rcc(means, sds, ctx, inner="ecl")
-    if strategy.kind == "rcc_ei":
-        return select_rcc(means, sds, ctx, inner="ei")
+    if strategy.kind in ("rcc", "rcc_ei"):
+        return select_rcc(means, sds, ctx, inner="ei" if strategy.kind == "rcc_ei" else "ecl")
+    if strategy.kind == "one_shot":
+        raise ValidationError("strategy 'one_shot' has no selection step")
     if strategy.kind == "arsd":
         idx = select_arsd(means, sds, ctx)
-    elif strategy.kind in ("ecl", "ei", "lcb"):
-        idx = select_global(means, sds, ctx, strategy.kind)
     else:
-        raise ValidationError(f"strategy {strategy.kind!r} has no selection step")
+        idx = select_global(means, sds, ctx, strategy.kind)
     return SelectionReport(idx, "global", None, None, 0, 0, 0, float("nan"))
 
 

@@ -222,8 +222,9 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
     )
 
 
-def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float]:
-    """(objective, profiled mean): log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2."""
+def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """(objective, profiled mean, Phi^{-1} 1, 1'Phi^{-1} 1), where the objective is
+    log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2."""
     n = len(y)
     logdet = 2.0 * float(np.log(factor[0].diagonal()).sum())
     ones = np.ones(n)
@@ -232,7 +233,7 @@ def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float]:
     one_quad = float(ones @ sol_1)
     one_y = float(ones @ sol_y)
     obj = logdet + float(y @ sol_y) - one_y * one_y / one_quad
-    return obj, one_y / one_quad
+    return obj, one_y / one_quad, sol_1, one_quad
 
 
 def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None) -> float:
@@ -272,11 +273,9 @@ class FittedModel(_Posterior):
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
     """The one conditioning path: training Gram ``phi``, responses ``y``, ``jitter`` as in build_gram."""
     factor, jitter_used = _factor_gram(phi, jitter)
-    obj, mu_hat = _profiled_nll(factor, y)
-    ones = np.ones(len(y))
-    ones_solve = _solve(factor, ones)
-    return _Posterior(factor, jitter_used, mu_hat, _solve(factor, y - mu_hat * ones),
-                      ones_solve, float(ones @ ones_solve), obj)
+    obj, mu_hat, ones_solve, ones_quad = _profiled_nll(factor, y)
+    return _Posterior(factor, jitter_used, mu_hat, _solve(factor, y - mu_hat * np.ones(len(y))),
+                      ones_solve, ones_quad, obj)
 
 
 def _predictive(post: _Posterior, prior_var: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

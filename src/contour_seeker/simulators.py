@@ -3,9 +3,8 @@
 A simulator exposes a declared design space and a deterministic
 ``evaluate(point)`` returning the raw response at a (normalized)
 MixedPoint.  Response transforms (identity / log) are applied by the
-campaign at ingestion; ``tabular_simulator`` can additionally transform
-at load time for standalone use, in which case the campaign should run
-with the identity transform.
+campaign at ingestion, never by a simulator: ``tabular_simulator`` loads
+its table untransformed.
 """
 from __future__ import annotations
 
@@ -120,7 +119,7 @@ class TabularSimulator:
     space: DesignSpace
     x_norm: np.ndarray   # (r, p)
     z: np.ndarray        # (r, q)
-    y: np.ndarray        # (r,) on the stored (possibly transformed) scale
+    y: np.ndarray        # (r,) responses, returned as stored
     name: str = "tabular"
 
     def evaluate(self, point: MixedPoint) -> float:
@@ -192,12 +191,10 @@ def read_table(path, space: DesignSpace, response_column: str | None = None,
     return (x_norm, z, y) if response_column else (x_norm, z)
 
 
-def tabular_simulator(path, space: DesignSpace, transform: str = "identity",
-                      response_column: str = "y") -> TabularSimulator:
-    """Ingest a CSV grid with columns x_1..x_p, z_1..z_q and a response.
+def tabular_simulator(path, space: DesignSpace, response_column: str = "y") -> TabularSimulator:
+    """Ingest a CSV grid with columns x_1..x_p, z_1..z_q and a raw response.
 
-    Lines starting with '#' are ignored.  The optional log transform is
-    applied to the response at load time.
+    Lines starting with '#' are ignored.
     """
-    x_norm, z, y = read_table(path, space, response_column, transform)
+    x_norm, z, y = read_table(path, space, response_column)
     return TabularSimulator(space=space, x_norm=x_norm, z=z, y=y)

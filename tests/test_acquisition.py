@@ -267,6 +267,48 @@ class TestSelectArsd:
         assert 0 <= idx < n
 
 
+def plain_arsd(means, sds, ctx):
+    """(restricted region, ARSD pick) in plain Python: the indices with
+    lb <= min ub in ascending order, and the first argmin of the LCB there."""
+    level, root = ctx.contour_level, math.sqrt(ctx.beta)
+    means, sds = [float(m) for m in means], [float(s) for s in sds]
+    lb = [abs(m - level) - root * s for m, s in zip(means, sds)]
+    min_ub = min(abs(m - level) + root * s for m, s in zip(means, sds))
+    region = [i for i in range(len(means)) if lb[i] <= min_ub]
+    lcb = [abs(means[i] - level) - ctx.rho * sds[i] for i in region]
+    return region, region[lcb.index(min(lcb))]
+
+
+class TestSelectionCoreOracle:
+    @given(st.integers(1, 40), st.integers(0, 10_000), st.floats(0.0, 5.0), st.booleans())
+    def test_restricted_region_and_arsd(self, n, seed, rho, coarse):
+        rng = np.random.default_rng(seed)
+        if coarse:  # few distinct values, so bounds and LCB values tie
+            means = rng.choice([-1.0, 0.0, 0.5, 2.0], n)
+            sds = rng.choice([0.0, 0.25, 1.0], n)
+        else:
+            means, sds = rng.normal(scale=2, size=n), rng.uniform(0, 1.5, n)
+        ctx = ctx_for(level=float(rng.choice([0.0, 0.5, rng.normal()])), n=int(rng.integers(1, 50)),
+                      rho=rho)
+        part = cs.partition(means, sds, ctx)
+        region, pick = plain_arsd(means, sds, ctx)
+        assert part.restricted.tolist() == region
+        assert part.restricted.tolist() == sorted(set(part.a1_min.tolist()) | set(part.a2.tolist()))
+        assert cs.select_arsd(means, sds, ctx) == pick
+
+    def test_rcc_inner_rejects_lcb(self):
+        preds = [P(0.0, 1.0), P(3.0, 0.1)]
+        ctx = ctx_for(level=0.0)
+        part = cs.partition(*arrays(preds), ctx)
+        assert len(part.a2) > 0
+        with pytest.raises(ValidationError):
+            cs.select_a2(*arrays(preds), part, ctx, inner="lcb")
+        with pytest.raises(ValidationError):
+            cs.arbitrate(*arrays(preds), None, 0, ctx, part, inner="lcb")
+        with pytest.raises(ValidationError):
+            cs.select_rcc(*arrays(preds), ctx, inner="lcb")
+
+
 class TestSelectGlobal:
     def test_single_candidate(self):
         for kind in ("ei", "ecl", "lcb"):

@@ -1,7 +1,11 @@
+import functools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
 from contour_seeker import bench, ezgp
@@ -26,6 +30,63 @@ class Poisoned:
         if point == self.poison:
             return 1.0 / 0.0
         return self.sim.evaluate(point)
+
+
+class FaultAt:
+    """example1, counting calls; call number ``at`` (0-based) raises or returns NaN."""
+
+    def __init__(self, at=None, fault="raise"):
+        self.sim = cs.builtin_simulator("example1")
+        self.space, self.name = self.sim.space, "fault-at"
+        self.at, self.fault, self.calls = at, fault, 0
+
+    def evaluate(self, point):
+        call, self.calls = self.calls, self.calls + 1
+        if call == self.at:
+            if self.fault == "raise":
+                raise RuntimeError("injected fault")
+            return float("nan")
+        return self.sim.evaluate(point)
+
+
+FAULT_GRID = cs.BenchConfig(
+    strategies=(cs.Strategy("rcc", delta=0.05), cs.Strategy("one_shot")),
+    levels=(-0.9, 0.5), budgets=(7, 8), n0=6, replicates=2,
+    per_combo=10, ref_per_combo=60, eps=0.05, seed=5, fit=QUICK_FIT,
+)
+
+
+def campaign_calls(cfg):
+    """(row keys, simulator calls) of every campaign, in the order the grid runs them."""
+    out = []
+    for rep in range(cfg.replicates):
+        for s in cfg.strategies:
+            if s.kind == "one_shot":
+                out += [([(s.kind, level, n, rep) for level in cfg.levels], n) for n in cfg.budgets]
+            else:
+                out += [([(s.kind, level, n, rep) for n in cfg.budgets], max(cfg.budgets))
+                        for level in cfg.levels]
+    return out
+
+
+def run_with_healthy_reference(sim, cfg):
+    healthy, real_reference = cs.builtin_simulator("example1"), bench.reference_contour
+    with mock.patch.object(bench, "reference_contour",
+                           lambda _sim, *args: real_reference(healthy, *args)):
+        return cs.replicate_benchmark(sim, cfg, workers=1)
+
+
+@functools.cache
+def fault_free_rows():
+    sim = FaultAt()
+    rows = run_with_healthy_reference(sim, FAULT_GRID).rows
+    assert sim.calls == sum(calls for _keys, calls in campaign_calls(FAULT_GRID))
+    assert not any(r.failed for r in rows)
+    return rows
+
+
+def row_key(r):
+    return r.strategy, r.level, r.budget, r.replicate
 
 
 class TestReferenceContour:
@@ -180,6 +241,24 @@ class TestReplicateBenchmark:
                    for r in result.rows if r.failed)
         assert all(math.isfinite(r.m_c0) for r in result.rows if not r.failed)
         assert [(s.budget, s.n_ok, s.n_failed) for s in result.summary] == [(10, 1, 1), (11, 1, 1)]
+
+    @settings(max_examples=8)
+    @given(st.integers(0, sum(calls for _keys, calls in campaign_calls(FAULT_GRID)) - 1),
+           st.sampled_from(["raise", "nan"]))
+    def test_fault_at_any_call_fails_only_its_campaign(self, at, fault):
+        cfg, campaigns = FAULT_GRID, campaign_calls(FAULT_GRID)
+        ends = np.cumsum([calls for _keys, calls in campaigns])
+        hit = set(campaigns[int(np.searchsorted(ends, at, side="right"))][0])
+        result = run_with_healthy_reference(FaultAt(at, fault), cfg)
+
+        assert sorted(map(row_key, result.rows)) == sorted(
+            (s.kind, level, n, rep) for s in cfg.strategies for level in cfg.levels
+            for n in cfg.budgets for rep in range(cfg.replicates))
+        assert {row_key(r) for r in result.rows if r.failed} == hit
+        healthy = {row_key(r): r for r in fault_free_rows()}
+        for r in result.rows:
+            if row_key(r) not in hit:
+                assert replace(r, wall_time_s=0.0) == replace(healthy[row_key(r)], wall_time_s=0.0)
 
     def test_nonfinite_responses_keep_the_grid(self, monkeypatch):
         sim = cs.builtin_simulator("example1")

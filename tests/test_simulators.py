@@ -5,6 +5,7 @@ import pytest
 
 import contour_seeker as cs
 from contour_seeker.errors import EvaluationError, IngestionError, ValidationError
+from contour_seeker.simulators import read_table
 
 
 class TestBuiltins:
@@ -106,7 +107,7 @@ class TestTabular:
     def test_log_transform_at_load(self, tmp_path, grid_space):
         path = tmp_path / "grid.csv"
         write_table(path, ["2.0,0.5,1,100.0"])
-        sim = cs.tabular_simulator(path, grid_space, transform="log")
+        sim = cs.TabularSimulator(grid_space, *read_table(path, grid_space, "y", "log"))
         val = sim.evaluate(cs.MixedPoint(grid_space.normalize((2.0, 0.5)), (1,)))
         assert val == pytest.approx(4.605170185988092, rel=1e-12)
 
@@ -136,7 +137,7 @@ class TestTabular:
         path = tmp_path / "grid.csv"
         write_table(path, ["2.0,0.5,1,1.0", "4.0,0.5,1,0.0"])
         with pytest.raises(IngestionError) as err:
-            cs.tabular_simulator(path, grid_space, transform="log")
+            read_table(path, grid_space, "y", "log")
         assert err.value.row == 3
 
     def test_missing_column(self, tmp_path, grid_space):
