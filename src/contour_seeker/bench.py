@@ -76,7 +76,7 @@ class BenchConfig:
     levels: tuple[float, ...]
     budgets: tuple[int, ...]
     n0: int
-    replicates: int
+    replicates: int = 10
     per_combo: int = 100
     ref_per_combo: int = 200
     eps: float = 0.05
@@ -89,12 +89,9 @@ class BenchConfig:
             raise ValidationError("benchmark grid must have strategies, levels, and budgets")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
-        for n in self.budgets:
-            if n <= self.n0 and not self._only_one_shot():
-                raise ValidationError(f"budget {n} must exceed n0={self.n0} for adaptive strategies")
-
-    def _only_one_shot(self) -> bool:
-        return all(s.kind == "one_shot" for s in self.strategies)
+        for s in self.strategies:
+            for n in self.budgets:
+                CampaignConfig.check_budget(s.kind, n if s.kind == "one_shot" else self.n0, n)
 
 
 @dataclass

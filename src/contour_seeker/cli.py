@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 
 from .bench import BenchConfig, coverage_check, replicate_benchmark
@@ -26,9 +26,8 @@ from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
-from .traceio import (fit_config_from_dict, fit_config_to_dict, load_document, load_model, read_csv,
-                      save_model, save_trace, space_from_dict, strategy_from_dict, strategy_to_dict,
-                      write_csv, write_json)
+from .traceio import (fit_config_from_dict, given_fields, load_document, load_model, read_csv, save_model,
+                      save_trace, space_from_dict, strategy_from_dict, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -46,8 +45,13 @@ def _simulator(doc: dict):
     sim_doc = doc["simulator"]
     if "table" in sim_doc:
         return tabular_simulator(sim_doc["table"], space_from_dict(doc["space"]),
-                                 response_column=sim_doc.get("response_column", "y"))
+                                 **given_fields(sim_doc, {"response_column": str}))
     return builtin_simulator(sim_doc["builtin"])
+
+
+def _given(**values) -> dict:
+    """The values a command-line flag sets."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _strategy(spec, overrides: dict | None = None) -> Strategy:
@@ -55,44 +59,36 @@ def _strategy(spec, overrides: dict | None = None) -> Strategy:
     if not isinstance(spec, (str, dict)):
         raise TypeError("strategy must be a name or an object")
     base = Strategy(spec) if isinstance(spec, str) else strategy_from_dict(spec)
-    return replace(base, **{k: v for k, v in (overrides or {}).items() if v is not None})
+    return replace(base, **(overrides or {}))
 
 
 def _strategy_overrides(args) -> dict:
-    return {"kind": args.strategy, "delta": args.delta, "rho": args.rho,
-            "alpha": args.alpha, "ei_alpha": args.ei_alpha}
+    return _given(kind=args.strategy, delta=args.delta, rho=args.rho, alpha=args.alpha, ei_alpha=args.ei_alpha)
+
+
+# The optional keys of run and bench configs, each with its conversion.
+_SHARED = {"candidates_per_combo": int, "seed": int, "fit": fit_config_from_dict, "transform": str}
+_RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": tuple}
+_BENCH_OPTIONAL = {**_SHARED, "replicates": int, "ref_per_combo": int, "eps": float}
+_FIELD_NAMES = {"candidates_per_combo": "per_combo"}
 
 
 def _decode_run(args, doc: dict):
     """(simulator, campaign config, config extras) of a run config; a one-shot
     config takes no n0, candidates_per_combo or checkpoint_sizes."""
+    doc = {**doc, **_given(level=args.level, seed=args.seed, out=args.out,
+                           candidates_per_combo=args.candidates_per_combo)}
     sim = _simulator(doc)
     strategy = _strategy(doc.get("strategy", "rcc"), _strategy_overrides(args))
-    total = int(doc["N"])
     if strategy.kind == "one_shot":
         for key in ("n0", "candidates_per_combo", "checkpoint_sizes"):
-            if key in doc or (key == "candidates_per_combo" and args.candidates_per_combo is not None):
+            if key in doc:
                 raise ValueError(f"field '{key}' does not apply to a one_shot run")
-        n0, per_combo = total, 1
-    else:
-        n0 = int(doc["n0"])
-        if n0 >= total:
-            raise ValueError(f"field 'n0' must be smaller than field 'N' (got n0={n0}, N={total})")
-        per_combo = (args.candidates_per_combo if args.candidates_per_combo is not None
-                     else int(doc.get("candidates_per_combo", 100)))
-    cfg = CampaignConfig(
-        space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
-        strategy=strategy,
-        level=float(args.level if args.level is not None else doc["level"]),
-        n0=n0,
-        total_runs=total,
-        per_combo=per_combo,
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
-        fit=fit_config_from_dict(doc.get("fit", {})),
-        transform=doc.get("transform", "identity"),
-        checkpoint_sizes=tuple(doc.get("checkpoint_sizes", [])),
-    )
-    return sim, cfg, {"simulator": doc["simulator"], "out": args.out or doc["out"]}
+        doc.update(n0=doc["N"], candidates_per_combo=1)
+    cfg = CampaignConfig(space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
+                         strategy=strategy, level=float(doc["level"]), n0=int(doc["n0"]),
+                         total_runs=int(doc["N"]), **given_fields(doc, _RUN_OPTIONAL, _FIELD_NAMES))
+    return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
 
 
 def cmd_run(args) -> int:
@@ -137,7 +133,7 @@ def cmd_suggest(args) -> int:
             "a2_size": report.a2_size,
             "a1_min_size": report.a1_min_size,
         },
-        "strategy": strategy_to_dict(strategy),
+        "strategy": asdict(strategy),
         "level": args.level,
     }
     print(json.dumps(out))
@@ -148,31 +144,23 @@ def cmd_fit(args) -> int:
     space = load_document(args.space, space_from_dict, "space")
     points, (_, _, y) = _read_points(args.data, space, "y", args.transform)
     data = Dataset(points, y, transform=args.transform)
-    config = FitConfig(n_starts=args.starts, seed=args.seed or 0, max_fev=args.max_fev)
+    config = FitConfig(**_given(n_starts=args.starts, seed=args.seed, max_fev=args.max_fev))
     model = fit(data, space, config)
     save_model(model, args.out)
     print(json.dumps({"out": args.out, "nll": model.nll, "jitter": model.jitter,
-                      "fit": fit_config_to_dict(config), "transform": args.transform}))
+                      "fit": asdict(config), "transform": args.transform}))
     return EXIT_OK
 
 
 def _decode_bench(args, doc: dict):
     """(simulator, bench config, config extras) of a bench config."""
+    doc = {**doc, **_given(replicates=args.replicates, seed=args.seed, out=args.out)}
     sim = _simulator(doc)
-    cfg = BenchConfig(
-        strategies=tuple(_strategy(s) for s in doc["strategies"]),
-        levels=tuple(float(v) for v in doc["levels"]),
-        budgets=tuple(int(v) for v in doc["budgets"]),
-        n0=int(doc["n0"]),
-        replicates=args.replicates or int(doc.get("replicates", 10)),
-        per_combo=int(doc.get("candidates_per_combo", 100)),
-        ref_per_combo=int(doc.get("ref_per_combo", 200)),
-        eps=float(doc.get("eps", 0.05)),
-        seed=args.seed if args.seed is not None else int(doc.get("seed", 0)),
-        fit=fit_config_from_dict(doc.get("fit", {})),
-        transform=doc.get("transform", "identity"),
-    )
-    return sim, cfg, {"simulator": doc["simulator"], "out": args.out or doc["out"]}
+    cfg = BenchConfig(strategies=tuple(_strategy(s) for s in doc["strategies"]),
+                      levels=tuple(float(v) for v in doc["levels"]),
+                      budgets=tuple(int(v) for v in doc["budgets"]), n0=int(doc["n0"]),
+                      **given_fields(doc, _BENCH_OPTIONAL, _FIELD_NAMES))
+    return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
 
 
 def cmd_bench(args) -> int:
@@ -190,11 +178,11 @@ def cmd_bench(args) -> int:
                 s.n_ok, s.n_failed, int(s.valid)] for s in result.summary])
     resolved = {
         **extra,
-        "strategies": [strategy_to_dict(s) for s in cfg.strategies],
+        "strategies": [asdict(s) for s in cfg.strategies],
         "levels": list(cfg.levels), "budgets": list(cfg.budgets), "n0": cfg.n0,
         "replicates": cfg.replicates, "candidates_per_combo": cfg.per_combo,
         "ref_per_combo": cfg.ref_per_combo, "eps": cfg.eps, "seed": cfg.seed,
-        "transform": cfg.transform, "fit": fit_config_to_dict(cfg.fit),
+        "transform": cfg.transform, "fit": asdict(cfg.fit),
         "fairness_checked": result.fairness_checked,
         "fairness_violations": result.fairness_violations,
     }
@@ -206,6 +194,7 @@ def cmd_bench(args) -> int:
 
 def _decode_verify(args, doc: dict):
     """(space, true parameters, resolved config) of a verify config."""
+    doc = {**doc, **_given(seed=args.seed, out=args.out)}
     space, params = space_from_dict(doc["space"]), params_from_dict(doc["params"])
     return space, params, {
         "space": doc["space"],
@@ -214,9 +203,9 @@ def _decode_verify(args, doc: dict):
         "alpha": float(doc.get("alpha", 0.1)),
         "draws": int(doc.get("draws", 500)),
         "per_combo": int(doc.get("per_combo", 50)),
-        "seed": args.seed if args.seed is not None else int(doc.get("seed", 0)),
+        "seed": int(doc.get("seed", 0)),
         "n_train": int(doc.get("n_train", 10)),
-        "out": args.out or doc["out"],
+        "out": doc["out"],
     }
 
 
@@ -281,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--space", required=True, help="JSON file with quant_bounds/qual_levels")
     p_fit.add_argument("--out", default="model.json")
     p_fit.add_argument("--seed", type=int)
-    p_fit.add_argument("--starts", type=int, default=8)
+    p_fit.add_argument("--starts", type=int)
     p_fit.add_argument("--max-fev", dest="max_fev", type=int)
     p_fit.add_argument("--transform", default="identity", choices=["identity", "log"])
     p_fit.set_defaults(func=cmd_fit)

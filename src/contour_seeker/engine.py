@@ -43,21 +43,24 @@ def derive_seed(seed: int, *tags: int) -> int:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Selection rule plus its tuning constants.
-
+    """Selection rule plus its tuning constants, checked on construction:
+    ``rho`` finite and >= 0, ``delta`` None or finite and > 0, ``alpha`` in
+    (0, 1) and ``ei_alpha`` finite and > 0 (``AcquisitionContext``'s rule).
     ``delta`` of None resolves per iteration to 5% of the observed
     response range (on the modeling scale).
     """
 
     kind: str
-    rho: float = 2.0
+    rho: float = AcquisitionContext.rho
     delta: float | None = None
-    alpha: float = 0.05
-    ei_alpha: float = 1.96
+    alpha: float = AcquisitionContext.alpha
+    ei_alpha: float = AcquisitionContext.ei_alpha
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValidationError(f"unknown strategy {self.kind!r}; choose from {STRATEGY_KINDS}")
+        AcquisitionContext(0.0, 1, 1, alpha=self.alpha, delta=1.0 if self.delta is None else self.delta,
+                           rho=self.rho, ei_alpha=self.ei_alpha)
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,24 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n0 < 2:
             raise ValidationError(f"n0 must be >= 2, got {self.n0}")
-        if self.total_runs < self.n0:
-            raise ValidationError(f"total_runs must be >= n0, got {self.total_runs} < {self.n0}")
+        if not math.isfinite(self.level):
+            raise ValidationError(f"level must be finite, got {self.level}")
+        self.check_budget(self.strategy.kind, self.n0, self.total_runs)
         if self.per_combo < 1:
             raise ValidationError(f"per_combo must be >= 1, got {self.per_combo}")
         get_transform(self.transform)
         for s in self.checkpoint_sizes:
             if not self.n0 <= s <= self.total_runs:
                 raise ValidationError(f"checkpoint size {s} outside [{self.n0}, {self.total_runs}]")
+
+    @staticmethod
+    def check_budget(kind: str, n0: int, total_runs: int) -> None:
+        """The budget rule: N > n0 for an adaptive strategy, N == n0 for
+        ``one_shot``, whose budget is its starting design."""
+        one_shot = kind == "one_shot"
+        if total_runs != n0 if one_shot else total_runs <= n0:
+            raise ValidationError(f"strategy {kind!r} needs N {'==' if one_shot else '>'} n0, "
+                                  f"got N={total_runs}, n0={n0}")
 
 
 @dataclass
@@ -221,8 +234,7 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
         except ContourSeekerError as exc:
             trace.aborted, trace.error = True, f"fit failed at n={n}: {exc}"
             raise CampaignError(trace.error, trace) from exc
-        warm = model.params
-        trace.dataset, trace.model = data, model
+        warm, trace.model = model.params, model
         if n in checkpoints or n == cfg.total_runs:
             trace.checkpoints[n] = model
             trace.checkpoint_times[n] = time.perf_counter() - t0
@@ -248,7 +260,7 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
         except EvaluationError as exc:
             trace.aborted, trace.error = True, f"simulator failed at n={n}: {exc}"
             raise CampaignError(trace.error, trace) from exc
-        data = data.extended(chosen, y_model)
+        trace.dataset = data = data.extended(chosen, y_model)
         trace.raw_responses.append(y_raw)
         trace.records.append(IterationRecord(
             iteration=iteration,

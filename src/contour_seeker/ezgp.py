@@ -301,13 +301,16 @@ def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multi-start settings for hyperparameter estimation.
+    """Multi-start settings for hyperparameter estimation, checked on
+    construction.
 
-    Starts are 1 centered point plus LHD points in log-parameter space
-    (a warm start, when provided, replaces one LHD start).  ``max_fev``
-    caps Nelder-Mead evaluations per start (None = scipy default);
-    ``jitter_scale`` multiplies the base jitter used inside the objective
-    (raised on retry after a failed fit).
+    Starts (``n_starts`` >= 1) are 1 centered point plus LHD points in
+    log-parameter space (a warm start, when provided, replaces one LHD
+    start).  ``theta_bounds`` and ``sigma2_rel_bounds`` are two finite
+    numbers with 0 < low < high.  ``max_fev`` (None = scipy default, else
+    >= 1) caps Nelder-Mead evaluations per start; ``jitter_scale`` (finite,
+    > 0) multiplies the base jitter used inside the objective (raised on
+    retry after a failed fit).
     """
 
     n_starts: int = 8
@@ -316,6 +319,18 @@ class FitConfig:
     sigma2_rel_bounds: tuple[float, float] = (1e-6, 10.0)
     max_fev: int | None = None
     jitter_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.n_starts < 1:
+            raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.max_fev is not None and self.max_fev < 1:
+            raise ValidationError(f"max_fev must be None or >= 1, got {self.max_fev}")
+        for name in ("theta_bounds", "sigma2_rel_bounds"):
+            b = getattr(self, name)
+            if len(b) != 2 or not (math.isfinite(b[1]) and 0 < b[0] < b[1]):
+                raise ValidationError(f"{name} must be two finite numbers with 0 < low < high, got {b}")
+        if not (math.isfinite(self.jitter_scale) and self.jitter_scale > 0):
+            raise ValidationError(f"jitter_scale must be finite and positive, got {self.jitter_scale}")
 
 
 def _pack(params: EzGpParams) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -85,6 +86,16 @@ def write_json(path, doc: dict, sort_keys: bool = False) -> None:
         fh.write("\n")
 
 
+def given_fields(doc: dict, convert: dict, names: dict | None = None) -> dict:
+    """``convert[key](doc[key])`` as field ``names.get(key, key)`` for each key of
+    ``convert`` that ``doc`` holds: a field the document leaves out keeps its default."""
+    return {(names or {}).get(key, key): conv(doc[key]) for key, conv in convert.items() if key in doc}
+
+
+def _optional(conv):
+    return lambda v: None if v is None else conv(v)
+
+
 def space_to_dict(space: DesignSpace) -> dict:
     return {
         "quant_bounds": [[lo, hi] for lo, hi in space.quant_bounds],
@@ -93,41 +104,18 @@ def space_to_dict(space: DesignSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> DesignSpace:
-    return make_space(d["quant_bounds"], d.get("qual_levels", []))
-
-
-def strategy_to_dict(s: Strategy) -> dict:
-    return {"kind": s.kind, "rho": s.rho, "delta": s.delta,
-            "alpha": s.alpha, "ei_alpha": s.ei_alpha}
+    return make_space(d["quant_bounds"], **given_fields(d, {"qual_levels": tuple}))
 
 
 def strategy_from_dict(d: dict) -> Strategy:
-    return Strategy(
-        kind=d["kind"],
-        rho=float(d.get("rho", 2.0)),
-        delta=None if d.get("delta") is None else float(d["delta"]),
-        alpha=float(d.get("alpha", 0.05)),
-        ei_alpha=float(d.get("ei_alpha", 1.96)),
-    )
-
-
-def fit_config_to_dict(f: FitConfig) -> dict:
-    return {"n_starts": f.n_starts, "seed": f.seed,
-            "theta_bounds": list(f.theta_bounds),
-            "sigma2_rel_bounds": list(f.sigma2_rel_bounds),
-            "max_fev": f.max_fev, "jitter_scale": f.jitter_scale}
+    return Strategy(d["kind"], **given_fields(d, {"rho": float, "delta": _optional(float),
+                                                   "alpha": float, "ei_alpha": float}))
 
 
 def fit_config_from_dict(d: dict) -> FitConfig:
-    base = FitConfig()
-    return FitConfig(
-        n_starts=int(d.get("n_starts", base.n_starts)),
-        seed=int(d.get("seed", base.seed)),
-        theta_bounds=tuple(d.get("theta_bounds", base.theta_bounds)),
-        sigma2_rel_bounds=tuple(d.get("sigma2_rel_bounds", base.sigma2_rel_bounds)),
-        max_fev=None if d.get("max_fev") is None else int(d["max_fev"]),
-        jitter_scale=float(d.get("jitter_scale", 1.0)),
-    )
+    return FitConfig(**given_fields(d, {"n_starts": int, "seed": int, "theta_bounds": tuple,
+                                        "sigma2_rel_bounds": tuple, "max_fev": _optional(int),
+                                        "jitter_scale": float}))
 
 
 def model_to_dict(model: FittedModel) -> dict:
@@ -153,7 +141,9 @@ def model_from_dict(doc: dict) -> FittedModel:
     space = space_from_dict(doc["space"])
     d = doc["data"]
     pts = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(d["x_norm"], d["z"]))
-    data = Dataset(pts, np.array(d["y"], dtype=float), d.get("transform", "identity"))
+    for pt in pts:
+        space.validate_point(pt)
+    data = Dataset(pts, np.array(d["y"], dtype=float), **given_fields(d, {"transform": str}))
     # the stored nll is not read: conditioning at the stored jitter recomputes it
     return condition(params_from_dict(doc["params"]), data, space, jitter=float(doc["jitter"]))
 
@@ -170,14 +160,14 @@ def load_model(path) -> FittedModel:
 def config_to_dict(cfg: CampaignConfig) -> dict:
     return {
         "space": space_to_dict(cfg.space),
-        "strategy": strategy_to_dict(cfg.strategy),
+        "strategy": asdict(cfg.strategy),
         "level": cfg.level,
         "n0": cfg.n0,
         "N": cfg.total_runs,
         "candidates_per_combo": cfg.per_combo,
         "seed": cfg.seed,
         "transform": cfg.transform,
-        "fit": fit_config_to_dict(cfg.fit),
+        "fit": asdict(cfg.fit),
         "checkpoint_sizes": list(cfg.checkpoint_sizes),
     }
 

@@ -1,14 +1,17 @@
 import json
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import contour_seeker as cs
 from contour_seeker import cli
 from contour_seeker.cli import main
-from contour_seeker.traceio import load_document, read_csv
+from contour_seeker.engine import STRATEGY_KINDS
+from contour_seeker.traceio import fit_config_from_dict, load_document, read_csv, strategy_from_dict
 
 
 def run_config(tmp_path, name="run.json", drop=(), **overrides):
@@ -32,13 +35,21 @@ def run_config(tmp_path, name="run.json", drop=(), **overrides):
 
 
 def assert_invalid(argv, path, capsys, match=""):
-    """``main(argv)`` exits 2 with one line of JSON: a ValidationError naming ``path``."""
+    """``main(argv)`` exits 2 with one line of JSON: a ValidationError naming
+    ``path`` (unless it is None)."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     doc = json.loads(err)
     assert doc["error"] == "ValidationError"
-    assert str(path) in doc["message"] and match in doc["message"]
+    assert (path is None or str(path) in doc["message"]) and match in doc["message"]
+
+
+def no_work(*args, **kwargs):
+    pytest.fail("work started before the config was fully checked")
+
+
+BAD_STRATEGY_CONSTANTS = [("alpha", 0), ("alpha", 2.0), ("rho", -1), ("delta", 0), ("ei_alpha", 0)]
 
 
 class TestRun:
@@ -166,6 +177,36 @@ class TestRun:
         path.write_text(json.dumps(["simulator", "level"]))
         assert_invalid(["run", str(path)], path, capsys, "JSON object")
 
+    @pytest.mark.parametrize("overrides, flags, match", [
+        *[({"strategy": {"kind": "rcc", name: value}}, [], name) for name, value in BAD_STRATEGY_CONSTANTS],
+        ({}, ["--alpha", "2"], "alpha"),
+        ({"fit": {"n_starts": 0}}, [], "n_starts"),
+        ({"fit": {"theta_bounds": [10, 1]}}, [], "theta_bounds"),
+        ({"fit": {"theta_bounds": [0, 1]}}, [], "theta_bounds"),
+        ({"fit": {"sigma2_rel_bounds": [-1, 10]}}, [], "sigma2_rel_bounds"),
+        ({"fit": {"max_fev": 0}}, [], "max_fev"),
+        ({"level": float("nan")}, [], "level"),
+    ])
+    def test_bad_setting_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, overrides, flags, match):
+        monkeypatch.setattr(cli, "run_adaptive", no_work)
+        cfg = run_config(tmp_path, **overrides)
+        assert_invalid(["run", str(cfg), *flags], None, capsys, match)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", [k for k in STRATEGY_KINDS if k != "one_shot"])
+    def test_resolved_config_decodes_to_the_same_config(self, tmp_path, capsys, kind):
+        def decode(argv):
+            args = cli.build_parser().parse_args(argv)
+            return load_document(args.config, partial(cli._decode_run, args), "run config")[1]
+
+        cfg = run_config(tmp_path, N=10, candidates_per_combo=10, checkpoint_sizes=[9],
+                         strategy={"kind": "rcc", "rho": 1.5, "delta": 0.1, "alpha": 0.1, "ei_alpha": 1.5},
+                         fit={"n_starts": 1, "max_fev": 40, "theta_bounds": [0.05, 50.0], "jitter_scale": 2.0})
+        argv = ["run", str(cfg), "--strategy", kind]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert decode(["run", str(tmp_path / "out" / "config.json")]) == decode(argv)
+
 
 @pytest.fixture
 def model_path(tmp_path, small_model):
@@ -220,6 +261,14 @@ class TestSuggest:
         assert err.count("\n") == 1
         doc = json.loads(err)
         assert doc["error"] == "ValidationError" and match in doc["message"]
+
+    @pytest.mark.parametrize("field, value, match", [("z", [7], "z[0]=7 outside 1..3"),
+                                                     ("x_norm", [3.5], "x[0]=3.5 outside")])
+    def test_design_outside_space_exits_2(self, model_path, capsys, field, value, match):
+        doc = json.loads(model_path.read_text())
+        doc["data"][field][0] = value
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], None, capsys, match)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_model_params_exit_2(self, model_path, capsys, bad):
@@ -308,7 +357,7 @@ class TestFit:
 
 
 class TestBench:
-    def bench_config(self, tmp_path):
+    def bench_config(self, tmp_path, **overrides):
         doc = {
             "simulator": {"builtin": "example1"},
             "strategies": [{"kind": "rcc", "delta": 0.05}, "one_shot"],
@@ -322,6 +371,7 @@ class TestBench:
             "seed": 2,
             "fit": {"n_starts": 2, "max_fev": 200},
             "out": str(tmp_path / "bench"),
+            **overrides,
         }
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(doc))
@@ -347,6 +397,19 @@ class TestBench:
         _, rows = read_csv(tmp_path / "bench1" / "results.csv")
         assert len(rows) == 2
 
+
+    @pytest.mark.parametrize("overrides, flags, match", [
+        ({"strategies": [{"kind": "rcc", "alpha": 0}, "one_shot"]}, [], "alpha"),
+        ({}, ["--replicates", "0"], "replicates"),
+    ])
+    def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, flags,
+                                                 match):
+        from contour_seeker import bench
+
+        monkeypatch.setattr(bench, "reference_contour", no_work)
+        cfg = self.bench_config(tmp_path, **overrides)
+        assert_invalid(["bench", "--config", str(cfg), *flags], None, capsys, match)
+        assert not (tmp_path / "bench").exists()
 
     def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         from contour_seeker import bench
@@ -413,6 +476,22 @@ class TestVerify:
         monkeypatch.setattr(cli, "coverage_check", no_draws)
         path = self.config(tmp_path, drop=("out",))
         assert_invalid(["verify", "--config", str(path)], path, capsys, "missing field 'out'")
+
+
+_finite = {"allow_nan": False, "allow_infinity": False}
+_positive = st.floats(min_value=0, exclude_min=True, **_finite)
+_bounds = st.tuples(_positive, _positive).filter(lambda b: b[0] < b[1])
+
+
+@given(st.builds(cs.Strategy, kind=st.sampled_from(STRATEGY_KINDS), rho=st.floats(min_value=0, **_finite),
+                 delta=st.none() | _positive, alpha=st.floats(0, 1, exclude_min=True, exclude_max=True),
+                 ei_alpha=_positive)
+       | st.builds(cs.FitConfig, n_starts=st.integers(1, 64), seed=st.integers(0, 2 ** 63),
+                   theta_bounds=_bounds, sigma2_rel_bounds=_bounds,
+                   max_fev=st.none() | st.integers(1, 10 ** 6), jitter_scale=_positive))
+def test_encoded_setting_decodes_to_an_equal_value(value):
+    decode = strategy_from_dict if isinstance(value, cs.Strategy) else fit_config_from_dict
+    assert decode(json.loads(json.dumps(asdict(value)))) == value
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

@@ -41,11 +41,16 @@ class TestDeriveSeed:
 
 class TestRunAdaptive:
     def test_budget_equal_to_initial_design_is_empty_loop(self, ex1_sim):
-        cfg = quick_cfg(ex1_sim, total=9)
+        cfg = quick_cfg(ex1_sim, strategy="one_shot", total=9)
         trace = cs.run_adaptive(ex1_sim, cfg)
         assert trace.records == []
         assert len(trace.dataset) == 9
         assert trace.model is not None
+
+    @pytest.mark.parametrize("strategy, total", [("rcc", 9), ("ecl", 8), ("one_shot", 12)])
+    def test_budget_rule(self, ex1_sim, strategy, total):
+        with pytest.raises(ValidationError, match=f"strategy '{strategy}' needs N"):
+            quick_cfg(ex1_sim, strategy=strategy, total=total)
 
     def test_structural_rcc_run(self, ex1_sim):
         trace = cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
@@ -381,6 +386,28 @@ class TestTracePersistence:
                                         rho=cfg.strategy.rho, ei_alpha=cfg.strategy.ei_alpha)
             report = select_point(means, sds, ctx, cfg.strategy)
             assert int(keep[report.chosen_index]) == int(row[col["chosen_index"]])
+
+    def test_failed_fit_keeps_last_point_in_design(self, ex1_sim, tmp_path, monkeypatch):
+        from contour_seeker import engine
+
+        real_fit = engine.fit
+
+        def fail_at_ten(data, *args, **kwargs):
+            if len(data) == 10:
+                raise cs.FitFailureError("forced")
+            return real_fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "fit", fail_at_ten)
+        with pytest.raises(CampaignError, match="fit failed at n=10") as err:
+            cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
+        out = tmp_path / "aborted"
+        save_trace(err.value.trace, out)
+        theader, trows = read_csv(out / "trace.csv")
+        dheader, drows = read_csv(out / "design.csv")
+        assert len(trows) == 1 and len(drows) == 10
+        cols = ["x_1", "z_1", "y_raw", "y_model"]
+        assert ([drows[-1][dheader.index(c)] for c in cols]
+                == [trows[0][theader.index(c)] for c in cols])
 
     def test_partial_trace_persisted_on_abort(self, ex1_sim, tmp_path):
         trace = cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
