@@ -9,12 +9,15 @@ Monte Carlo on GP paths sampled from known hyperparameters.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .acquisition import AcquisitionContext, partition
 from .design_space import DesignSpace, candidate_set
@@ -89,6 +92,8 @@ class BenchConfig:
             raise ValidationError("benchmark grid must have strategies, levels, and budgets")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        for level in self.levels:
+            CampaignConfig.check_level(level)
         for s in self.strategies:
             for n in self.budgets:
                 CampaignConfig.check_budget(s.kind, n if s.kind == "one_shot" else self.n0, n)
@@ -190,8 +195,34 @@ def resolve_workers(requested: int) -> int:
     return max(requested, 1)
 
 
+# numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _single_thread_blas() -> None:
+    """Pool initializer: run the OpenBLAS bundled with numpy and scipy on one thread.
+
+    Each fit's L-BFGS-B calls scipy's OpenBLAS, which by default runs one
+    thread per CPU; with several workers the threads oversubscribe the CPUs
+    and each small BLAS call slows several-fold.  Does nothing where a
+    library or its thread setter is absent.
+    """
+    for pkg in (np, scipy):
+        for path in glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*"):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in _BLAS_THREAD_SETTERS:
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+
+
 def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> BenchResult:
-    """Run the full grid; replicates may run in parallel processes.
+    """Run the full grid; replicates may run in parallel processes, each
+    with single-threaded BLAS.
 
     Cells with more than 20% failed replicates are marked invalid in the
     summary.  Relative efficiency is the one-shot mean divided by the
@@ -203,7 +234,7 @@ def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> B
             for i, level in enumerate(cfg.levels)}
 
     if workers > 1 and cfg.replicates > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas) as pool:
             outcomes = list(pool.map(_run_replicate,
                                      [sim] * cfg.replicates, [cfg] * cfg.replicates,
                                      range(cfg.replicates), [refs] * cfg.replicates))

@@ -79,8 +79,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n0 < 2:
             raise ValidationError(f"n0 must be >= 2, got {self.n0}")
-        if not math.isfinite(self.level):
-            raise ValidationError(f"level must be finite, got {self.level}")
+        self.check_level(self.level)
         self.check_budget(self.strategy.kind, self.n0, self.total_runs)
         if self.per_combo < 1:
             raise ValidationError(f"per_combo must be >= 1, got {self.per_combo}")
@@ -88,6 +87,12 @@ class CampaignConfig:
         for s in self.checkpoint_sizes:
             if not self.n0 <= s <= self.total_runs:
                 raise ValidationError(f"checkpoint size {s} outside [{self.n0}, {self.total_runs}]")
+
+    @staticmethod
+    def check_level(level: float) -> None:
+        """The level rule: a contour level is finite."""
+        if not math.isfinite(level):
+            raise ValidationError(f"level must be finite, got {level}")
 
     @staticmethod
     def check_budget(kind: str, n0: int, total_runs: int) -> None:

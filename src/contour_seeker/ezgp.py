@@ -3,9 +3,10 @@
 The covariance is a base squared-exponential term on the quantitative
 coordinates plus, for each qualitative factor, a level-specific
 squared-exponential term that is active only when both points share that
-level.  Hyperparameters are estimated by multi-start bounded Nelder-Mead
+level.  Hyperparameters are estimated by multi-start bounded L-BFGS-B
 on the profiled negative log-likelihood (the process mean has a closed
-form given the rest).  ``params_to_dict``/``params_from_dict`` give the
+form given the rest), with its analytic gradient (Rasmussen & Williams
+2006, sec. 5.4.1).  ``params_to_dict``/``params_from_dict`` give the
 JSON form of the hyperparameters; files are read and written by
 ``traceio``.
 """
@@ -141,31 +142,71 @@ class _KernelWorkspace:
     factor h, the flat indices in the (n1, n2) grid of the pairs that share
     a level of h, and for each such level l its column and the gathered
     ``d2`` rows of its pairs.  A Gram build exponentiates the level terms on
-    those pairs only; levels no pair shares are dropped.
+    those pairs only; levels no pair shares are dropped.  ``groups`` holds,
+    per entry of ``terms``, all its gathered rows (the level rows are views
+    of it), the level columns and the row where each level starts, for the
+    likelihood gradient.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels):
         self.d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
         rows = self.d2.reshape(-1, self.d2.shape[2])
-        self.terms = []
+        self.terms, self.groups = [], []
         for h, m in enumerate(qual_levels):
-            idxs, levels = [], []
+            idxs, cols = [], []
             for col in range(m):
                 idx = np.flatnonzero((z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :])
                 if len(idx):
                     idxs.append(idx)
-                    levels.append((col, rows[idx]))
-            if levels:
+                    cols.append(col)
+            if cols:
                 # a pair shares at most one level of h, so the index sets are disjoint
-                self.terms.append((h, np.concatenate(idxs), levels))
+                idx = np.concatenate(idxs)
+                bounds = np.cumsum([0] + [len(i) for i in idxs])
+                gathered = rows[idx]
+                self.terms.append((h, idx, [(col, gathered[a:b]) for col, a, b in zip(cols, bounds, bounds[1:])]))
+                self.groups.append((gathered, np.array(cols), bounds[:-1]))
 
-    def gram(self, params: EzGpParams) -> np.ndarray:
-        k = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
+    def gram(self, params: EzGpParams, with_terms: bool = False):
+        """The (n1, n2) Gram matrix.  With ``with_terms``, ``(gram, base, values)``:
+        also the base term and, per entry of ``terms``, the level-term values
+        of its pairs, as ``nll_gradient`` takes them."""
+        base = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
+        k = base.copy() if with_terms else base
         flat = k.reshape(-1)
+        values = []
         for h, idx, levels in self.terms:
             rates = np.concatenate([d2_l @ params.theta[h][:, col] for col, d2_l in levels])
-            flat[idx] += params.sigma2[h + 1] * np.exp(-rates)
-        return k
+            v = params.sigma2[h + 1] * np.exp(-rates)
+            flat[idx] += v
+            values.append(v)
+        return (k, base, values) if with_terms else k
+
+    def nll_gradient(self, params: EzGpParams, factor, resid: np.ndarray, base: np.ndarray,
+                     values: list, jitter_rate: float) -> np.ndarray:
+        """Gradient of the profiled objective in the log-parameters of ``_pack``.
+
+        ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I and
+        ``resid`` is y - mu_hat 1.  With W = Phi^{-1} - alpha alpha' and
+        alpha = Phi^{-1} resid, each component is sum(W * dPhi); the jitter
+        moves with every variance, since the mean diagonal is sum(sigma2).
+        """
+        inv = _solve(factor, np.eye(len(resid)))
+        alpha = inv @ resid
+        w = inv - np.outer(alpha, alpha)
+        w_base = w * base
+        g_sigma = params.sigma2 * (jitter_rate * np.trace(w))
+        g_sigma[0] += w_base.sum()
+        g_theta0 = -params.theta0 * (self.d2.reshape(-1, len(params.theta0)).T @ w_base.reshape(-1))
+        g_theta = [np.zeros_like(mat) for mat in params.theta]
+        w_flat = w.reshape(-1)
+        for (h, idx, _), (rows, cols, starts), v in zip(self.terms, self.groups, values):
+            w_v = w_flat[idx] * v
+            g_sigma[h + 1] += w_v.sum()
+            # (levels, p) sums of w_v * d2 over each level's pairs
+            sums = np.add.reduceat(rows * w_v[:, None], starts, axis=0)
+            g_theta[h][:, cols] = -params.theta[h][:, cols] * sums.T
+        return np.concatenate([g_sigma, g_theta0, *(g.ravel() for g in g_theta)])
 
 
 def _try_cholesky(phi: np.ndarray, jitter: float):
@@ -308,9 +349,10 @@ class FitConfig:
     log-parameter space (a warm start, when provided, replaces one LHD
     start).  ``theta_bounds`` and ``sigma2_rel_bounds`` are two finite
     numbers with 0 < low < high.  ``max_fev`` (None = scipy default, else
-    >= 1) caps Nelder-Mead evaluations per start; ``jitter_scale`` (finite,
-    > 0) multiplies the base jitter used inside the objective (raised on
-    retry after a failed fit).
+    >= 1) is L-BFGS-B's ``maxfun`` per start, a soft cap: the line search
+    in progress finishes, so 40 can end after 41 evaluations.
+    ``jitter_scale`` (finite, > 0) multiplies the base jitter used inside
+    the objective (raised on retry after a failed fit).
     """
 
     n_starts: int = 8
@@ -366,25 +408,31 @@ def _log_bounds(space: DesignSpace, config: FitConfig, y: np.ndarray) -> tuple[n
 
 def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         warm_start: EzGpParams | None = None) -> FittedModel:
-    """Maximum likelihood fit by multi-start bounded Nelder-Mead in log space.
+    """Maximum likelihood fit by multi-start bounded L-BFGS-B in log space,
+    with the analytic gradient of the profiled objective.
 
-    Returns the best factorizable local optimum over all starts; the
-    achieved objective never exceeds any start's initial objective.
+    A trial point whose Gram does not factor scores inf, which ends that
+    start at its last finite point.  Returns the best factorizable local
+    optimum over all starts; the achieved objective never exceeds any
+    start's initial objective.
     """
     ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
     y = data.responses
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
+    jitter_rate = _JITTER_START * config.jitter_scale
 
     def jitter_of(phi: np.ndarray) -> float:
-        return _JITTER_START * config.jitter_scale * _diag_mean(phi)
+        return jitter_rate * _diag_mean(phi)
 
-    def objective(vec: np.ndarray) -> float:
-        phi = ws.gram(_unpack(vec, space))
+    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        params = _unpack(vec, space)
+        phi, base, values = ws.gram(params, with_terms=True)
         factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
-            return np.inf
-        return _profiled_nll(factor, y)[0]
+            return np.inf, np.zeros(dim)
+        obj, mu_hat = _profiled_nll(factor, y)[:2]
+        return obj, ws.nll_gradient(params, factor, y - mu_hat, base, values, jitter_rate)
 
     starts = []
     if warm_start is not None:
@@ -397,9 +445,9 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
     results = []
     for idx, x0 in enumerate(starts):
-        f0 = objective(x0)
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=list(zip(lo, hi)),
-                       options={} if config.max_fev is None else {"maxfev": config.max_fev})
+        f0 = objective(x0)[0]
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options={} if config.max_fev is None else {"maxfun": config.max_fev})
         xb, fb = (res.x, float(res.fun)) if res.fun <= f0 else (x0, f0)
         results.append((fb, idx, xb, f0))
 

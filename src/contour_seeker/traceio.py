@@ -107,15 +107,27 @@ def space_from_dict(d: dict) -> DesignSpace:
     return make_space(d["quant_bounds"], **given_fields(d, {"qual_levels": tuple}))
 
 
+def _reject_unknown_keys(d: dict, keys, block: str) -> None:
+    """A key outside ``keys`` is a ValidationError: a misspelt setting must not
+    silently keep its default."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown {block} setting(s) {unknown}; known: {sorted(keys)}")
+
+
+_STRATEGY_FIELDS = {"rho": float, "delta": _optional(float), "alpha": float, "ei_alpha": float}
+_FIT_FIELDS = {"n_starts": int, "seed": int, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
+               "max_fev": _optional(int), "jitter_scale": float}
+
+
 def strategy_from_dict(d: dict) -> Strategy:
-    return Strategy(d["kind"], **given_fields(d, {"rho": float, "delta": _optional(float),
-                                                   "alpha": float, "ei_alpha": float}))
+    _reject_unknown_keys(d, ["kind", *_STRATEGY_FIELDS], "strategy")
+    return Strategy(d["kind"], **given_fields(d, _STRATEGY_FIELDS))
 
 
 def fit_config_from_dict(d: dict) -> FitConfig:
-    return FitConfig(**given_fields(d, {"n_starts": int, "seed": int, "theta_bounds": tuple,
-                                        "sigma2_rel_bounds": tuple, "max_fev": _optional(int),
-                                        "jitter_scale": float}))
+    _reject_unknown_keys(d, _FIT_FIELDS, "fit")
+    return FitConfig(**given_fields(d, _FIT_FIELDS))
 
 
 def model_to_dict(model: FittedModel) -> dict:

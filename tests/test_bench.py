@@ -1,10 +1,15 @@
+import ctypes
 import functools
+import glob
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
@@ -14,6 +19,20 @@ from contour_seeker.engine import derive_seed
 from contour_seeker.errors import MetricUndefinedError, ValidationError
 
 QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
+
+
+def blas_thread_counts() -> dict:
+    """Thread count of each OpenBLAS bundled with numpy and scipy, by library path."""
+    counts = {}
+    for pkg in (np, scipy):
+        for path in glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*"):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    counts[path] = getter()
+    return counts
 
 
 class Poisoned:
@@ -388,6 +407,13 @@ class TestWorkerCap:
         monkeypatch.setenv("CONTOUR_SEEKER_THREADS", "lots")
         with pytest.raises(ValidationError):
             resolve_workers(4)
+
+    def test_workers_run_blas_on_one_thread(self):
+        from contour_seeker.bench import _single_thread_blas
+
+        with ProcessPoolExecutor(max_workers=1, initializer=_single_thread_blas) as pool:
+            counts = pool.submit(blas_thread_counts).result(timeout=60)
+        assert all(count == 1 for count in counts.values())
 
     def test_parallel_matches_serial(self):
         sim = cs.builtin_simulator("example1")

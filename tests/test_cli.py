@@ -186,6 +186,9 @@ class TestRun:
         ({"fit": {"sigma2_rel_bounds": [-1, 10]}}, [], "sigma2_rel_bounds"),
         ({"fit": {"max_fev": 0}}, [], "max_fev"),
         ({"level": float("nan")}, [], "level"),
+        ({"strategy": {"kind": "rcc", "alfa": 0.5}}, [], "alfa"),
+        ({"fit": {"nstarts": 1}}, [], "nstarts"),
+        ({"fit": {"maxfun": 40}}, [], "maxfun"),
     ])
     def test_bad_setting_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, overrides, flags, match):
         monkeypatch.setattr(cli, "run_adaptive", no_work)
@@ -397,10 +400,25 @@ class TestBench:
         _, rows = read_csv(tmp_path / "bench1" / "results.csv")
         assert len(rows) == 2
 
+    def test_parallel_results_equal_serial(self, tmp_path, capsys):
+        cfg = self.bench_config(tmp_path)
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"bench-{workers}"
+            assert main(["bench", "--config", str(cfg), "--parallel", workers, "--out", str(out)]) == 0
+            header, rows = read_csv(out / "results.csv")
+            wall = header.index("wall_time_s")
+            tables.append([row[:wall] + row[wall + 1:] for row in rows])
+        capsys.readouterr()
+        assert len(tables[0]) == 4
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("overrides, flags, match", [
         ({"strategies": [{"kind": "rcc", "alpha": 0}, "one_shot"]}, [], "alpha"),
         ({}, ["--replicates", "0"], "replicates"),
+        ({"levels": [-0.9, float("nan")]}, [], "level"),
+        ({"levels": [float("inf")]}, [], "level"),
+        ({"fit": {"maxfun": 40}}, [], "maxfun"),
     ])
     def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                  match):

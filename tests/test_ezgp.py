@@ -314,7 +314,7 @@ class TestBitIdentity:
             assert np.array_equal(cross_covariance(params, data.x, data.z, data.x, data.z), phi)
             scale = float(np.mean(np.diag(phi)))
             ref = reference_nll(phi, 1e-8 * scale, y)
-            assert objective(vec) == (np.inf if ref is None else ref)
+            assert objective(vec)[0] == (np.inf if ref is None else ref)
             j = 1e-8 * scale
             while ref is None and j * 10 <= 1e-4 * scale * (1 + 1e-9):
                 j *= 10
@@ -469,6 +469,59 @@ class TestFit:
         mae_known = np.mean(np.abs(cs.predict_batch(known, *point_arrays(test_pts))[0] - y[test]))
         mae_fit = np.mean(np.abs(cs.predict_batch(fitted, *point_arrays(test_pts))[0] - y[test]))
         assert mae_fit <= 1.5 * mae_known + 1e-9
+
+
+def design_data(name, n, seed=5):
+    sim = cs.builtin_simulator(name)
+    points = cs.initial_design(sim.space, n, seed=seed)
+    return sim.space, cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
+
+
+def recorded_starts(data, space, config, monkeypatch):
+    """Fit with ``ezgp.minimize`` recording, per start, the objective, x0 and the result."""
+    starts, original = [], ezgp.minimize
+
+    def recording(fun, x0, **kwargs):
+        res = original(fun, x0, **kwargs)
+        starts.append((fun, x0, res))
+        return res
+
+    monkeypatch.setattr(ezgp, "minimize", recording)
+    return cs.fit(data, space, config), starts
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)])
+    def test_gradient_matches_central_differences(self, name, n, monkeypatch):
+        # well-conditioned Grams only: near-singular ones (example1, n=20)
+        # leave finite-difference noise near 1e-2
+        space, data = design_data(name, n)
+        _, starts = recorded_starts(data, space, cs.FitConfig(n_starts=3, max_fev=1), monkeypatch)
+        step = 1e-5
+        for fun, x0, _ in starts:
+            value, grad = fun(x0)
+            assert np.isfinite(value)
+            central = np.array([(fun(x0 + step * e)[0] - fun(x0 - step * e)[0]) / (2 * step)
+                                for e in np.eye(len(x0))])
+            assert np.linalg.norm(grad - central) <= 1e-3 * np.linalg.norm(central)
+
+    def test_objective_inf_on_part_of_the_box(self, monkeypatch):
+        # a jitter of 1e-16 of the diagonal lets smooth Grams fail to factor
+        space, data = design_data("example1", 30)
+        model, starts = recorded_starts(data, space, cs.FitConfig(jitter_scale=1e-8), monkeypatch)
+        initial = [fun(x0)[0] for fun, x0, _ in starts]
+        assert not all(np.isfinite(initial))
+        assert np.isfinite(model.nll)
+        assert model.nll <= min(f for f in initial if np.isfinite(f))
+        assert neg_log_likelihood(model.params, model.data, model.space, model.jitter) == model.nll
+
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)])
+    def test_max_fev_caps_each_start(self, name, n, monkeypatch):
+        space, data = design_data(name, n)
+        _, starts = recorded_starts(data, space, cs.FitConfig(n_starts=4, max_fev=40), monkeypatch)
+        nfev = [res.nfev for _, _, res in starts]
+        # a soft cap: the line search in progress finishes
+        assert max(nfev) <= 45 and max(nfev) >= 40
 
 
 class TestCachedSolves:
