@@ -9,15 +9,12 @@ Monte Carlo on GP paths sampled from known hyperparameters.
 """
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .acquisition import AcquisitionContext, partition
 from .design_space import DesignSpace, candidate_set
@@ -25,7 +22,7 @@ from .engine import CampaignConfig, Strategy, _evaluate, derive_seed, run_adapti
 from .errors import ContourSeekerError, IllConditionedModelError, MetricUndefinedError, ValidationError
 # condition is not called here; it stays bound because perfbench/tracing.py rebinds bench.condition
 from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, _posterior, _predictive,
-                   condition, cross_covariance, predict_batch)
+                   _set_blas_threads, condition, cross_covariance, predict_batch)
 from .simulators import Simulator, get_transform
 
 # Seed tags local to the benchmark layer.
@@ -195,29 +192,15 @@ def resolve_workers(requested: int) -> int:
     return max(requested, 1)
 
 
-# numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
-
-
 def _single_thread_blas() -> None:
     """Pool initializer: run the OpenBLAS bundled with numpy and scipy on one thread.
 
     Each fit's L-BFGS-B calls scipy's OpenBLAS, which by default runs one
     thread per CPU; with several workers the threads oversubscribe the CPUs
     and each small BLAS call slows several-fold.  Does nothing where a
-    library or its thread setter is absent.
+    library or its thread-count symbols are absent.
     """
-    for pkg in (np, scipy):
-        for path in glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*"):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for name in _BLAS_THREAD_SETTERS:
-                setter = getattr(lib, name, None)
-                if setter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
+    _set_blas_threads(1)
 
 
 def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> BenchResult:

@@ -6,17 +6,28 @@ squared-exponential term that is active only when both points share that
 level.  Hyperparameters are estimated by multi-start bounded L-BFGS-B
 on the profiled negative log-likelihood (the process mean has a closed
 form given the rest), with its analytic gradient (Rasmussen & Williams
-2006, sec. 5.4.1).  ``params_to_dict``/``params_from_dict`` give the
-JSON form of the hyperparameters; files are read and written by
+2006, sec. 5.4.1).  One kernel builder, ``_KernelWorkspace``, serves both
+uses: cross-covariances on the full grid between two point sets, and the
+fit's Gram on the pairs of its lower triangle, where the gradient is one
+product of a design matrix, built at the first gradient, with the pair
+terms.  ``fit`` runs its LAPACK calls on one BLAS thread and restores the
+previous count afterwards.  ``params_to_dict``/``params_from_dict`` give
+the JSON form of the hyperparameters; files are read and written by
 ``traceio``.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
@@ -132,81 +143,112 @@ def coincident(x1, z1, x2, z2) -> np.ndarray:
 def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     """Covariance matrix between two point sets given as (n,p) and (n,q) arrays."""
     levels = tuple(mat.shape[1] for mat in params.theta)
-    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(params)
+    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(params.sigma2, params.theta0, params.theta)
 
 
 class _KernelWorkspace:
-    """Caches what repeated Gram builds between two point sets share.
+    """The pair table: what repeated Gram builds over a list of pairs share.
 
-    ``d2`` is the (n1, n2, p) squared-distance tensor.  ``terms`` holds, per
-    factor h, the flat indices in the (n1, n2) grid of the pairs that share
-    a level of h, and for each such level l its column and the gathered
-    ``d2`` rows of its pairs.  A Gram build exponentiates the level terms on
-    those pairs only; levels no pair shares are dropped.  ``groups`` holds,
-    per entry of ``terms``, all its gathered rows (the level rows are views
-    of it), the level columns and the row where each level starts, for the
-    likelihood gradient.
+    ``pairs`` lists the (i, j) pairs of points of the two sets as two index
+    arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
+    set's Gram; None is the full (n1, n2) grid.  ``d2`` holds each pair's
+    squared coordinate differences: (n1, n2, p) for the grid, (pairs, p)
+    for a list.  ``terms`` holds, per factor h, the positions of the pairs
+    that share a level of h (flat in the grid, or in the list) and, for each
+    such level l, its column and the gathered ``d2`` rows of its pairs.  A
+    Gram build exponentiates the level terms on those pairs only; levels no
+    pair shares are dropped.  ``design``, for the likelihood gradient over a
+    lower triangle, is built on first use.
     """
 
-    def __init__(self, x1, z1, x2, z2, qual_levels):
-        self.d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
-        rows = self.d2.reshape(-1, self.d2.shape[2])
-        self.terms, self.groups = [], []
+    def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
+        d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
+        self.size, self.qual_levels, self.pairs = d2.shape[:2], tuple(qual_levels), pairs
+        self.d2 = d2 if pairs is None else d2[pairs]
+        rows = self.d2.reshape(-1, d2.shape[2])
+        self.terms = []
         for h, m in enumerate(qual_levels):
-            idxs, cols = [], []
+            idxs, levels = [], []
             for col in range(m):
-                idx = np.flatnonzero((z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :])
+                shared = (z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :]
+                idx = np.flatnonzero(shared if pairs is None else shared[pairs])
                 if len(idx):
                     idxs.append(idx)
-                    cols.append(col)
-            if cols:
+                    levels.append((col, rows[idx]))
+            if levels:
                 # a pair shares at most one level of h, so the index sets are disjoint
-                idx = np.concatenate(idxs)
-                bounds = np.cumsum([0] + [len(i) for i in idxs])
-                gathered = rows[idx]
-                self.terms.append((h, idx, [(col, gathered[a:b]) for col, a, b in zip(cols, bounds, bounds[1:])]))
-                self.groups.append((gathered, np.array(cols), bounds[:-1]))
+                self.terms.append((h, np.concatenate(idxs), levels))
 
-    def gram(self, params: EzGpParams, with_terms: bool = False):
-        """The (n1, n2) Gram matrix.  With ``with_terms``, ``(gram, base, values)``:
-        also the base term and, per entry of ``terms``, the level-term values
-        of its pairs, as ``nll_gradient`` takes them."""
-        base = params.sigma2[0] * np.exp(-(self.d2 @ params.theta0))
+    def gram(self, sigma2, theta0, theta, with_terms: bool = False):
+        """Kernel values on the pairs ((n1, n2) for the grid) at variances
+        ``sigma2``, base rates ``theta0`` and per-factor rate matrices
+        ``theta``.  Each value is the base term plus one level term per
+        factor, added in factor order.  With ``with_terms``, ``(values,
+        terms)``: also the term values stacked as ``design``'s columns."""
+        base = sigma2[0] * np.exp(-(self.d2 @ theta0))
         k = base.copy() if with_terms else base
         flat = k.reshape(-1)
         values = []
         for h, idx, levels in self.terms:
-            rates = np.concatenate([d2_l @ params.theta[h][:, col] for col, d2_l in levels])
-            v = params.sigma2[h + 1] * np.exp(-rates)
+            rates = np.concatenate([d2_l @ theta[h][:, col] for col, d2_l in levels])
+            v = sigma2[h + 1] * np.exp(-rates)
             flat[idx] += v
             values.append(v)
-        return (k, base, values) if with_terms else k
+        return (k, np.concatenate([base, *values])) if with_terms else k
 
-    def nll_gradient(self, params: EzGpParams, factor, resid: np.ndarray, base: np.ndarray,
-                     values: list, jitter_rate: float) -> np.ndarray:
-        """Gradient of the profiled objective in the log-parameters of ``_pack``.
+    @cached_property
+    def design(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(D, term_index)`` for a lower triangle's pairs.
 
-        ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I and
-        ``resid`` is y - mu_hat 1.  With W = Phi^{-1} - alpha alpha' and
-        alpha = Phi^{-1} resid, each component is sum(W * dPhi); the jitter
-        moves with every variance, since the mean diagonal is sum(sigma2).
+        The terms are the base term on every pair, then each factor's level
+        terms, as ``gram`` stacks them; ``term_index`` is the position of
+        each term's pair in a column-major (n, n) matrix.  ``D`` has one row
+        per log-parameter in ``_pack``'s order and one column per term: the
+        term's pair weight at its variance and the weight times the pair's
+        ``d2`` row at its rates.  The weight is 1 on the diagonal and 2 off
+        it, where a pair stands for its mirror image.
         """
-        inv = _solve(factor, np.eye(len(resid)))
-        alpha = inv @ resid
-        w = inv - np.outer(alpha, alpha)
-        w_base = w * base
-        g_sigma = params.sigma2 * (jitter_rate * np.trace(w))
-        g_sigma[0] += w_base.sum()
-        g_theta0 = -params.theta0 * (self.d2.reshape(-1, len(params.theta0)).T @ w_base.reshape(-1))
-        g_theta = [np.zeros_like(mat) for mat in params.theta]
-        w_flat = w.reshape(-1)
-        for (h, idx, _), (rows, cols, starts), v in zip(self.terms, self.groups, values):
-            w_v = w_flat[idx] * v
-            g_sigma[h + 1] += w_v.sum()
-            # (levels, p) sums of w_v * d2 over each level's pairs
-            sums = np.add.reduceat(rows * w_v[:, None], starts, axis=0)
-            g_theta[h][:, cols] = -params.theta[h][:, cols] * sums.T
-        return np.concatenate([g_sigma, g_theta0, *(g.ravel() for g in g_theta)])
+        i, j = self.pairs
+        weight = np.where(i == j, 1.0, 2.0)
+        n_pairs, p = self.d2.shape
+        q = len(self.qual_levels)
+        term_pair = np.concatenate([np.arange(n_pairs)] + [idx for _, idx, _ in self.terms])
+        first_rate = np.cumsum([q + 1 + p] + [p * m for m in self.qual_levels])
+        design = np.zeros((first_rate[-1], len(term_pair)))
+        design[0, :n_pairs] = weight
+        design[q + 1:q + 1 + p, :n_pairs] = (weight[:, None] * self.d2).T
+        start = n_pairs
+        for h, _, levels in self.terms:
+            for col, d2_l in levels:
+                stop = start + len(d2_l)
+                w = weight[term_pair[start:stop]]
+                design[h + 1, start:stop] = w
+                # theta[h][k, col] sits at k * m_h + col of the factor's block
+                design[first_rate[h] + col + self.qual_levels[h] * np.arange(p), start:stop] = (w[:, None] * d2_l).T
+                start = stop
+        return design, np.ravel_multi_index(self.pairs, self.size, order="F")[term_pair]
+
+    def nll_gradient(self, e: np.ndarray, factor, resid: np.ndarray, terms: np.ndarray,
+                     jitter_rate: float) -> np.ndarray:
+        """Gradient of the profiled objective in the log-parameters of ``_pack``,
+        at ``e`` = exp(log-parameters), over a lower triangle's pairs.
+
+        ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I,
+        ``resid`` is y - mu_hat 1 and ``terms`` the stacked term values.  With
+        W = Phi^{-1} - alpha alpha' and alpha = Phi^{-1} resid, each component
+        is sum(W * dPhi), which is ``D @ (W[term_index] * terms)`` before the
+        rates' chain-rule factor -e; the jitter moves with every variance,
+        since the mean diagonal is sum(sigma2).  Overwrites ``factor``.
+        """
+        design, term_index = self.design
+        alpha = _solve(factor, resid)
+        inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
+        w = (inv.T - np.outer(alpha, alpha)).reshape(-1)[term_index]
+        g = design @ (w * terms)
+        n_sigma = len(self.qual_levels) + 1
+        g[:n_sigma] += e[:n_sigma] * (jitter_rate * (inv.trace() - alpha @ alpha))
+        g[n_sigma:] *= -e[n_sigma:]
+        return g
 
 
 def _try_cholesky(phi: np.ndarray, jitter: float):
@@ -233,7 +275,7 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     escalates tenfold up to 1e-4 before giving up.
     """
     ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
-    return _factor_gram(ws.gram(params), jitter)
+    return _factor_gram(ws.gram(params.sigma2, params.theta0, params.theta), jitter)
 
 
 def _diag_mean(phi: np.ndarray) -> float:
@@ -381,16 +423,18 @@ def _pack(params: EzGpParams) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unpack(vec: np.ndarray, space: DesignSpace) -> EzGpParams:
+def _split(e: np.ndarray, space: DesignSpace) -> tuple:
+    """(sigma2, theta0, theta) views of an exponentiated ``_pack`` vector."""
     p, q = space.p, space.q
-    e = np.exp(vec)
-    sigma2 = e[:q + 1]
-    theta0 = e[q + 1:q + 1 + p]
     mats, pos = [], q + 1 + p
     for m in space.qual_levels:
         mats.append(e[pos:pos + p * m].reshape(p, m))
         pos += p * m
-    return EzGpParams(mu=0.0, sigma2=sigma2, theta0=theta0, theta=tuple(mats))
+    return e[:q + 1], e[q + 1:q + 1 + p], tuple(mats)
+
+
+def _unpack(vec: np.ndarray, space: DesignSpace) -> EzGpParams:
+    return EzGpParams(0.0, *_split(np.exp(vec), space))
 
 
 def _log_bounds(space: DesignSpace, config: FitConfig, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,33 +450,100 @@ def _log_bounds(space: DesignSpace, config: FitConfig, y: np.ndarray) -> tuple[n
     return lo, hi
 
 
+# numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
+_BLAS_SUFFIXES = ("", "64_")
+
+
+@cache
+def _blas_thread_controls() -> tuple:
+    """(set, get) thread-count functions of each OpenBLAS bundled with numpy
+    and scipy; a library without both symbols is left out."""
+    controls = []
+    for pkg in (np, scipy):
+        for path in glob.glob(os.path.dirname(pkg.__file__) + ".libs/*openblas*"):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for suffix in _BLAS_SUFFIXES:
+                setter = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                getter = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    controls.append((setter, getter))
+    return tuple(controls)
+
+
+def _set_blas_threads(counts) -> list[int]:
+    """Set the thread count of each bundled OpenBLAS and return the previous
+    counts.  ``counts`` is one count for every library or a list as returned.
+    Does nothing where a library or its thread symbols are absent."""
+    controls = _blas_thread_controls()
+    if isinstance(counts, int):
+        counts = [counts] * len(controls)
+    previous = [get() for _, get in controls]
+    for (set_threads, _), count in zip(controls, counts):
+        set_threads(count)
+    return previous
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block (or, as a decorator, each call) with each bundled
+    OpenBLAS on one thread, then restore the previous counts, also when the
+    block raises.  The likelihood's
+    LAPACK calls are tiny, and handing them to a second thread costs more
+    than they do."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(previous)
+
+
+@_one_blas_thread()
 def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         warm_start: EzGpParams | None = None) -> FittedModel:
     """Maximum likelihood fit by multi-start bounded L-BFGS-B in log space,
     with the analytic gradient of the profiled objective.
 
-    A trial point whose Gram does not factor scores inf, which ends that
-    start at its last finite point.  Returns the best factorizable local
-    optimum over all starts; the achieved objective never exceeds any
-    start's initial objective.
+    The objective works on the pair table of the Gram's lower triangle,
+    which is all LAPACK's lower Cholesky factor reads; the gradient's design
+    matrix is built at the first gradient.  No ``EzGpParams`` is built per
+    evaluation.  The fit runs on one BLAS thread and restores the previous
+    count on return or raise.  A trial point whose Gram does not factor
+    scores inf, which ends that start at its last finite point.  Returns the
+    best factorizable local optimum over all starts; the achieved objective
+    never exceeds any start's initial objective, taken from the start's
+    first evaluation.
     """
-    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
     y = data.responses
+    n = len(y)
+    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(n))
+    lower = np.ravel_multi_index(ws.pairs, (n, n))
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
     jitter_rate = _JITTER_START * config.jitter_scale
+
+    def lower_gram(values: np.ndarray) -> np.ndarray:
+        # potrf reads the lower triangle only; the diagonal gives the jitter
+        phi = np.zeros((n, n))
+        phi.reshape(-1)[lower] = values
+        return phi
 
     def jitter_of(phi: np.ndarray) -> float:
         return jitter_rate * _diag_mean(phi)
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        params = _unpack(vec, space)
-        phi, base, values = ws.gram(params, with_terms=True)
+        e = np.exp(vec)
+        values, terms = ws.gram(*_split(e, space), with_terms=True)
+        phi = lower_gram(values)
         factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
             return np.inf, np.zeros(dim)
         obj, mu_hat = _profiled_nll(factor, y)[:2]
-        return obj, ws.nll_gradient(params, factor, y - mu_hat, base, values, jitter_rate)
+        return obj, ws.nll_gradient(e, factor, y - mu_hat, terms, jitter_rate)
 
     starts = []
     if warm_start is not None:
@@ -445,9 +556,17 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
     results = []
     for idx, x0 in enumerate(starts):
-        f0 = objective(x0)[0]
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+        first = []
+
+        def start_objective(vec, first=first):
+            out = objective(vec)
+            if not first:
+                first.append(out[0])  # L-BFGS-B evaluates x0 first
+            return out
+
+        res = minimize(start_objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
                        options={} if config.max_fev is None else {"maxfun": config.max_fev})
+        f0 = first[0]
         xb, fb = (res.x, float(res.fun)) if res.fun <= f0 else (x0, f0)
         results.append((fb, idx, xb, f0))
 
@@ -460,7 +579,8 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         try:
             # condition at the objective's jitter, so the stored nll is the
             # likelihood of the returned factor
-            model = condition(params, data, space, jitter=jitter_of(ws.gram(params)))
+            jitter = jitter_of(lower_gram(ws.gram(params.sigma2, params.theta0, params.theta)))
+            model = condition(params, data, space, jitter=jitter)
         except IllConditionedModelError:
             continue
         model.start_objectives = path

@@ -415,6 +415,36 @@ class TestWorkerCap:
             counts = pool.submit(blas_thread_counts).result(timeout=60)
         assert all(count == 1 for count in counts.values())
 
+    def test_fit_runs_blas_on_one_thread(self, monkeypatch):
+        if not blas_thread_counts():
+            pytest.skip("no OpenBLAS thread-count symbols found")
+        sim = cs.builtin_simulator("example1")
+        points = cs.initial_design(sim.space, 9, seed=5)
+        data = cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
+        original, seen = ezgp.minimize, []
+
+        def recording(fun, x0, **kwargs):
+            seen.append(blas_thread_counts())
+            return original(fun, x0, **kwargs)
+
+        def raising(fun, x0, **kwargs):
+            seen.append(blas_thread_counts())
+            raise RuntimeError("optimizer failed")
+
+        restore = ezgp._set_blas_threads(2)
+        try:
+            monkeypatch.setattr(ezgp, "minimize", recording)
+            cs.fit(data, sim.space, QUICK_FIT)
+            assert set(blas_thread_counts().values()) == {2}
+            monkeypatch.setattr(ezgp, "minimize", raising)
+            with pytest.raises(RuntimeError):
+                cs.fit(data, sim.space, QUICK_FIT)
+            assert set(blas_thread_counts().values()) == {2}
+        finally:
+            ezgp._set_blas_threads(restore)
+        assert len(seen) == 3
+        assert all(set(counts.values()) == {1} for counts in seen)
+
     def test_parallel_matches_serial(self):
         sim = cs.builtin_simulator("example1")
         cfg = cs.BenchConfig(

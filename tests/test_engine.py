@@ -269,6 +269,42 @@ class TestDuplicateGuard:
         mask = coincident(*point_arrays(cands), data.x, data.z).any(axis=1)
         assert mask.tolist() == [True, False, False]
 
+    def test_run_skips_candidate_within_tolerance(self, ex1_sim, tmp_path, monkeypatch):
+        # offsets exact in binary: a copy of a design point moved by 2**-40
+        # (9.1e-13) is within DUPLICATE_TOL, one moved by 2**-39 (1.8e-12) is not
+        from contour_seeker import engine
+
+        fitted, predicted = [], []
+        real_fit, real_candidates, real_predict = engine.fit, engine.candidate_set, engine.predict_batch
+
+        def recording_fit(data, *args, **kwargs):
+            fitted.append(data)
+            return real_fit(data, *args, **kwargs)
+
+        def with_near_copies(space, per_combo, seed):
+            cand = real_candidates(space, per_combo, seed)
+            x, z = fitted[-1].x[0], fitted[-1].z[0]
+            step = -1.0 if x[0] >= 0.5 else 1.0
+            near = np.array([x, x])
+            near[:, 0] += step * np.array([2.0 ** -40, 2.0 ** -39])
+            assert np.abs(near[:, 0] - x[0]).tolist() == [2.0 ** -40, 2.0 ** -39]
+            return replace(cand, x=np.vstack([cand.x, near]), z=np.vstack([cand.z, [z, z]]))
+
+        def recording_predict(model, x, z):
+            predicted.append(x)
+            return real_predict(model, x, z)
+
+        monkeypatch.setattr(engine, "fit", recording_fit)
+        monkeypatch.setattr(engine, "candidate_set", with_near_copies)
+        monkeypatch.setattr(engine, "predict_batch", recording_predict)
+        trace = cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim, total=10))
+        x0 = fitted[0].x[0, 0]
+        assert np.sum(np.abs(predicted[0][:, 0] - x0) == 2.0 ** -40) == 0
+        assert np.sum(np.abs(predicted[0][:, 0] - x0) == 2.0 ** -39) == 1
+        save_trace(trace, tmp_path)
+        header, rows = read_csv(tmp_path / "trace.csv")
+        assert [row[header.index("note")] for row in rows] == ["skipped 1 duplicate candidates"]
+
     def test_mask_tolerance(self, ex1_space):
         pts = (cs.MixedPoint((0.25,), (1,)), cs.MixedPoint((0.75,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0]))

@@ -131,6 +131,15 @@ class TestDataset:
         with pytest.raises(ValidationError, match=r"\[1\]"):
             cs.Dataset(pts, np.array([1.0, bad, 2.0]))
 
+    def test_near_duplicates_at_tolerance(self):
+        # offsets exact in binary: 2**-40 (9.1e-13) is within DUPLICATE_TOL, 2**-39 (1.8e-12) is not
+        assert 2.0 ** -40 <= ezgp.DUPLICATE_TOL < 2.0 ** -39
+        near = (cs.MixedPoint((0.5,), (1,)), cs.MixedPoint((0.5 + 2.0 ** -40,), (1,)))
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            cs.Dataset(near, np.array([1.0, 2.0]))
+        apart = (cs.MixedPoint((0.5,), (1,)), cs.MixedPoint((0.5 + 2.0 ** -39,), (1,)))
+        assert len(cs.Dataset(apart, np.array([1.0, 2.0]))) == 2
+
     def test_same_x_different_level_allowed(self):
         pts = (cs.MixedPoint((0.5,), (1,)), cs.MixedPoint((0.5,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0]))
@@ -252,6 +261,43 @@ def reference_gram(params, x, z, qual_levels):
     return k
 
 
+def reference_gram_derivatives(params, x, z, qual_levels, jitter_rate):
+    """Full-grid dPhi/d(log-parameter) in ``_pack``'s order, built as
+    ``reference_gram`` is, with the jitter ``jitter_rate`` x (mean Gram
+    diagonal) moving with the variances."""
+    d2 = np.square(x[:, None, :] - x[None, :, :])
+    base = params.sigma2[0] * np.exp(-(d2 @ params.theta0))
+    d_sigma = [base]
+    d_theta0 = [-params.theta0[k] * d2[..., k] * base for k in range(len(params.theta0))]
+    d_theta = []
+    for h, m in enumerate(qual_levels):
+        d_sigma_h, d_mat = np.zeros_like(base), np.zeros((len(params.theta0), m) + base.shape)
+        for level in range(m):
+            mask = (z[:, h] == level + 1)[:, None] & (z[:, h] == level + 1)[None, :]
+            term = np.where(mask, params.sigma2[h + 1] * np.exp(-(d2 @ params.theta[h][:, level])), 0.0)
+            d_sigma_h += term
+            for k in range(len(params.theta0)):
+                d_mat[k, level] = -params.theta[h][k, level] * d2[..., k] * term
+        d_sigma.append(d_sigma_h)
+        d_theta.extend(d_mat.reshape((-1,) + base.shape))
+    eye = np.eye(len(x))
+    return [d + jitter_rate * float(np.mean(np.diag(d))) * eye for d in d_sigma] + d_theta0 + d_theta
+
+
+def reference_gradient(params, data, space, jitter_rate=1e-8):
+    """Dense sum(W * dPhi) with W = Phi^{-1} - alpha alpha' through cho_factor/cho_solve."""
+    phi = reference_gram(params, data.x, data.z, space.qual_levels)
+    phi = phi + jitter_rate * float(np.mean(np.diag(phi))) * np.eye(len(phi))
+    factor = sla.cho_factor(phi, lower=True)
+    inv = sla.cho_solve(factor, np.eye(len(phi)))
+    y, ones = data.responses, np.ones(len(phi))
+    mu_hat = (ones @ inv @ y) / (ones @ inv @ ones)
+    alpha = inv @ (y - mu_hat)
+    w = inv - np.outer(alpha, alpha)
+    return np.array([np.sum(w * d) for d in
+                     reference_gram_derivatives(params, data.x, data.z, space.qual_levels, jitter_rate)])
+
+
 def reference_unpack(vec, space):
     """Log-parameter vector to EzGpParams, one exp per parameter block."""
     p, q = space.p, space.q
@@ -324,6 +370,41 @@ class TestBitIdentity:
                     neg_log_likelihood(params, data, space)
             else:
                 assert neg_log_likelihood(params, data, space) == ref
+
+
+class TestPairTable:
+    """The fit's Gram is built on the pairs of its lower triangle only."""
+
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)])
+    def test_lower_triangle_equals_cross_covariance(self, name, n, monkeypatch):
+        space, data = design_data(name, n, seed=3)
+        captured = []
+
+        def capture(fun, x0, **kwargs):
+            captured.append(fun)
+            raise _Captured
+
+        monkeypatch.setattr(ezgp, "minimize", capture)
+        with pytest.raises(_Captured):
+            cs.fit(data, space)
+        grams, original = [], ezgp._try_cholesky
+
+        def recording(phi, jitter):
+            grams.append((phi.copy(), jitter))
+            return original(phi, jitter)
+
+        monkeypatch.setattr(ezgp, "_try_cholesky", recording)
+        lo, hi = ezgp._log_bounds(space, cs.FitConfig(), data.responses)
+        rng = np.random.default_rng(20261019)
+        for _ in range(20):
+            vec = lo + rng.random(len(lo)) * (hi - lo)
+            params = reference_unpack(vec, space)
+            grams.clear()
+            captured[0](vec)
+            (phi, jitter), = grams
+            full = cross_covariance(params, data.x, data.z, data.x, data.z)
+            assert np.array_equal(phi, np.tril(full))
+            assert jitter == 1e-8 * float(np.mean(np.diag(full)))
 
 
 class TestPredict:
@@ -491,7 +572,7 @@ def recorded_starts(data, space, config, monkeypatch):
 
 
 class TestOptimizer:
-    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)])
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)])
     def test_gradient_matches_central_differences(self, name, n, monkeypatch):
         # well-conditioned Grams only: near-singular ones (example1, n=20)
         # leave finite-difference noise near 1e-2
@@ -504,6 +585,38 @@ class TestOptimizer:
             central = np.array([(fun(x0 + step * e)[0] - fun(x0 - step * e)[0]) / (2 * step)
                                 for e in np.eye(len(x0))])
             assert np.linalg.norm(grad - central) <= 1e-3 * np.linalg.norm(central)
+
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)])
+    def test_gradient_equals_dense_reference(self, name, n, monkeypatch):
+        space, data = design_data(name, n)
+        _, starts = recorded_starts(data, space, cs.FitConfig(n_starts=3, max_fev=1), monkeypatch)
+        for fun, x0, _ in starts:
+            grad = fun(x0)[1]
+            ref = reference_gradient(reference_unpack(x0, space), data, space)
+            assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_each_start_evaluates_x0_once(self, monkeypatch):
+        # the never-worse guard takes f0 from L-BFGS-B's first evaluation
+        space, data = design_data("example1", 12)
+        calls, counts = [0], []
+        cholesky, minimize = ezgp._try_cholesky, ezgp.minimize
+
+        def counting(phi, jitter):
+            calls[0] += 1
+            return cholesky(phi, jitter)
+
+        def recording(fun, x0, **kwargs):
+            res = minimize(fun, x0, **kwargs)
+            counts.append((calls[0], res.nfev))
+            return res
+
+        monkeypatch.setattr(ezgp, "_try_cholesky", counting)
+        monkeypatch.setattr(ezgp, "minimize", recording)
+        model = cs.fit(data, space, cs.FitConfig(n_starts=4, max_fev=60))
+        ends = [0] + [end for end, _ in counts]
+        assert [b - a for a, b in zip(ends, ends[1:])] == [nfev for _, nfev in counts]
+        for initial, final in model.start_objectives:
+            assert final <= initial
 
     def test_objective_inf_on_part_of_the_box(self, monkeypatch):
         # a jitter of 1e-16 of the diagonal lets smooth Grams fail to factor
