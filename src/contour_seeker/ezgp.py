@@ -6,14 +6,17 @@ squared-exponential term that is active only when both points share that
 level.  Hyperparameters are estimated by multi-start bounded L-BFGS-B
 on the profiled negative log-likelihood (the process mean has a closed
 form given the rest), with its analytic gradient (Rasmussen & Williams
-2006, sec. 5.4.1).  One kernel builder, ``_KernelWorkspace``, serves both
-uses: cross-covariances on the full grid between two point sets, and the
-fit's Gram on the pairs of its lower triangle, where the gradient is one
-product of a design matrix, built at the first gradient, with the pair
-terms.  ``fit`` runs its LAPACK calls on one BLAS thread and restores the
-previous count afterwards.  ``params_to_dict``/``params_from_dict`` give
-the JSON form of the hyperparameters; files are read and written by
-``traceio``.
+2006, sec. 5.4.1).  ``minimize`` is this module's own L-BFGS-B loop over
+scipy's ``setulb`` kernel: the iterates of scipy's driver without its
+per-evaluation wrappers.  One kernel builder, ``_KernelWorkspace``, serves
+both uses: cross-covariances on the full grid between two point sets, and
+the fit's Gram on the pairs of its lower triangle, where the gradient is
+one product of a design matrix, built at the first gradient, with the pair
+terms.  A Gram build fills one buffer with every level term's rates and
+exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
+thread and restores the previous count afterwards.
+``params_to_dict``/``params_from_dict`` give the JSON form of the
+hyperparameters; files are read and written by ``traceio``.
 """
 from __future__ import annotations
 
@@ -28,7 +31,8 @@ from functools import cache, cached_property
 import numpy as np
 import scipy
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
 from .errors import FitFailureError, IllConditionedModelError, ValidationError
@@ -151,21 +155,22 @@ class _KernelWorkspace:
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram; None is the full (n1, n2) grid.  ``d2`` holds each pair's
-    squared coordinate differences: (n1, n2, p) for the grid, (pairs, p)
-    for a list.  ``terms`` holds, per factor h, the positions of the pairs
+    set's Gram; None is the full (n1, n2) grid.  ``rows`` holds each pair's
+    squared coordinate differences, one row per pair (row-major in the
+    grid).  ``terms`` holds, per factor h, the positions of the pairs
     that share a level of h (flat in the grid, or in the list) and, for each
-    such level l, its column and the gathered ``d2`` rows of its pairs.  A
-    Gram build exponentiates the level terms on those pairs only; levels no
-    pair shares are dropped.  ``design``, for the likelihood gradient over a
-    lower triangle, is built on first use.
+    such level l, its column and the gathered ``rows`` of its pairs.  A
+    Gram build computes the level terms on those pairs only; levels no
+    pair shares are dropped.  ``level_buffer`` holds every level term in
+    ``terms`` order, reused by each build: ``level_views`` are each level's
+    slice of it and ``factor_views`` each factor's.  ``design``, for the
+    likelihood gradient over a lower triangle, is built on first use.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
         d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
         self.size, self.qual_levels, self.pairs = d2.shape[:2], tuple(qual_levels), pairs
-        self.d2 = d2 if pairs is None else d2[pairs]
-        rows = self.d2.reshape(-1, d2.shape[2])
+        self.rows = (d2 if pairs is None else d2[pairs]).reshape(-1, d2.shape[2])
         self.terms = []
         for h, m in enumerate(qual_levels):
             idxs, levels = [], []
@@ -174,27 +179,45 @@ class _KernelWorkspace:
                 idx = np.flatnonzero(shared if pairs is None else shared[pairs])
                 if len(idx):
                     idxs.append(idx)
-                    levels.append((col, rows[idx]))
+                    levels.append((col, self.rows[idx]))
             if levels:
                 # a pair shares at most one level of h, so the index sets are disjoint
                 self.terms.append((h, np.concatenate(idxs), levels))
+        self.level_buffer = np.empty(sum(len(idx) for _, idx, _ in self.terms))
+        self.level_views, self.factor_views, start = [], [], 0
+        for h, idx, levels in self.terms:
+            self.factor_views.append((h, idx, self.level_buffer[start:start + len(idx)]))
+            for col, d2_l in levels:
+                self.level_views.append((h, col, d2_l, self.level_buffer[start:start + len(d2_l)]))
+                start += len(d2_l)
 
     def gram(self, sigma2, theta0, theta, with_terms: bool = False):
         """Kernel values on the pairs ((n1, n2) for the grid) at variances
         ``sigma2``, base rates ``theta0`` and per-factor rate matrices
         ``theta``.  Each value is the base term plus one level term per
-        factor, added in factor order.  With ``with_terms``, ``(values,
-        terms)``: also the term values stacked as ``design``'s columns."""
-        base = sigma2[0] * np.exp(-(self.d2 @ theta0))
-        k = base.copy() if with_terms else base
-        flat = k.reshape(-1)
-        values = []
-        for h, idx, levels in self.terms:
-            rates = np.concatenate([d2_l @ theta[h][:, col] for col, d2_l in levels])
-            v = sigma2[h + 1] * np.exp(-rates)
-            flat[idx] += v
-            values.append(v)
-        return (k, np.concatenate([base, *values])) if with_terms else k
+        factor, added in factor order.  The base rates are one product over
+        all pairs; the level rates fill ``level_buffer`` with one product
+        per level, the same product as on a full grid, so the terms have
+        its bits.  Each of the two is negated and exponentiated in place,
+        once, then scaled by its variances.  With ``with_terms``,
+        ``(values, terms)``: also the term values stacked as ``design``'s
+        columns, a fresh array."""
+        k = np.matmul(self.rows, theta0)
+        np.negative(k, out=k)
+        np.exp(k, out=k)
+        k *= sigma2[0]
+        for h, col, d2_l, rates in self.level_views:
+            np.matmul(d2_l, theta[h][:, col], out=rates)
+        t = self.level_buffer
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        for h, _, v in self.factor_views:
+            v *= sigma2[h + 1]
+        terms = np.concatenate((k, t)) if with_terms else None
+        for _, idx, v in self.factor_views:
+            k[idx] += v
+        k = k.reshape(self.size) if self.pairs is None else k
+        return (k, terms) if with_terms else k
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,18 +228,18 @@ class _KernelWorkspace:
         each term's pair in a column-major (n, n) matrix.  ``D`` has one row
         per log-parameter in ``_pack``'s order and one column per term: the
         term's pair weight at its variance and the weight times the pair's
-        ``d2`` row at its rates.  The weight is 1 on the diagonal and 2 off
+        ``rows`` row at its rates.  The weight is 1 on the diagonal and 2 off
         it, where a pair stands for its mirror image.
         """
         i, j = self.pairs
         weight = np.where(i == j, 1.0, 2.0)
-        n_pairs, p = self.d2.shape
+        n_pairs, p = self.rows.shape
         q = len(self.qual_levels)
         term_pair = np.concatenate([np.arange(n_pairs)] + [idx for _, idx, _ in self.terms])
         first_rate = np.cumsum([q + 1 + p] + [p * m for m in self.qual_levels])
         design = np.zeros((first_rate[-1], len(term_pair)))
         design[0, :n_pairs] = weight
-        design[q + 1:q + 1 + p, :n_pairs] = (weight[:, None] * self.d2).T
+        design[q + 1:q + 1 + p, :n_pairs] = (weight[:, None] * self.rows).T
         start = n_pairs
         for h, _, levels in self.terms:
             for col, d2_l in levels:
@@ -450,6 +473,75 @@ def _log_bounds(space: DesignSpace, config: FitConfig, y: np.ndarray) -> tuple[n
     return lo, hi
 
 
+# scipy's L-BFGS-B defaults: ftol / eps, gtol, maxcor, maxls, maxiter, maxfun
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_PGTOL = 1e-5
+_CORRECTIONS = 10
+_MAX_LINE_SEARCH = 20
+_MAX_ITER = 15000
+_MAX_FUN = 15000
+
+# setulb's task codes
+_FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+
+
+def minimize(fun, x0, bounds, maxfun: int = _MAX_FUN) -> OptimizeResult:
+    """Bounded L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) of ``fun``, which
+    returns ``(value, gradient)``, from ``x0`` within the finite ``bounds``
+    ``(lo, hi)``.
+
+    This is scipy's ``minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=..., options={"maxfun": maxfun})`` without the wrappers it puts
+    around each evaluation.  It makes the same calls of scipy's ``setulb``
+    kernel with the same defaults, in the same order: ``x0`` clipped to
+    the bounds, ``fun`` evaluated there first, a trial point evaluated only
+    when it differs from the last one, ``maxiter`` and the soft ``maxfun``
+    cap checked at each new iteration, and the same status rule.  So the
+    iterates and the returned ``x``, ``fun``, ``jac``, ``nfev``, ``njev``,
+    ``nit`` and ``status`` are scipy's.  ``fit`` calls it once per start
+    through this module attribute, which callers that count or time the
+    starts rebind.
+    """
+    lo, hi = bounds
+    x = np.clip(x0, lo, hi)
+    n = len(x)
+    m = _CORRECTIONS
+    nbd = np.full(n, 2, dtype=np.int32)  # bounded on both sides
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int32)
+    lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
+
+    x_eval = x.copy()
+    f_eval, g_eval = fun(x_eval)
+    nfev, nit = 1, 0
+    f, g = 0.0, np.zeros(n)  # what scipy passes to the kernel's first call
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave, dsave,
+               _MAX_LINE_SEARCH, ln_task)
+        if task[0] == _FG:
+            if (x != x_eval).any():
+                x_eval = x.copy()
+                f_eval, g_eval = fun(x_eval)
+                nfev += 1
+            f = f_eval
+            g[:] = g_eval
+        elif task[0] == _NEW_X:
+            nit += 1
+            if nit >= _MAX_ITER:
+                task[:] = _STOP, _STOP_MAXITER
+            elif nfev > maxfun:
+                task[:] = _STOP, _STOP_MAXFUN
+        else:
+            break
+    if task[0] == _CONVERGENCE:
+        status = 0
+    else:
+        status = 1 if nfev > maxfun or nit >= _MAX_ITER else 2
+    return OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
+
+
 # numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
 _BLAS_SUFFIXES = ("", "64_")
 
@@ -508,7 +600,8 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     """Maximum likelihood fit by multi-start bounded L-BFGS-B in log space,
     with the analytic gradient of the profiled objective.
 
-    The objective works on the pair table of the Gram's lower triangle,
+    Each start is one call of ``minimize``, scipy's L-BFGS-B kernel with
+    scipy's defaults and ``max_fev`` as ``maxfun``.  The objective works on the pair table of the Gram's lower triangle,
     which is all LAPACK's lower Cholesky factor reads; the gradient's design
     matrix is built at the first gradient.  No ``EzGpParams`` is built per
     evaluation.  The fit runs on one BLAS thread and restores the previous
@@ -564,8 +657,8 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
                 first.append(out[0])  # L-BFGS-B evaluates x0 first
             return out
 
-        res = minimize(start_objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                       options={} if config.max_fev is None else {"maxfun": config.max_fev})
+        res = minimize(start_objective, x0, bounds=(lo, hi),
+                       maxfun=_MAX_FUN if config.max_fev is None else config.max_fev)
         f0 = first[0]
         xb, fb = (res.x, float(res.fun)) if res.fun <= f0 else (x0, f0)
         results.append((fb, idx, xb, f0))

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
@@ -407,6 +409,51 @@ class TestPairTable:
             assert jitter == 1e-8 * float(np.mean(np.diag(full)))
 
 
+def reference_cross_covariance(params, x1, z1, x2, z2, qual_levels):
+    """Full-grid cross-covariance built as ``reference_gram`` is."""
+    d2 = np.square(x1[:, None, :] - x2[None, :, :])
+    k = params.sigma2[0] * np.exp(-(d2 @ params.theta0))
+    for h, m in enumerate(qual_levels):
+        for level in range(m):
+            mask = (z1[:, h] == level + 1)[:, None] & (z2[:, h] == level + 1)[None, :]
+            if mask.any():
+                k += np.where(mask, params.sigma2[h + 1] * np.exp(-(d2 @ params.theta[h][:, level])), 0.0)
+    return k
+
+
+class TestGridGram:
+    """The grid path (``predict_batch``, ``coverage_check``) runs the fit's builder."""
+
+    @pytest.mark.parametrize("name, n, per_combo, m", [("example3", 30, 23, 600), ("example2", 18, 40, 360)])
+    def test_rectangular_equals_reference(self, name, n, per_combo, m):
+        space, data = design_data(name, n, seed=3)
+        cand = cs.candidate_set(space, per_combo, seed=4)
+        x2, z2 = cand.x[:m], cand.z[:m]
+        lo, hi = ezgp._log_bounds(space, cs.FitConfig(), data.responses)
+        rng = np.random.default_rng(20261020)
+        for _ in range(5):
+            params = reference_unpack(lo + rng.random(len(lo)) * (hi - lo), space)
+            k = cross_covariance(params, data.x, data.z, x2, z2)
+            assert k.shape == (n, m)
+            assert np.array_equal(k, reference_cross_covariance(params, data.x, data.z, x2, z2, space.qual_levels))
+
+    def test_build_peak_memory(self):
+        # the kernel values and one buffer of level terms, no per-factor temporaries
+        space, data = design_data("example3", 30, seed=3)
+        cand = cs.candidate_set(space, 200, seed=4)
+        params = simple_params(space)
+        ws = ezgp._KernelWorkspace(data.x, data.z, cand.x, cand.z, space.qual_levels)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            k = ws.gram(params.sigma2, params.theta0, params.theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.shape == (30, 5400)
+        assert peak <= 2.5 * k.nbytes
+
+
 class TestPredict:
     def test_interpolates_training_points(self, small_model):
         span = float(np.ptp(small_model.data.responses))
@@ -635,6 +682,74 @@ class TestOptimizer:
         nfev = [res.nfev for _, _, res in starts]
         # a soft cap: the line search in progress finishes
         assert max(nfev) <= 45 and max(nfev) >= 40
+
+    def test_fit_calls_minimize_once_per_start(self, monkeypatch):
+        space, data = design_data("example1", 12)
+        calls, nfev, original = [0], [], ezgp.minimize
+
+        def recording(fun, x0, **kwargs):
+            def counted(vec):
+                calls[0] += 1
+                return fun(vec)
+
+            res = original(counted, x0, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(ezgp, "minimize", recording)
+        cs.fit(data, space, cs.FitConfig(n_starts=5, max_fev=60))
+        assert len(nfev) == 5
+        assert sum(nfev) == calls[0]
+
+
+class TestDriver:
+    """``ezgp.minimize`` is scipy's L-BFGS-B without its per-evaluation wrappers."""
+
+    @pytest.mark.parametrize("config", [cs.FitConfig(), cs.FitConfig(max_fev=7), cs.FitConfig(jitter_scale=1e-8)],
+                             ids=["default", "max_fev=7", "jitter_scale=1e-8"])
+    @pytest.mark.parametrize("name, n", [("example1", 9), ("example1", 20), ("example2", 18), ("example3", 27)])
+    def test_equals_scipy_lbfgsb(self, name, n, config, monkeypatch):
+        space, data = design_data(name, n)
+        driver, captured = ezgp.minimize, []
+
+        def capture(fun, x0, **kwargs):
+            captured.append((fun, x0, kwargs))
+            raise _Captured
+
+        monkeypatch.setattr(ezgp, "minimize", capture)
+        with pytest.raises(_Captured):
+            cs.fit(data, space, config)
+        (objective, first, kwargs), = captured
+
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        options = {} if config.max_fev is None else {"maxfun": config.max_fev}
+        rng = np.random.default_rng(0)
+        # the fit's first start, points of the box, and one partly outside it
+        x0s = [first] + [lo + rng.random(len(lo)) * (hi - lo) for _ in range(4)]
+        x0s.append(lo + (rng.random(len(lo)) * 1.4 - 0.2) * (hi - lo))
+        inf_runs = 0
+        for x0 in x0s:
+            values = []
+
+            def fun(vec):
+                out = objective(vec)
+                values.append(out[0])
+                return out
+
+            with ezgp._one_blas_thread():
+                ours = driver(fun, x0.copy(), **kwargs)
+                ref = scipy.optimize.minimize(objective, x0.copy(), jac=True, method="L-BFGS-B",
+                                              bounds=list(zip(lo, hi)), options=options)
+            assert np.array_equal(ours.x, ref.x)
+            assert ours.fun == ref.fun
+            assert np.array_equal(ours.jac, ref.jac)
+            assert (ours.nfev, ours.njev, ours.nit, ours.status) == (ref.nfev, ref.njev, ref.nit, ref.status)
+            assert len(values) == ours.nfev
+            inf_runs += not all(np.isfinite(values[1:]))
+        if (name, n, config.jitter_scale) == ("example1", 20, 1e-8):
+            # at 1e-16 of the diagonal, some trial points' Grams do not factor
+            # and score inf; the driver follows scipy there too
+            assert inf_runs
 
 
 class TestCachedSolves:
