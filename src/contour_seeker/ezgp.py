@@ -504,6 +504,9 @@ def minimize(fun, x0, bounds, maxfun: int = _MAX_FUN) -> OptimizeResult:
     starts rebind.
     """
     lo, hi = bounds
+    # the kernel reads len(x) bounds from each array
+    if not np.shape(x0) == np.shape(lo) == np.shape(hi):
+        raise ValueError("x0 and both bounds must have the same shape")
     x = np.clip(x0, lo, hi)
     n = len(x)
     m = _CORRECTIONS
@@ -601,15 +604,16 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     with the analytic gradient of the profiled objective.
 
     Each start is one call of ``minimize``, scipy's L-BFGS-B kernel with
-    scipy's defaults and ``max_fev`` as ``maxfun``.  The objective works on the pair table of the Gram's lower triangle,
-    which is all LAPACK's lower Cholesky factor reads; the gradient's design
-    matrix is built at the first gradient.  No ``EzGpParams`` is built per
-    evaluation.  The fit runs on one BLAS thread and restores the previous
-    count on return or raise.  A trial point whose Gram does not factor
-    scores inf, which ends that start at its last finite point.  Returns the
-    best factorizable local optimum over all starts; the achieved objective
-    never exceeds any start's initial objective, taken from the start's
-    first evaluation.
+    scipy's defaults and ``max_fev`` as ``maxfun``.  The objective works
+    on the pair table of the Gram's lower triangle, which is all LAPACK's
+    lower Cholesky factor reads, and each Gram build reuses the table's
+    level-term buffer; the gradient's design matrix is built at the first
+    gradient.  No ``EzGpParams`` is built per evaluation.  The fit runs on
+    one BLAS thread and restores the previous count on return or raise.  A
+    trial point whose Gram does not factor scores inf, which ends that
+    start at its last finite point.  Returns the best factorizable local
+    optimum over all starts; the achieved objective never exceeds any
+    start's initial objective, taken from the start's first evaluation.
     """
     y = data.responses
     n = len(y)

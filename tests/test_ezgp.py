@@ -751,6 +751,11 @@ class TestDriver:
             # and score inf; the driver follows scipy there too
             assert inf_runs
 
+    def test_bounds_of_another_length_rejected(self):
+        # the kernel would read past the end of a shorter bound array
+        with pytest.raises(ValueError, match="same shape"):
+            ezgp.minimize(lambda v: (float(v @ v), 2 * v), np.ones(2), bounds=(np.zeros(1), np.full(1, 3.0)))
+
 
 class TestCachedSolves:
     def test_solves_satisfy_linear_systems(self, small_model):
