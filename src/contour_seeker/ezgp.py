@@ -7,13 +7,13 @@ level.  Hyperparameters are estimated by multi-start bounded L-BFGS-B
 on the profiled negative log-likelihood (the process mean has a closed
 form given the rest), with its analytic gradient (Rasmussen & Williams
 2006, sec. 5.4.1).  ``minimize`` is this module's own L-BFGS-B loop over
-scipy's ``setulb`` kernel: the iterates of scipy's driver without its
-per-evaluation wrappers.  One kernel builder, ``_KernelWorkspace``, serves
-both uses: cross-covariances on the full grid between two point sets, and
-the fit's Gram on the pairs of its lower triangle, where the gradient is
-one product of a design matrix, built at the first gradient, with the pair
-terms.  A Gram build fills one buffer with every level term's rates and
-exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
+scipy's ``setulb`` kernel: the iterates of scipy's ``minimize`` without
+its per-evaluation wrappers.  One kernel builder, ``_KernelWorkspace``,
+serves both uses: cross-covariances on the full grid between two point
+sets, and the fit's Gram on the pairs of its lower triangle, where the
+gradient is one product of a design matrix, built at the first gradient,
+with the pair terms.  A Gram build fills one buffer with every level
+term's rates and exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
 thread and restores the previous count afterwards.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
 hyperparameters; files are read and written by ``traceio``.

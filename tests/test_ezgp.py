@@ -422,7 +422,7 @@ def reference_cross_covariance(params, x1, z1, x2, z2, qual_levels):
 
 
 class TestGridGram:
-    """The grid path (``predict_batch``, ``coverage_check``) runs the fit's builder."""
+    """The grid path (``predict_batch``, ``coverage_check``) builds its Gram as the fit does."""
 
     @pytest.mark.parametrize("name, n, per_combo, m", [("example3", 30, 23, 600), ("example2", 18, 40, 360)])
     def test_rectangular_equals_reference(self, name, n, per_combo, m):
@@ -702,7 +702,7 @@ class TestOptimizer:
         assert sum(nfev) == calls[0]
 
 
-class TestDriver:
+class TestLbfgsbLoop:
     """``ezgp.minimize`` is scipy's L-BFGS-B without its per-evaluation wrappers."""
 
     @pytest.mark.parametrize("config", [cs.FitConfig(), cs.FitConfig(max_fev=7), cs.FitConfig(jitter_scale=1e-8)],
@@ -710,7 +710,7 @@ class TestDriver:
     @pytest.mark.parametrize("name, n", [("example1", 9), ("example1", 20), ("example2", 18), ("example3", 27)])
     def test_equals_scipy_lbfgsb(self, name, n, config, monkeypatch):
         space, data = design_data(name, n)
-        driver, captured = ezgp.minimize, []
+        lbfgsb, captured = ezgp.minimize, []
 
         def capture(fun, x0, **kwargs):
             captured.append((fun, x0, kwargs))
@@ -737,7 +737,7 @@ class TestDriver:
                 return out
 
             with ezgp._one_blas_thread():
-                ours = driver(fun, x0.copy(), **kwargs)
+                ours = lbfgsb(fun, x0.copy(), **kwargs)
                 ref = scipy.optimize.minimize(objective, x0.copy(), jac=True, method="L-BFGS-B",
                                               bounds=list(zip(lo, hi)), options=options)
             assert np.array_equal(ours.x, ref.x)
@@ -748,7 +748,7 @@ class TestDriver:
             inf_runs += not all(np.isfinite(values[1:]))
         if (name, n, config.jitter_scale) == ("example1", 20, 1e-8):
             # at 1e-16 of the diagonal, some trial points' Grams do not factor
-            # and score inf; the driver follows scipy there too
+            # and score inf; the loop follows scipy there too
             assert inf_runs
 
     def test_bounds_of_another_length_rejected(self):
