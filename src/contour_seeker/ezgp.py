@@ -6,14 +6,15 @@ squared-exponential term that is active only when both points share that
 level.  Hyperparameters are estimated by multi-start bounded L-BFGS-B
 on the profiled negative log-likelihood (the process mean has a closed
 form given the rest), with its analytic gradient (Rasmussen & Williams
-2006, sec. 5.4.1).  ``minimize`` is this module's own L-BFGS-B loop over
-scipy's ``setulb`` kernel: the iterates of scipy's ``minimize`` without
-its per-evaluation wrappers.  One kernel builder, ``_KernelWorkspace``,
-serves both uses: cross-covariances on the full grid between two point
-sets, and the fit's Gram on the pairs of its lower triangle, where the
-gradient is one product of a design matrix, built at the first gradient,
-with the pair terms.  A Gram build fills one buffer with every level
-term's rates and exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
+2006, sec. 5.4.1).  ``minimize`` takes scipy's call form and runs
+L-BFGS-B in this module's own loop over scipy's ``setulb`` kernel: the
+iterates of scipy's ``minimize`` without its per-evaluation wrappers.
+One kernel builder, ``_KernelWorkspace``, serves both uses:
+cross-covariances on the full grid between two point sets, and the fit's
+Gram on the pairs of its lower triangle, where the gradient is one
+product of a design matrix, built at the first gradient, with the pair
+terms.  A Gram build fills one buffer with every level term's rates and
+exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
 thread and restores the previous count afterwards.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
 hyperparameters; files are read and written by ``traceio``.
@@ -30,6 +31,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy
+import scipy.optimize
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import OptimizeResult
 from scipy.optimize._lbfgsb import setulb
@@ -486,27 +488,44 @@ _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
-def minimize(fun, x0, bounds, maxfun: int = _MAX_FUN) -> OptimizeResult:
-    """Bounded L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) of ``fun``, which
-    returns ``(value, gradient)``, from ``x0`` within the finite ``bounds``
-    ``(lo, hi)``.
+def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=None,
+             **kwargs) -> OptimizeResult:
+    """scipy's ``minimize``, with bounded L-BFGS-B run by this module's own
+    loop over scipy's ``setulb`` kernel (Byrd, Lu, Nocedal & Zhu 1995).
 
-    This is scipy's ``minimize(fun, x0, jac=True, method="L-BFGS-B",
-    bounds=..., options={"maxfun": maxfun})`` without the wrappers it puts
-    around each evaluation.  It makes the same calls of scipy's ``setulb``
-    kernel with the same defaults, in the same order: ``x0`` clipped to
+    ``fit`` calls it once per start as ``minimize(fun, x0, jac=True,
+    method="L-BFGS-B", bounds=<(low, high) pairs>, options={"maxfun":
+    max_fev})``, where ``fun`` returns ``(value, gradient)`` and a
+    ``maxfun`` of None is scipy's default, 15000.  That call is scipy's
+    without the wrappers it puts around each evaluation: the same calls of
+    ``setulb`` with the same defaults, in the same order (``x0`` clipped to
     the bounds, ``fun`` evaluated there first, a trial point evaluated only
     when it differs from the last one, ``maxiter`` and the soft ``maxfun``
-    cap checked at each new iteration, and the same status rule.  So the
+    cap checked at each new iteration, and the same status rule).  So the
     iterates and the returned ``x``, ``fun``, ``jac``, ``nfev``, ``njev``,
-    ``nit`` and ``status`` are scipy's.  ``fit`` calls it once per start
-    through this module attribute, which callers that count or time the
-    starts rebind.
+    ``nit`` and ``status`` are scipy's.  L-BFGS-B here takes nothing else:
+    another option, infinite bounds or a ``fun`` without its gradient raise
+    ``ValueError``, so no call reaches scipy's own L-BFGS-B driver.
+
+    The name and the call form are scipy's because callers that count or
+    time the starts rebind this module attribute and call it as scipy's
+    ``minimize``; any other ``method`` is scipy's ``minimize`` itself.
     """
-    lo, hi = bounds
-    # the kernel reads len(x) bounds from each array
-    if not np.shape(x0) == np.shape(lo) == np.shape(hi):
-        raise ValueError("x0 and both bounds must have the same shape")
+    if method.upper() != "L-BFGS-B":
+        return scipy.optimize.minimize(fun, x0, method=method, jac=jac, bounds=bounds,
+                                       options=options, **kwargs)
+    options = dict(options or {})
+    maxfun = options.pop("maxfun", None)
+    if jac is not True or options or kwargs:
+        raise ValueError("L-BFGS-B takes only fun returning (value, gradient) (jac=True), "
+                         "bounds and the maxfun option")
+    box = np.array(bounds, dtype=float)
+    # the kernel reads len(x) entries of each bound
+    if box.shape != (np.size(x0), 2) or np.ndim(x0) != 1 or not np.isfinite(box).all():
+        raise ValueError("bounds must be finite (low, high) pairs, one per entry of x0")
+    lo, hi = np.ascontiguousarray(box.T)
+    if maxfun is None:
+        maxfun = _MAX_FUN
     x = np.clip(x0, lo, hi)
     n = len(x)
     m = _CORRECTIONS
@@ -661,8 +680,8 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
                 first.append(out[0])  # L-BFGS-B evaluates x0 first
             return out
 
-        res = minimize(start_objective, x0, bounds=(lo, hi),
-                       maxfun=_MAX_FUN if config.max_fev is None else config.max_fev)
+        res = minimize(start_objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options={"maxfun": config.max_fev})
         f0 = first[0]
         xb, fb = (res.x, float(res.fun)) if res.fun <= f0 else (x0, f0)
         results.append((fb, idx, xb, f0))

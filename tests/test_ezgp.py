@@ -753,8 +753,24 @@ class TestLbfgsbLoop:
 
     def test_bounds_of_another_length_rejected(self):
         # the kernel would read past the end of a shorter bound array
-        with pytest.raises(ValueError, match="same shape"):
-            ezgp.minimize(lambda v: (float(v @ v), 2 * v), np.ones(2), bounds=(np.zeros(1), np.full(1, 3.0)))
+        with pytest.raises(ValueError, match="one per entry of x0"):
+            ezgp.minimize(lambda v: (float(v @ v), 2 * v), np.ones(2), jac=True, method="L-BFGS-B",
+                          bounds=[(0.0, 3.0)])
+
+    @pytest.mark.parametrize("kwargs", [{"jac": None}, {"bounds": None}, {"bounds": [(0.0, np.inf)] * 2},
+                                        {"options": {"maxiter": 5}}, {"tol": 1e-3}],
+                             ids=["no gradient", "no bounds", "infinite bound", "maxiter", "tol"])
+    def test_lbfgsb_takes_only_what_fit_passes(self, kwargs):
+        # nothing falls through to scipy's own L-BFGS-B driver
+        call = {"jac": True, "method": "l-bfgs-b", "bounds": [(0.0, 3.0)] * 2, **kwargs}
+        with pytest.raises(ValueError):
+            ezgp.minimize(lambda v: (float(v @ v), 2 * v), np.ones(2), **call)
+
+    def test_other_methods_are_scipys_minimize(self):
+        kwargs = {"method": "Nelder-Mead", "bounds": [(-4.0, 4.0)] * 2, "options": {"maxfev": 10}}
+        ours = ezgp.minimize(lambda v: float(v @ v), [1.0, 0.5], **kwargs)
+        ref = scipy.optimize.minimize(lambda v: float(v @ v), [1.0, 0.5], **kwargs)
+        assert np.array_equal(ours.x, ref.x) and ours.fun == ref.fun and ours.nfev == ref.nfev == 10
 
 
 class TestCachedSolves:
