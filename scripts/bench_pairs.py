@@ -3,17 +3,22 @@
     python3 scripts/bench_pairs.py --parent-dir ../parent --out BENCH_<tag>.json
 
 For each workload, runs ``perfbench/run.py`` untraced ``--pairs`` times in
-each checkout, alternating which side goes first, then once traced per
-side.  The record holds, per workload and side, the median and the runs of
-each end-to-end metric (``op_p50_probes``, ``setup_s``, ``peak_rss_mb``),
-whether every run was correct with no failed operation, and the traced
-per-layer metrics.  It also holds the machine stamp and, per side, the best
-NLL and the evaluation count of ``fit`` on five fixed designs.  Run from the
-repository root; both checkouts need ``perfbench/`` and ``src/``.
+each checkout, alternating which side goes first, then traced in two pairs,
+parent first and then change first, so that drift between runs falls on
+both sides.  The record holds, per workload and side, the median and the
+runs of each end-to-end metric (``op_p50_probes``, ``setup_s``,
+``peak_rss_mb``), whether every run was correct with no failed operation,
+and the mean and the runs of each traced per-layer metric.  It also holds
+the machine stamp, each side's ``source_sha256`` (perfbench's hash of the
+program and benchmark sources, taken in that side's checkout) and, per
+side, the best NLL, the evaluation count and a digest of the fitted
+parameters of ``fit`` on five fixed designs.  Run from the repository root;
+both checkouts need ``perfbench/`` and ``src/``.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -57,7 +62,7 @@ def perfbench(side_dir: Path, args, workload: str, trace: int) -> dict:
 
 
 def fit_table() -> list[dict]:
-    """Best NLL and L-BFGS-B evaluation count of ``fit`` on FIT_DESIGNS.
+    """Best NLL, L-BFGS-B evaluation count and fitted-parameter digest of ``fit`` on FIT_DESIGNS.
 
     Runs in a child whose ``sys.path`` starts with one side's ``src`` and root.
     """
@@ -89,12 +94,15 @@ def fit_table() -> list[dict]:
                 if rc != 0:
                     raise RuntimeError(f"ex3_fit fit failed: {stderr.strip()[-500:]}")
                 nll = json.loads(stdout)["nll"]
+                params = cs.load_model(wl.model_file).params
         else:
             sim = cs.builtin_simulator(name)
             points = cs.initial_design(sim.space, n, seed=5)
             data = cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
-            nll = cs.fit(data, sim.space).nll
-        rows.append({"design": name, "n": n, "nll": nll, "evaluations": sum(nfev)})
+            model = cs.fit(data, sim.space)
+            nll, params = model.nll, model.params
+        digest = hashlib.sha256(json.dumps(ezgp.params_to_dict(params)).encode()).hexdigest()
+        rows.append({"design": name, "n": n, "nll": nll, "evaluations": sum(nfev), "params_sha256": digest})
     return rows
 
 
@@ -105,6 +113,15 @@ def side_fit_table(side_dir: Path) -> list[dict]:
     if res.returncode != 0:
         raise RuntimeError(f"fit table in {side_dir} failed: {res.stderr.strip()[-500:]}")
     return json.loads(res.stdout)
+
+
+def source_sha256(side_dir: Path) -> str:
+    """perfbench's ``source_hash`` of the checkout in ``side_dir``."""
+    res = subprocess.run([sys.executable, "-c", "from perfbench.run import source_hash; print(source_hash())"],
+                         cwd=side_dir, capture_output=True, text=True)
+    if res.returncode != 0:
+        raise RuntimeError(f"source hash in {side_dir} failed: {res.stderr.strip()[-500:]}")
+    return res.stdout.strip()
 
 
 def git_commit(side_dir: Path) -> str | None:
@@ -124,7 +141,10 @@ def compare(args) -> dict:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 runs[side].append(perfbench(sides[side], args, workload, trace=0))
-        traced = {side: perfbench(sides[side], args, workload, trace=1) for side in sides}
+        traced = {side: [] for side in sides}
+        for order in (("parent", "change"), ("change", "parent")):
+            for side in order:
+                traced[side].append(perfbench(sides[side], args, workload, trace=1))
         entry = {}
         for metric in END_TO_END:
             entry[metric] = {}
@@ -132,21 +152,27 @@ def compare(args) -> dict:
                 values = [r["metrics"][metric]["value"] for r in runs[side]]
                 entry[metric][side] = {"median": statistics.median(values), "runs": values}
         entry["all_runs_correct_failed_0"] = all(r["correct"] and r["failed"] == 0
-                                                 for r in [*runs["parent"], *runs["change"], *traced.values()])
-        entry["traced"] = {name: {side: traced[side]["metrics"][name]["value"] for side in sides}
-                           for name in traced["change"]["metrics"]}
+                                                 for side in sides for r in [*runs[side], *traced[side]])
+        entry["traced"] = {}
+        for name in traced["change"][0]["metrics"]:
+            entry["traced"][name] = {}
+            for side in sides:
+                values = [r["metrics"][name]["value"] for r in traced[side]]
+                entry["traced"][name][side] = {"mean": statistics.fmean(values), "runs": values}
         workloads[workload] = entry
     return {
         "commands": {
             "untraced": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds} "
                         f"--size {args.size} --trace 0; {args.pairs} pairs per workload, alternating "
                         "which side runs first",
-            "traced": "the same with --trace 1; one run per side",
+            "traced": "the same with --trace 1; two pairs per workload, parent first and then change first",
             "fit_table": "fit(data, space) on initial_design(space, n, seed=5) with the default FitConfig; "
-                         "ex3_fit is the ex3_fit workload's seed-1 design and fit through the CLI",
+                         "ex3_fit is the ex3_fit workload's seed-1 design and fit through the CLI; "
+                         "params_sha256 is the sha256 of json.dumps(params_to_dict(params))",
         },
         "stamp": machine_stamp(),
         "commits": {side: git_commit(path) for side, path in sides.items()},
+        "sources": {side: {"source_sha256": source_sha256(path)} for side, path in sides.items()},
         "workloads": workloads,
         "fit_table": {side: side_fit_table(path) for side, path in sides.items()},
     }

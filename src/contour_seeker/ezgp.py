@@ -13,9 +13,14 @@ One kernel builder, ``_KernelWorkspace``, serves both uses:
 cross-covariances on the full grid between two point sets, and the fit's
 Gram on the pairs of its lower triangle, where the gradient is one
 product of a design matrix, built at the first gradient, with the pair
-terms.  A Gram build fills one buffer with every level term's rates and
-exponentiates it in one call.  ``fit`` runs its LAPACK calls on one BLAS
-thread and restores the previous count afterwards.
+terms.  A Gram build takes the variances and rates in ``_pack``'s order,
+computes the base rates in one product and every level's rates in one
+stacked product, exponentiates and scales the base and level terms in one
+buffer once, and adds the level terms to their pairs in factor order with
+one ``np.add.at``; each step keeps the bits of a build one level at a
+time.  The profiled likelihood solves for y and 1 with one two-column
+``dpotrs``.  ``fit`` runs its LAPACK calls on one BLAS thread and restores
+the previous count afterwards.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
 hyperparameters; files are read and written by ``traceio``.
 """
@@ -44,6 +49,10 @@ _JITTER_START = 1e-8
 _JITTER_CAP = 1e-4
 
 DUPLICATE_TOL = 1e-12
+
+# Most rows of one block of the Gram builder's stacked level product: levels
+# longer than this are split, so that a large grid pads little.
+_STACK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,7 @@ def coincident(x1, z1, x2, z2) -> np.ndarray:
 def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     """Covariance matrix between two point sets given as (n,p) and (n,q) arrays."""
     levels = tuple(mat.shape[1] for mat in params.theta)
-    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(params.sigma2, params.theta0, params.theta)
+    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(_param_vector(params))
 
 
 class _KernelWorkspace:
@@ -157,100 +166,141 @@ class _KernelWorkspace:
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram; None is the full (n1, n2) grid.  ``rows`` holds each pair's
-    squared coordinate differences, one row per pair (row-major in the
-    grid).  ``terms`` holds, per factor h, the positions of the pairs
-    that share a level of h (flat in the grid, or in the list) and, for each
-    such level l, its column and the gathered ``rows`` of its pairs.  A
-    Gram build computes the level terms on those pairs only; levels no
-    pair shares are dropped.  ``level_buffer`` holds every level term in
-    ``terms`` order, reused by each build: ``level_views`` are each level's
-    slice of it and ``factor_views`` each factor's.  ``design``, for the
-    likelihood gradient over a lower triangle, is built on first use.
+    set's Gram; None is the full (n1, n2) grid.  ``neg_d2`` holds each
+    pair's negated squared coordinate differences, one row per pair
+    (row-major in the grid).  ``levels`` lists, in factor order, the
+    (factor, column) of each level that some pair shares; levels no pair
+    shares are dropped.
+
+    A build fills one buffer of rows of ``width`` terms: the base term of
+    every pair in the first ``base_rows`` rows, with at least one spare
+    slot after it, then the level rows.  Each level starts a new row and
+    takes as many as its terms need; ``starts`` and ``counts`` give its
+    first entry and its number of terms in the level rows.  ``width`` is
+    the largest level's count, capped at ``_STACK_ROWS`` so that a large
+    grid pads little.  ``stacked`` holds, per level row, the ``neg_d2``
+    rows of its pairs, zero on padding; ``targets`` the position of each
+    level entry's pair (the spare slot on padding); ``rate_index`` and
+    ``variance_index`` where each row's rates and variance sit in
+    ``_pack``'s order.  ``design``, for the likelihood gradient over a
+    lower triangle, is built on first use.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
-        d2 = np.square(x1[:, None, :] - x2[None, :, :])  # (n1, n2, p)
+        d2 = x1[:, None, :] - x2[None, :, :]  # (n1, n2, p)
+        np.square(d2, out=d2)
+        np.negative(d2, out=d2)
         self.size, self.qual_levels, self.pairs = d2.shape[:2], tuple(qual_levels), pairs
-        self.rows = (d2 if pairs is None else d2[pairs]).reshape(-1, d2.shape[2])
-        self.terms = []
-        for h, m in enumerate(qual_levels):
-            idxs, levels = [], []
+        p = d2.shape[2]
+        self.neg_d2 = (d2 if pairs is None else d2[pairs]).reshape(-1, p)
+        n_pairs = len(self.neg_d2)
+        levels, members, rate_index = [], [], []
+        first_rate = len(self.qual_levels) + 1 + p
+        for h, m in enumerate(self.qual_levels):
             for col in range(m):
                 shared = (z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :]
                 idx = np.flatnonzero(shared if pairs is None else shared[pairs])
                 if len(idx):
-                    idxs.append(idx)
-                    levels.append((col, self.rows[idx]))
-            if levels:
-                # a pair shares at most one level of h, so the index sets are disjoint
-                self.terms.append((h, np.concatenate(idxs), levels))
-        self.level_buffer = np.empty(sum(len(idx) for _, idx, _ in self.terms))
-        self.level_views, self.factor_views, start = [], [], 0
-        for h, idx, levels in self.terms:
-            self.factor_views.append((h, idx, self.level_buffer[start:start + len(idx)]))
-            for col, d2_l in levels:
-                self.level_views.append((h, col, d2_l, self.level_buffer[start:start + len(d2_l)]))
-                start += len(d2_l)
+                    levels.append((h, col))
+                    members.append(idx)
+                    # theta[h][k, col] sits at k * m_h + col of the factor's block
+                    rate_index.append(first_rate + col + m * np.arange(p))
+            first_rate += p * m
+        self.levels = tuple(levels)
+        self.counts = [len(idx) for idx in members]
+        # without levels the base alone sets the width; an empty set of pairs still takes one row
+        self.width = max(1, min(max(self.counts, default=n_pairs), _STACK_ROWS))
+        self.base_rows = n_pairs // self.width + 1
+        n_rows = [-(-count // self.width) for count in self.counts]  # rows per level
+        row_level = np.repeat(np.arange(len(levels)), n_rows)
+        self.starts = self.width * (np.cumsum(n_rows, dtype=np.intp) - n_rows)
+        targets = np.full(len(row_level) * self.width, n_pairs)
+        for start, idx in zip(self.starts, members):
+            targets[start:start + len(idx)] = idx
+        del members
+        self.stacked = np.zeros((len(row_level), self.width, p))
+        rows = self.stacked.reshape(-1, p)
+        for start, count in zip(self.starts, self.counts):
+            np.take(self.neg_d2, targets[start:start + count], axis=0, out=rows[start:start + count])
+        self.targets = targets
+        # shaped as the stacked product's right-hand sides and the buffer's row scales
+        self.rate_index = np.array(rate_index, dtype=np.intp).reshape(len(levels), p)[row_level, :, None]
+        level_variance = np.array([h + 1 for h, _ in levels], dtype=np.intp)
+        self.variance_index = np.concatenate([np.zeros(self.base_rows, dtype=np.intp),
+                                              level_variance[row_level]])[:, None]
 
-    def gram(self, sigma2, theta0, theta, with_terms: bool = False):
-        """Kernel values on the pairs ((n1, n2) for the grid) at variances
-        ``sigma2``, base rates ``theta0`` and per-factor rate matrices
-        ``theta``.  Each value is the base term plus one level term per
-        factor, added in factor order.  The base rates are one product over
-        all pairs; the level rates fill ``level_buffer`` with one product
-        per level, the same product as on a full grid, so the terms have
-        its bits.  Each of the two is negated and exponentiated in place,
-        once, then scaled by its variances.  With ``with_terms``,
-        ``(values, terms)``: also the term values stacked as ``design``'s
-        columns, a fresh array."""
-        k = np.matmul(self.rows, theta0)
-        np.negative(k, out=k)
-        np.exp(k, out=k)
-        k *= sigma2[0]
-        for h, col, d2_l, rates in self.level_views:
-            np.matmul(d2_l, theta[h][:, col], out=rates)
-        t = self.level_buffer
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        for h, _, v in self.factor_views:
-            v *= sigma2[h + 1]
-        terms = np.concatenate((k, t)) if with_terms else None
-        for _, idx, v in self.factor_views:
-            k[idx] += v
-        k = k.reshape(self.size) if self.pairs is None else k
+    def gram(self, e: np.ndarray, with_terms: bool = False):
+        """Kernel values on the pairs ((n1, n2) for the grid) at ``e``, the
+        variances and rates in ``_pack``'s order (not logged).
+
+        Each value is the base term plus one level term per factor, added in
+        factor order.  Every step keeps the bits of building one level at a
+        time:
+        - the base rates are one product over all pairs, and the rows hold
+          -d2, where (-d2) @ theta is -(d2 @ theta) bit for bit;
+        - the level rates are one stacked ``matmul``, and numpy runs one
+          gemv per stacked matrix, which gives each row the bits of the
+          level's own product (padding rows are zero);
+        - one ``exp`` covers the whole buffer, and one product scales each
+          row by its variance;
+        - ``np.add.at`` adds in index order, so each pair gets its level
+          terms in factor order (padding goes to the spare slot).
+        With ``with_terms``, ``(values, terms)``: also the term values
+        stacked as ``design``'s columns, a fresh array.  The values are a
+        view of the build's own buffer.
+        """
+        q1 = len(self.qual_levels) + 1
+        n_pairs, p = self.neg_d2.shape
+        cut = self.base_rows * self.width
+        buf = np.zeros((self.base_rows + len(self.stacked), self.width))
+        flat = buf.reshape(-1)
+        np.matmul(self.neg_d2, e[q1:q1 + p], out=flat[:n_pairs])
+        np.matmul(self.stacked, e[self.rate_index], out=buf[self.base_rows:, :, None])
+        np.exp(buf, out=buf)
+        buf *= e[self.variance_index]
+        terms = flat[self.term_positions] if with_terms else None
+        np.add.at(flat[:cut], self.targets, flat[cut:])
+        k = flat[:n_pairs] if self.pairs is not None else flat[:n_pairs].reshape(self.size)
         return (k, terms) if with_terms else k
+
+    def _level_entries(self) -> np.ndarray:
+        """Each level's entries of the level rows, in ``levels`` order, padding left out."""
+        return np.concatenate([start + np.arange(count) for start, count in zip(self.starts, self.counts)]
+                              + [np.zeros(0, dtype=np.intp)])
+
+    @cached_property
+    def term_positions(self) -> np.ndarray:
+        """Where each of ``design``'s terms sits in a build's buffer."""
+        return np.concatenate([np.arange(len(self.neg_d2)), self.base_rows * self.width + self._level_entries()])
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
         """``(D, term_index)`` for a lower triangle's pairs.
 
-        The terms are the base term on every pair, then each factor's level
-        terms, as ``gram`` stacks them; ``term_index`` is the position of
-        each term's pair in a column-major (n, n) matrix.  ``D`` has one row
-        per log-parameter in ``_pack``'s order and one column per term: the
+        The terms are the base term on every pair, then each level's terms,
+        in ``levels`` order; ``term_index`` is the position of each term's
+        pair in a column-major (n, n) matrix.  ``D`` has one row per
+        log-parameter in ``_pack``'s order and one column per term: the
         term's pair weight at its variance and the weight times the pair's
-        ``rows`` row at its rates.  The weight is 1 on the diagonal and 2 off
-        it, where a pair stands for its mirror image.
+        ``neg_d2`` row at its rates, the sign of the term's derivative.  The
+        weight is 1 on the diagonal and 2 off it, where a pair stands for
+        its mirror image.
         """
         i, j = self.pairs
         weight = np.where(i == j, 1.0, 2.0)
-        n_pairs, p = self.rows.shape
-        q = len(self.qual_levels)
-        term_pair = np.concatenate([np.arange(n_pairs)] + [idx for _, idx, _ in self.terms])
-        first_rate = np.cumsum([q + 1 + p] + [p * m for m in self.qual_levels])
-        design = np.zeros((first_rate[-1], len(term_pair)))
-        design[0, :n_pairs] = weight
-        design[q + 1:q + 1 + p, :n_pairs] = (weight[:, None] * self.rows).T
-        start = n_pairs
-        for h, _, levels in self.terms:
-            for col, d2_l in levels:
-                stop = start + len(d2_l)
-                w = weight[term_pair[start:stop]]
-                design[h + 1, start:stop] = w
-                # theta[h][k, col] sits at k * m_h + col of the factor's block
-                design[first_rate[h] + col + self.qual_levels[h] * np.arange(p), start:stop] = (w[:, None] * d2_l).T
-                start = stop
+        n_pairs, p = self.neg_d2.shape
+        q1 = len(self.qual_levels) + 1
+        entries = self._level_entries()
+        term_pair = np.concatenate([np.arange(n_pairs), self.targets[entries]])
+        w = weight[term_pair]
+        rows = np.concatenate([self.neg_d2, self.stacked.reshape(-1, p)[entries]])
+        level_row = entries // self.width
+        variance = np.concatenate([np.zeros(n_pairs, dtype=np.intp), self.variance_index[self.base_rows + level_row, 0]])
+        rate = np.concatenate([np.arange(q1, q1 + p)[None, :].repeat(n_pairs, axis=0), self.rate_index[level_row, :, 0]])
+        cols = np.arange(len(term_pair))
+        design = np.zeros((q1 + p + p * sum(self.qual_levels), len(term_pair)))
+        design[variance, cols] = w
+        design[rate, cols[:, None]] = w[:, None] * rows
         return design, np.ravel_multi_index(self.pairs, self.size, order="F")[term_pair]
 
     def nll_gradient(self, e: np.ndarray, factor, resid: np.ndarray, terms: np.ndarray,
@@ -262,17 +312,17 @@ class _KernelWorkspace:
         ``resid`` is y - mu_hat 1 and ``terms`` the stacked term values.  With
         W = Phi^{-1} - alpha alpha' and alpha = Phi^{-1} resid, each component
         is sum(W * dPhi), which is ``D @ (W[term_index] * terms)`` before the
-        rates' chain-rule factor -e; the jitter moves with every variance,
+        rates' chain-rule factor e; the jitter moves with every variance,
         since the mean diagonal is sum(sigma2).  Overwrites ``factor``.
         """
         design, term_index = self.design
         alpha = _solve(factor, resid)
         inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
-        w = (inv.T - np.outer(alpha, alpha)).reshape(-1)[term_index]
+        w = (inv.T - alpha[:, None] * alpha).reshape(-1)[term_index]
         g = design @ (w * terms)
         n_sigma = len(self.qual_levels) + 1
         g[:n_sigma] += e[:n_sigma] * (jitter_rate * (inv.trace() - alpha @ alpha))
-        g[n_sigma:] *= -e[n_sigma:]
+        g[n_sigma:] *= e[n_sigma:]
         return g
 
 
@@ -280,7 +330,7 @@ def _try_cholesky(phi: np.ndarray, jitter: float):
     """Lower LAPACK factor ``(c, True)`` of phi + jitter I, or None."""
     # column-major, so potrf factors this copy in place instead of copying again
     a = np.array(phi, order="F")
-    a.flat[::len(a) + 1] += jitter
+    a.reshape(-1, order="F")[::len(a) + 1] += jitter  # a view: a is column-major
     c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     return None if info != 0 else (c, True)
 
@@ -300,7 +350,7 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     escalates tenfold up to 1e-4 before giving up.
     """
     ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
-    return _factor_gram(ws.gram(params.sigma2, params.theta0, params.theta), jitter)
+    return _factor_gram(ws.gram(_param_vector(params)), jitter)
 
 
 def _diag_mean(phi: np.ndarray) -> float:
@@ -330,14 +380,22 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
     )
 
 
-def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float, np.ndarray, float]:
-    """(objective, profiled mean, Phi^{-1} 1, 1'Phi^{-1} 1), where the objective is
-    log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2."""
-    n = len(y)
+def _with_ones(y: np.ndarray) -> np.ndarray:
+    """The (n, 2) column-major right-hand side [y, 1] of ``_profiled_nll``."""
+    rhs = np.ones((len(y), 2), order="F")
+    rhs[:, 0] = y
+    return rhs
+
+
+def _profiled_nll(factor, rhs: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """(objective, profiled mean, Phi^{-1} 1, 1'Phi^{-1} 1) for ``rhs`` =
+    ``_with_ones(y)``, where the objective is
+    log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2.  One ``dpotrs`` call solves
+    for both columns, with the bits of two single solves."""
+    y, ones = rhs[:, 0], rhs[:, 1]
     logdet = 2.0 * float(np.log(factor[0].diagonal()).sum())
-    ones = np.ones(n)
-    sol_y = _solve(factor, y)
-    sol_1 = _solve(factor, ones)
+    sol = _solve(factor, rhs)
+    sol_y, sol_1 = sol[:, 0], sol[:, 1]
     one_quad = float(ones @ sol_1)
     one_y = float(ones @ sol_y)
     obj = logdet + float(y @ sol_y) - one_y * one_y / one_quad
@@ -347,7 +405,7 @@ def _profiled_nll(factor, y: np.ndarray) -> tuple[float, float, np.ndarray, floa
 def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None) -> float:
     """Profiled negative log-likelihood (constants dropped, mean profiled out)."""
     factor, _ = build_gram(params, data, space, jitter)
-    return _profiled_nll(factor, data.responses)[0]
+    return _profiled_nll(factor, _with_ones(data.responses))[0]
 
 
 @dataclass
@@ -381,7 +439,7 @@ class FittedModel(_Posterior):
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
     """The one conditioning path: training Gram ``phi``, responses ``y``, ``jitter`` as in build_gram."""
     factor, jitter_used = _factor_gram(phi, jitter)
-    obj, mu_hat, ones_solve, ones_quad = _profiled_nll(factor, y)
+    obj, mu_hat, ones_solve, ones_quad = _profiled_nll(factor, _with_ones(y))
     return _Posterior(factor, jitter_used, mu_hat, _solve(factor, y - mu_hat * np.ones(len(y))),
                       ones_solve, ones_quad, obj)
 
@@ -442,24 +500,23 @@ class FitConfig:
             raise ValidationError(f"jitter_scale must be finite and positive, got {self.jitter_scale}")
 
 
+def _param_vector(params: EzGpParams) -> np.ndarray:
+    """The variances, base rates and level rates in ``_pack``'s order, not logged."""
+    return np.concatenate([params.sigma2, params.theta0, *(mat.ravel() for mat in params.theta)], dtype=float)
+
+
 def _pack(params: EzGpParams) -> np.ndarray:
-    parts = [np.log(params.sigma2), np.log(params.theta0)]
-    parts.extend(np.log(mat).ravel() for mat in params.theta)
-    return np.concatenate(parts)
+    return np.log(_param_vector(params))
 
 
-def _split(e: np.ndarray, space: DesignSpace) -> tuple:
-    """(sigma2, theta0, theta) views of an exponentiated ``_pack`` vector."""
+def _unpack(vec: np.ndarray, space: DesignSpace) -> EzGpParams:
     p, q = space.p, space.q
+    e = np.exp(vec)
     mats, pos = [], q + 1 + p
     for m in space.qual_levels:
         mats.append(e[pos:pos + p * m].reshape(p, m))
         pos += p * m
-    return e[:q + 1], e[q + 1:q + 1 + p], tuple(mats)
-
-
-def _unpack(vec: np.ndarray, space: DesignSpace) -> EzGpParams:
-    return EzGpParams(0.0, *_split(np.exp(vec), space))
+    return EzGpParams(0.0, e[:q + 1], e[q + 1:q + 1 + p], tuple(mats))
 
 
 def _log_bounds(space: DesignSpace, config: FitConfig, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -625,9 +682,9 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     Each start is one call of ``minimize``, scipy's L-BFGS-B kernel with
     scipy's defaults and ``max_fev`` as ``maxfun``.  The objective works
     on the pair table of the Gram's lower triangle, which is all LAPACK's
-    lower Cholesky factor reads, and each Gram build reuses the table's
-    level-term buffer; the gradient's design matrix is built at the first
-    gradient.  No ``EzGpParams`` is built per evaluation.  The fit runs on
+    lower Cholesky factor reads, and hands the exponentiated log-parameters
+    to the Gram build as they are; the gradient's design matrix is built at
+    the first gradient.  No ``EzGpParams`` is built per evaluation.  The fit runs on
     one BLAS thread and restores the previous count on return or raise.  A
     trial point whose Gram does not factor scores inf, which ends that
     start at its last finite point.  Returns the best factorizable local
@@ -638,6 +695,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     n = len(y)
     ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(n))
     lower = np.ravel_multi_index(ws.pairs, (n, n))
+    rhs = _with_ones(y)
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
     jitter_rate = _JITTER_START * config.jitter_scale
@@ -653,12 +711,12 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
         e = np.exp(vec)
-        values, terms = ws.gram(*_split(e, space), with_terms=True)
+        values, terms = ws.gram(e, with_terms=True)
         phi = lower_gram(values)
         factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
             return np.inf, np.zeros(dim)
-        obj, mu_hat = _profiled_nll(factor, y)[:2]
+        obj, mu_hat = _profiled_nll(factor, rhs)[:2]
         return obj, ws.nll_gradient(e, factor, y - mu_hat, terms, jitter_rate)
 
     starts = []
@@ -695,7 +753,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         try:
             # condition at the objective's jitter, so the stored nll is the
             # likelihood of the returned factor
-            jitter = jitter_of(lower_gram(ws.gram(params.sigma2, params.theta0, params.theta)))
+            jitter = jitter_of(lower_gram(ws.gram(np.exp(xb))))
             model = condition(params, data, space, jitter=jitter)
         except IllConditionedModelError:
             continue

@@ -109,7 +109,7 @@ class TestCovariance:
         b = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 2), (2, 2), (1, 1)]]
         (x1, z1), (x2, z2) = point_arrays(a), point_arrays(b)
         ws = ezgp._KernelWorkspace(x1, z1, x2, z2, sp.qual_levels)
-        assert [(h, [col for col, _ in levels]) for h, _, levels in ws.terms] == [(0, [0, 1]), (1, [0])]
+        assert ws.levels == ((0, 0), (0, 1), (1, 0))
         k = cross_covariance(params, x1, z1, x2, z2)
         assert k.shape == (5, 3)
         for i, u in enumerate(a):
@@ -330,17 +330,28 @@ class _Captured(Exception):
     pass
 
 
+def unequal_level_counts(data) -> bool:
+    """Whether some factor's levels hold different numbers of points, so
+    that the Gram builder pads its stacked level rows."""
+    return any(len(set(np.bincount(col)[1:])) > 1 for col in data.z.T)
+
+
+# designs whose level counts differ at initial_design seed 3
+UNEQUAL_LEVEL_COUNTS = [("example2", 31), ("example3", 41)]
+
+
 class TestBitIdentity:
     """The likelihood hot path gives exactly the bits of the plain
     full-grid, cho_factor/cho_solve formulation."""
 
-    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)])
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example3", 27)] + UNEQUAL_LEVEL_COUNTS)
     def test_objective_and_nll_equal_reference(self, name, n, monkeypatch):
         sim = cs.builtin_simulator(name)
         space = sim.space
         points = cs.initial_design(space, n, seed=3)
         data = cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
         y = data.responses
+        assert unequal_level_counts(data) == ((name, n) in UNEQUAL_LEVEL_COUNTS)
 
         captured = []
 
@@ -377,9 +388,10 @@ class TestBitIdentity:
 class TestPairTable:
     """The fit's Gram is built on the pairs of its lower triangle only."""
 
-    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)])
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)] + UNEQUAL_LEVEL_COUNTS)
     def test_lower_triangle_equals_cross_covariance(self, name, n, monkeypatch):
         space, data = design_data(name, n, seed=3)
+        assert unequal_level_counts(data) == ((name, n) in UNEQUAL_LEVEL_COUNTS)
         captured = []
 
         def capture(fun, x0, **kwargs):
@@ -446,7 +458,7 @@ class TestGridGram:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            k = ws.gram(params.sigma2, params.theta0, params.theta)
+            k = ws.gram(ezgp._param_vector(params))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
