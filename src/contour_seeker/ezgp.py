@@ -14,11 +14,10 @@ cross-covariances on the full grid between two point sets, and the fit's
 Gram on the pairs of its lower triangle, where the gradient is one
 product of a design matrix, built at the first gradient, with the pair
 terms.  A Gram build takes the variances and rates in ``_pack``'s order,
-computes the base rates in one product and every level's rates in one
-stacked product, exponentiates and scales the base and level terms in one
-buffer once, and adds the level terms to their pairs in factor order with
-one ``np.add.at``; each step keeps the bits of a build one level at a
-time.  The profiled likelihood solves for y and 1 with one two-column
+computes the rates of every term, base and level, in one stacked product,
+exponentiates and scales them in one buffer once, and adds the level
+terms to their pairs in factor order with one ``np.add.at``; each step
+keeps the bits of a build one level at a time.  The profiled likelihood solves for y and 1 with one two-column
 ``dpotrs``.  ``fit`` runs its LAPACK calls on one BLAS thread and restores
 the previous count afterwards.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
@@ -50,8 +49,9 @@ _JITTER_CAP = 1e-4
 
 DUPLICATE_TOL = 1e-12
 
-# Most rows of one block of the Gram builder's stacked level product: levels
-# longer than this are split, so that a large grid pads little.
+# Most rows of one matrix of the Gram builder's stacked product: the base
+# terms and each level's are split into matrices of at most this many rows,
+# so that a large grid pads little.
 _STACK_ROWS = 1024
 
 
@@ -166,35 +166,30 @@ class _KernelWorkspace:
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram; None is the full (n1, n2) grid.  ``neg_d2`` holds each
-    pair's negated squared coordinate differences, one row per pair
-    (row-major in the grid).  ``levels`` lists, in factor order, the
-    (factor, column) of each level that some pair shares; levels no pair
-    shares are dropped.
+    set's Gram; None is the full (n1, n2) grid.  ``levels`` lists, in
+    factor order, the (factor, column) of each level that some pair
+    shares; levels no pair shares are dropped.
 
-    A build fills one buffer of rows of ``width`` terms: the base term of
-    every pair in the first ``base_rows`` rows, with at least one spare
-    slot after it, then the level rows.  Each level starts a new row and
-    takes as many as its terms need; ``starts`` and ``counts`` give its
-    first entry and its number of terms in the level rows.  ``width`` is
-    the largest level's count, capped at ``_STACK_ROWS`` so that a large
-    grid pads little.  ``stacked`` holds, per level row, the ``neg_d2``
-    rows of its pairs, zero on padding; ``targets`` the position of each
-    level entry's pair (the spare slot on padding); ``rate_index`` and
-    ``variance_index`` where each row's rates and variance sit in
-    ``_pack``'s order.  ``design``, for the likelihood gradient over a
-    lower triangle, is built on first use.
+    ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
+    squared coordinate differences, one per term of a build: first each of
+    the ``n_pairs`` pairs', in pair order (row-major in the grid), filling
+    ``base_rows`` rows with at least one spare slot after them, then each
+    level's pairs'.  Each level starts a new row and takes as
+    many rows as its pairs need; ``starts`` and ``counts`` give its first
+    entry and its number of pairs in the level part.  ``width`` is the
+    largest level's count, capped at ``_STACK_ROWS`` so that a large grid
+    pads little.  ``targets`` holds the pair of each level-part entry (the
+    spare slot on padding), and ``rate_index`` and ``variance_index`` where
+    each row's rates and variance sit in ``_pack``'s order.  ``design``,
+    for the likelihood gradient over a lower triangle, is built on first
+    use.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
-        d2 = x1[:, None, :] - x2[None, :, :]  # (n1, n2, p)
-        np.square(d2, out=d2)
-        np.negative(d2, out=d2)
-        self.size, self.qual_levels, self.pairs = d2.shape[:2], tuple(qual_levels), pairs
-        p = d2.shape[2]
-        self.neg_d2 = (d2 if pairs is None else d2[pairs]).reshape(-1, p)
-        n_pairs = len(self.neg_d2)
-        levels, members, rate_index = [], [], []
+        self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
+        p = x1.shape[1]
+        self.n_pairs = n_pairs = self.size[0] * self.size[1] if pairs is None else len(pairs[0])
+        levels, members, level_rates = [], [], []
         first_rate = len(self.qual_levels) + 1 + p
         for h, m in enumerate(self.qual_levels):
             for col in range(m):
@@ -204,27 +199,41 @@ class _KernelWorkspace:
                     levels.append((h, col))
                     members.append(idx)
                     # theta[h][k, col] sits at k * m_h + col of the factor's block
-                    rate_index.append(first_rate + col + m * np.arange(p))
+                    level_rates.append(first_rate + col + m * np.arange(p))
             first_rate += p * m
         self.levels = tuple(levels)
         self.counts = [len(idx) for idx in members]
         # without levels the base alone sets the width; an empty set of pairs still takes one row
         self.width = max(1, min(max(self.counts, default=n_pairs), _STACK_ROWS))
         self.base_rows = n_pairs // self.width + 1
-        n_rows = [-(-count // self.width) for count in self.counts]  # rows per level
-        row_level = np.repeat(np.arange(len(levels)), n_rows)
-        self.starts = self.width * (np.cumsum(n_rows, dtype=np.intp) - n_rows)
-        targets = np.full(len(row_level) * self.width, n_pairs)
-        for start, idx in zip(self.starts, members):
-            targets[start:start + len(idx)] = idx
-        del members
-        self.stacked = np.zeros((len(row_level), self.width, p))
+        level_rows = [-(-count // self.width) for count in self.counts]
+        row_level = np.repeat(np.arange(len(levels)), level_rows)
+        ends = self.width * np.cumsum(level_rows, dtype=np.intp)
+        self.starts = ends - self.width * np.array(level_rows, dtype=np.intp)
+
+        self.stacked = np.empty((self.base_rows + len(row_level), self.width, p))
         rows = self.stacked.reshape(-1, p)
-        for start, count in zip(self.starts, self.counts):
-            np.take(self.neg_d2, targets[start:start + count], axis=0, out=rows[start:start + count])
-        self.targets = targets
+        cut = self.base_rows * self.width
+        neg_d2 = rows[:n_pairs]
+        if pairs is None:
+            np.subtract(x1[:, None, :], x2[None, :, :], out=neg_d2.reshape(self.size + (p,)))
+        else:
+            np.subtract(x1[pairs[0]], x2[pairs[1]], out=neg_d2)
+        np.square(neg_d2, out=neg_d2)
+        np.negative(neg_d2, out=neg_d2)
+        rows[n_pairs:cut] = 0
+        self.targets = np.empty(len(row_level) * self.width, dtype=np.intp)
+        for start, end, idx in zip(self.starts, ends, members):
+            stop = start + len(idx)
+            # mode="clip" writes straight into out (the indices are in range)
+            np.take(neg_d2, idx, axis=0, out=rows[cut + start:cut + stop], mode="clip")
+            rows[cut + stop:cut + end] = 0
+            self.targets[start:stop] = idx
+            self.targets[stop:end] = n_pairs
         # shaped as the stacked product's right-hand sides and the buffer's row scales
-        self.rate_index = np.array(rate_index, dtype=np.intp).reshape(len(levels), p)[row_level, :, None]
+        q1 = len(self.qual_levels) + 1
+        self.rate_index = np.concatenate([np.tile(np.arange(q1, q1 + p), (self.base_rows, 1)),
+                                          np.array(level_rates, dtype=np.intp).reshape(-1, p)[row_level]])[:, :, None]
         level_variance = np.array([h + 1 for h, _ in levels], dtype=np.intp)
         self.variance_index = np.concatenate([np.zeros(self.base_rows, dtype=np.intp),
                                               level_variance[row_level]])[:, None]
@@ -234,13 +243,12 @@ class _KernelWorkspace:
         variances and rates in ``_pack``'s order (not logged).
 
         Each value is the base term plus one level term per factor, added in
-        factor order.  Every step keeps the bits of building one level at a
-        time:
-        - the base rates are one product over all pairs, and the rows hold
-          -d2, where (-d2) @ theta is -(d2 @ theta) bit for bit;
-        - the level rates are one stacked ``matmul``, and numpy runs one
-          gemv per stacked matrix, which gives each row the bits of the
-          level's own product (padding rows are zero);
+        factor order.  Every step keeps the bits of a build over each
+        level's own rows:
+        - all rates are one stacked ``matmul`` of ``stacked`` with each
+          row's rates, and numpy runs one gemv per stacked matrix, which
+          gives each row the bits of any other gemv over it; the rows hold
+          -d2, and (-d2) @ theta is -(d2 @ theta) bit for bit;
         - one ``exp`` covers the whole buffer, and one product scales each
           row by its variance;
         - ``np.add.at`` adds in index order, so each pair gets its level
@@ -249,58 +257,47 @@ class _KernelWorkspace:
         stacked as ``design``'s columns, a fresh array.  The values are a
         view of the build's own buffer.
         """
-        q1 = len(self.qual_levels) + 1
-        n_pairs, p = self.neg_d2.shape
-        cut = self.base_rows * self.width
-        buf = np.zeros((self.base_rows + len(self.stacked), self.width))
-        flat = buf.reshape(-1)
-        np.matmul(self.neg_d2, e[q1:q1 + p], out=flat[:n_pairs])
-        np.matmul(self.stacked, e[self.rate_index], out=buf[self.base_rows:, :, None])
+        n_pairs, cut = self.n_pairs, self.base_rows * self.width
+        buf = np.empty(self.stacked.shape[:2])
+        np.matmul(self.stacked, e[self.rate_index], out=buf[:, :, None])
         np.exp(buf, out=buf)
         buf *= e[self.variance_index]
+        flat = buf.reshape(-1)
         terms = flat[self.term_positions] if with_terms else None
         np.add.at(flat[:cut], self.targets, flat[cut:])
         k = flat[:n_pairs] if self.pairs is not None else flat[:n_pairs].reshape(self.size)
         return (k, terms) if with_terms else k
 
-    def _level_entries(self) -> np.ndarray:
-        """Each level's entries of the level rows, in ``levels`` order, padding left out."""
-        return np.concatenate([start + np.arange(count) for start, count in zip(self.starts, self.counts)]
-                              + [np.zeros(0, dtype=np.intp)])
-
     @cached_property
     def term_positions(self) -> np.ndarray:
-        """Where each of ``design``'s terms sits in a build's buffer."""
-        return np.concatenate([np.arange(len(self.neg_d2)), self.base_rows * self.width + self._level_entries()])
+        """Where each of ``design``'s terms sits in a build's buffer: every
+        pair's base term, then each level's terms in ``levels`` order."""
+        cut = self.base_rows * self.width
+        return np.concatenate([np.arange(self.n_pairs)]
+                              + [cut + start + np.arange(count) for start, count in zip(self.starts, self.counts)])
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
         """``(D, term_index)`` for a lower triangle's pairs.
 
-        The terms are the base term on every pair, then each level's terms,
-        in ``levels`` order; ``term_index`` is the position of each term's
-        pair in a column-major (n, n) matrix.  ``D`` has one row per
-        log-parameter in ``_pack``'s order and one column per term: the
-        term's pair weight at its variance and the weight times the pair's
-        ``neg_d2`` row at its rates, the sign of the term's derivative.  The
-        weight is 1 on the diagonal and 2 off it, where a pair stands for
-        its mirror image.
+        The terms are those of ``term_positions``; ``term_index`` is the
+        position of each term's pair in a column-major (n, n) matrix.  ``D``
+        has one row per log-parameter in ``_pack``'s order and one column
+        per term: the term's pair weight at its variance and the weight
+        times its ``stacked`` row at its rates, the sign of the term's
+        derivative.  The weight is 1 on the diagonal and 2 off it, where a
+        pair stands for its mirror image.
         """
         i, j = self.pairs
-        weight = np.where(i == j, 1.0, 2.0)
-        n_pairs, p = self.neg_d2.shape
-        q1 = len(self.qual_levels) + 1
-        entries = self._level_entries()
-        term_pair = np.concatenate([np.arange(n_pairs), self.targets[entries]])
-        w = weight[term_pair]
-        rows = np.concatenate([self.neg_d2, self.stacked.reshape(-1, p)[entries]])
-        level_row = entries // self.width
-        variance = np.concatenate([np.zeros(n_pairs, dtype=np.intp), self.variance_index[self.base_rows + level_row, 0]])
-        rate = np.concatenate([np.arange(q1, q1 + p)[None, :].repeat(n_pairs, axis=0), self.rate_index[level_row, :, 0]])
-        cols = np.arange(len(term_pair))
-        design = np.zeros((q1 + p + p * sum(self.qual_levels), len(term_pair)))
-        design[variance, cols] = w
-        design[rate, cols[:, None]] = w[:, None] * rows
+        n_pairs, p = self.n_pairs, self.stacked.shape[2]
+        positions = self.term_positions
+        term_pair = np.concatenate([np.arange(n_pairs), self.targets[positions[n_pairs:] - self.base_rows * self.width]])
+        w = np.where(i == j, 1.0, 2.0)[term_pair]
+        row = positions // self.width
+        cols = np.arange(len(positions))
+        design = np.zeros((len(self.qual_levels) + 1 + p + p * sum(self.qual_levels), len(positions)))
+        design[self.variance_index[row, 0], cols] = w
+        design[self.rate_index[row, :, 0], cols[:, None]] = w[:, None] * self.stacked.reshape(-1, p)[positions]
         return design, np.ravel_multi_index(self.pairs, self.size, order="F")[term_pair]
 
     def nll_gradient(self, e: np.ndarray, factor, resid: np.ndarray, terms: np.ndarray,
