@@ -17,9 +17,10 @@ terms.  A Gram build takes the variances and rates in ``_pack``'s order,
 computes the rates of every term, base and level, in one stacked product,
 exponentiates and scales them in one buffer once, and adds the level
 terms to their pairs in factor order with one ``np.add.at``; each step
-keeps the bits of a build one level at a time.  The profiled likelihood solves for y and 1 with one two-column
-``dpotrs``.  ``fit`` runs its LAPACK calls on one BLAS thread and restores
-the previous count afterwards.
+keeps the bits of a build one level at a time.  The profiled likelihood
+solves for y and 1 with one two-column ``dpotrs``.  ``fit`` runs its
+LAPACK calls on one BLAS thread and restores the previous count
+afterwards.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
 hyperparameters; files are read and written by ``traceio``.
 """
@@ -174,15 +175,14 @@ class _KernelWorkspace:
     squared coordinate differences, one per term of a build: first each of
     the ``n_pairs`` pairs', in pair order (row-major in the grid), filling
     ``base_rows`` rows with at least one spare slot after them, then each
-    level's pairs'.  Each level starts a new row and takes as
-    many rows as its pairs need; ``starts`` and ``counts`` give its first
-    entry and its number of pairs in the level part.  ``width`` is the
-    largest level's count, capped at ``_STACK_ROWS`` so that a large grid
-    pads little.  ``targets`` holds the pair of each level-part entry (the
-    spare slot on padding), and ``rate_index`` and ``variance_index`` where
-    each row's rates and variance sit in ``_pack``'s order.  ``design``,
-    for the likelihood gradient over a lower triangle, is built on first
-    use.
+    level's pairs'.  Each level starts a new row and takes as many rows as
+    its pairs need; ``starts`` and ``counts`` give its first entry and its
+    number of pairs in the level part.  ``width`` is the largest level's
+    count, capped at ``_STACK_ROWS`` so that a large grid pads little.
+    ``targets`` holds the pair of each level-part entry (the spare slot on
+    padding), and ``rate_index`` and ``variance_index`` where each row's
+    rates and variance sit in ``_pack``'s order.  ``design``, for the
+    likelihood gradient over a lower triangle, is built on first use.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
@@ -230,13 +230,12 @@ class _KernelWorkspace:
             rows[cut + stop:cut + end] = 0
             self.targets[start:stop] = idx
             self.targets[stop:end] = n_pairs
-        # shaped as the stacked product's right-hand sides and the buffer's row scales
+        # per stacked row: its rates, shaped as the product's right-hand side, and its variance
         q1 = len(self.qual_levels) + 1
-        self.rate_index = np.concatenate([np.tile(np.arange(q1, q1 + p), (self.base_rows, 1)),
-                                          np.array(level_rates, dtype=np.intp).reshape(-1, p)[row_level]])[:, :, None]
-        level_variance = np.array([h + 1 for h, _ in levels], dtype=np.intp)
-        self.variance_index = np.concatenate([np.zeros(self.base_rows, dtype=np.intp),
-                                              level_variance[row_level]])[:, None]
+        self.rate_index = np.array([np.arange(q1, q1 + p)] * self.base_rows
+                                   + [level_rates[row] for row in row_level], dtype=np.intp)[:, :, None]
+        self.variance_index = np.array([0] * self.base_rows + [levels[row][0] + 1 for row in row_level],
+                                       dtype=np.intp)[:, None]
 
     def gram(self, e: np.ndarray, with_terms: bool = False):
         """Kernel values on the pairs ((n1, n2) for the grid) at ``e``, the
@@ -291,7 +290,8 @@ class _KernelWorkspace:
         i, j = self.pairs
         n_pairs, p = self.n_pairs, self.stacked.shape[2]
         positions = self.term_positions
-        term_pair = np.concatenate([np.arange(n_pairs), self.targets[positions[n_pairs:] - self.base_rows * self.width]])
+        level_entries = positions[n_pairs:] - self.base_rows * self.width
+        term_pair = np.concatenate([np.arange(n_pairs), self.targets[level_entries]])
         w = np.where(i == j, 1.0, 2.0)[term_pair]
         row = positions // self.width
         cols = np.arange(len(positions))
