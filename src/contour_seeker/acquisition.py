@@ -8,7 +8,10 @@ lower-confidence-bound (``lcb``), each as scores where larger is better.
 adaptive search region {lb <= min ub}; the region-based cooperative step
 (RCC), the restricted-region distance criterion (ARSD) and the
 coverage check all read that partition.  All selectors break ties toward
-the smallest candidate index so that results are deterministic.
+the smallest candidate index so that results are deterministic.  The
+standard normal cdf is ``scipy.special.ndtr`` and the pdf is
+``scipy.stats.norm``'s expression for it, so the scores carry
+``scipy.stats.norm``'s bits without importing ``scipy.stats``.
 """
 from __future__ import annotations
 
@@ -17,12 +20,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
 
 from .errors import SelectionError, ValidationError
 
 _PROB_CLIP = 1e-12
 _RCC_INNER = ("ecl", "ei")
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _norm_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density, in ``scipy.stats.norm.pdf``'s own expression."""
+    return np.exp(-x**2/2.0) / _SQRT_2PI
 
 
 def beta_n(n: int, num_combos: int, alpha: float) -> float:
@@ -91,7 +101,7 @@ def _criterion(kind: str, means: np.ndarray, sds: np.ndarray, ctx: AcquisitionCo
     mu, sd = means[pos], sds[pos]
     if kind == "ecl":
         with np.errstate(over="ignore"):
-            p = norm.cdf((mu - level) / sd)
+            p = ndtr((mu - level) / sd)
         p = np.clip(p, _PROB_CLIP, 1.0 - _PROB_CLIP)
         out[pos] = -(1.0 - p) * np.log1p(-p) - p * np.log(p)
         return out
@@ -101,9 +111,10 @@ def _criterion(kind: str, means: np.ndarray, sds: np.ndarray, ctx: AcquisitionCo
     with np.errstate(over="ignore", invalid="ignore"):
         u1 = (level - mu - eps) / sd
         u2 = (level - mu + eps) / sd
-        val = ((eps ** 2 - (mu - level) ** 2 - sd ** 2) * (norm.cdf(u2) - norm.cdf(u1))
-               + sd ** 2 * (u2 * norm.pdf(u2) - u1 * norm.pdf(u1))
-               + 2.0 * (mu - level) * sd * (norm.pdf(u2) - norm.pdf(u1)))
+        pdf1, pdf2 = _norm_pdf(u1), _norm_pdf(u2)
+        val = ((eps ** 2 - (mu - level) ** 2 - sd ** 2) * (ndtr(u2) - ndtr(u1))
+               + sd ** 2 * (u2 * pdf2 - u1 * pdf1)
+               + 2.0 * (mu - level) * sd * (pdf2 - pdf1))
     out[pos] = np.maximum(np.where(np.isfinite(val), val, 0.0), 0.0)
     return out
 

@@ -36,10 +36,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy
-import scipy.optimize
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import OptimizeResult
-from scipy.optimize._lbfgsb import setulb
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
 from .errors import FitFailureError, IllConditionedModelError, ValidationError
@@ -543,7 +540,7 @@ _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
 def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=None,
-             **kwargs) -> OptimizeResult:
+             **kwargs) -> scipy.optimize.OptimizeResult:
     """scipy's ``minimize``, with bounded L-BFGS-B run by this module's own
     loop over scipy's ``setulb`` kernel (Byrd, Lu, Nocedal & Zhu 1995).
 
@@ -564,7 +561,12 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     The name and the call form are scipy's because callers that count or
     time the starts rebind this module attribute and call it as scipy's
     ``minimize``; any other ``method`` is scipy's ``minimize`` itself.
+    ``scipy.optimize`` is imported at the first call, so a process that
+    never fits never loads it.
     """
+    import scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+
     if method.upper() != "L-BFGS-B":
         return scipy.optimize.minimize(fun, x0, method=method, jac=jac, bounds=bounds,
                                        options=options, **kwargs)
@@ -615,7 +617,7 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
         status = 0
     else:
         status = 1 if nfev > maxfun or nit >= _MAX_ITER else 2
-    return OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
+    return scipy.optimize.OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
 
 
 # numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
