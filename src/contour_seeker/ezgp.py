@@ -159,6 +159,25 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     return _KernelWorkspace(x1, z1, x2, z2, levels).gram(_param_vector(params))
 
 
+@cache
+def _term_tables(qual_levels: tuple[int, ...], p: int) -> tuple[np.ndarray, ...]:
+    """Where each term of a Gram build, the base's and then each level's in
+    factor order, takes its variance and its p rates in ``_pack``'s order,
+    and each level's factor and value (its column + 1), as read-only arrays.
+
+    The base's rates sit at q + 1 + k, and theta[h][k, col] at k * m_h + col
+    of the factor's block."""
+    m = np.array((1,) + qual_levels)
+    variance = np.repeat(np.arange(len(m)), m)
+    block = (np.cumsum(m) - m)[variance]  # the first term of the term's variance
+    first_rate = len(m) + (p - 1) * block + np.arange(len(variance))
+    rates = first_rate[:, None] + m[variance][:, None] * np.arange(p)
+    tables = variance, rates, variance[1:] - 1, (np.arange(len(variance)) - block + 1)[1:]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class _KernelWorkspace:
     """The pair table: what repeated Gram builds over a list of pairs share.
 
@@ -173,42 +192,60 @@ class _KernelWorkspace:
     the ``n_pairs`` pairs', in pair order (row-major in the grid), filling
     ``base_rows`` rows with at least one spare slot after them, then each
     level's pairs'.  Each level starts a new row and takes as many rows as
-    its pairs need; ``starts`` and ``counts`` give its first entry and its
-    number of pairs in the level part.  ``width`` is the largest level's
-    count, capped at ``_STACK_ROWS`` so that a large grid pads little.
+    its ``counts`` pairs need.  ``width`` is the largest level's count,
+    capped at ``_STACK_ROWS`` so that a large grid pads little.
     ``targets`` holds the pair of each level-part entry (the spare slot on
     padding), and ``rate_index`` and ``variance_index`` where each row's
-    rates and variance sit in ``_pack``'s order.  ``design``, for the
-    likelihood gradient over a lower triangle, is built on first use.
+    rates and variance sit in ``_pack``'s order.  All of them are built
+    with array operations, without a loop over the levels.  ``design``,
+    for the likelihood gradient over a lower triangle, is built on first
+    use.
     """
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
         self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
         p = x1.shape[1]
         self.n_pairs = n_pairs = self.size[0] * self.size[1] if pairs is None else len(pairs[0])
-        levels, members, level_rates = [], [], []
-        first_rate = len(self.qual_levels) + 1 + p
-        for h, m in enumerate(self.qual_levels):
-            for col in range(m):
-                shared = (z1[:, h] == col + 1)[:, None] & (z2[:, h] == col + 1)[None, :]
-                idx = np.flatnonzero(shared if pairs is None else shared[pairs])
-                if len(idx):
-                    levels.append((h, col))
-                    members.append(idx)
-                    # theta[h][k, col] sits at k * m_h + col of the factor's block
-                    level_rates.append(first_rate + col + m * np.arange(p))
-            first_rate += p * m
-        self.levels = tuple(levels)
-        self.counts = [len(idx) for idx in members]
+        variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
+        in1 = z1.T[level_factor] == level_value[:, None]
+        in2 = z2.T[level_factor] == level_value[:, None]
+        # each row of ``sel`` marks pairs that share one level: on the grid, the pairs of one
+        # point of the first set at that level (a level's pairs are its points in the first set
+        # times those in the second), else all of the level's pairs; ``member`` lists the marked
+        # pairs in level order, ascending within a level
+        if pairs is None:
+            sel_level, first = np.nonzero(in1)
+            level_counts = in2.sum(axis=1)
+            sel, row_start, row_counts = in2[sel_level], first * self.size[1], level_counts[sel_level]
+            level_counts *= in1.sum(axis=1)
+        else:
+            sel = in1[:, pairs[0]] & in2[:, pairs[1]]
+            row_start, row_counts = 0, sel.sum(axis=1)
+            level_counts = row_counts
+        member = np.flatnonzero(sel)
+        member += np.repeat(row_start - sel.shape[1] * np.arange(len(sel)), row_counts)
+        kept = np.flatnonzero(level_counts)
+        self.levels = tuple(zip(level_factor[kept].tolist(), (level_value[kept] - 1).tolist()))
+        self.counts = level_counts[kept]
         # without levels the base alone sets the width; an empty set of pairs still takes one row
-        self.width = max(1, min(max(self.counts, default=n_pairs), _STACK_ROWS))
+        self.width = max(1, min(max(self.counts.tolist(), default=n_pairs), _STACK_ROWS))
         self.base_rows = n_pairs // self.width + 1
-        level_rows = [-(-count // self.width) for count in self.counts]
-        row_level = np.repeat(np.arange(len(levels)), level_rows)
-        ends = self.width * np.cumsum(level_rows, dtype=np.intp)
-        self.starts = ends - self.width * np.array(level_rows, dtype=np.intp)
+        # rows per term; a level no pair shares takes none
+        term_rows = np.concatenate(([self.base_rows], -(-level_counts // self.width)))
+        # per stacked row: its rates, shaped as the product's right-hand side, and its variance
+        row_term = np.repeat(np.arange(len(variance)), term_rows)
+        self.rate_index = rates[row_term][:, :, None]
+        self.variance_index = variance[row_term][:, None]
+        # a level's pairs fill its rows in order: the first ``fill`` slots of a row hold pairs
+        level_row = row_term[self.base_rows:] - 1
+        level_end = level_counts + self.width * (np.cumsum(term_rows[1:]) - term_rows[1:])
+        fill = level_end[level_row] - self.width * np.arange(len(level_row))
+        targets = np.full((len(level_row), self.width), n_pairs, dtype=np.intp)
+        targets[np.arange(self.width) < fill[:, None]] = member
+        self.targets = targets.reshape(-1)
+        del sel, member  # freed before the stack is allocated
 
-        self.stacked = np.empty((self.base_rows + len(row_level), self.width, p))
+        self.stacked = np.empty((len(row_term), self.width, p))
         rows = self.stacked.reshape(-1, p)
         cut = self.base_rows * self.width
         neg_d2 = rows[:n_pairs]
@@ -219,20 +256,9 @@ class _KernelWorkspace:
         np.square(neg_d2, out=neg_d2)
         np.negative(neg_d2, out=neg_d2)
         rows[n_pairs:cut] = 0
-        self.targets = np.empty(len(row_level) * self.width, dtype=np.intp)
-        for start, end, idx in zip(self.starts, ends, members):
-            stop = start + len(idx)
-            # mode="clip" writes straight into out (the indices are in range)
-            np.take(neg_d2, idx, axis=0, out=rows[cut + start:cut + stop], mode="clip")
-            rows[cut + stop:cut + end] = 0
-            self.targets[start:stop] = idx
-            self.targets[stop:end] = n_pairs
-        # per stacked row: its rates, shaped as the product's right-hand side, and its variance
-        q1 = len(self.qual_levels) + 1
-        self.rate_index = np.array([np.arange(q1, q1 + p)] * self.base_rows
-                                   + [level_rates[row] for row in row_level], dtype=np.intp)[:, :, None]
-        self.variance_index = np.array([0] * self.base_rows + [levels[row][0] + 1 for row in row_level],
-                                       dtype=np.intp)[:, None]
+        # each level entry copies its pair's row, padding the zero row of the spare slot;
+        # mode="clip" writes straight into out (the indices are in range)
+        np.take(rows[:n_pairs + 1], self.targets, axis=0, out=rows[cut:], mode="clip")
 
     def gram(self, e: np.ndarray, with_terms: bool = False):
         """Kernel values on the pairs ((n1, n2) for the grid) at ``e``, the
@@ -268,9 +294,8 @@ class _KernelWorkspace:
     def term_positions(self) -> np.ndarray:
         """Where each of ``design``'s terms sits in a build's buffer: every
         pair's base term, then each level's terms in ``levels`` order."""
-        cut = self.base_rows * self.width
-        return np.concatenate([np.arange(self.n_pairs)]
-                              + [cut + start + np.arange(count) for start, count in zip(self.starts, self.counts)])
+        level_slots = np.flatnonzero(self.targets < self.n_pairs)
+        return np.concatenate([np.arange(self.n_pairs), self.base_rows * self.width + level_slots])
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
