@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import contour_seeker as cs
+from contour_seeker import acquisition
 from contour_seeker.acquisition import Finalist
 from contour_seeker.errors import SelectionError, ValidationError
 
@@ -106,6 +107,78 @@ class TestLcb:
         a = cs.lcb_contour(1.7, 0.3, ctx_for(level=1.0))
         b = cs.lcb_contour(11.7, 0.3, ctx_for(level=11.0))
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def norm_criterion(kind, means, sds, ctx):
+    """ECL, EI and LCB scores in closed form through ``scipy.stats.norm``."""
+    from scipy.stats import norm
+
+    level = ctx.contour_level
+    if kind == "lcb":
+        return -(np.abs(means - level) - ctx.rho * sds)
+    out = np.zeros(len(means))
+    pos = sds > 0
+    mu, sd = means[pos], sds[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "ecl":
+            p = np.clip(norm.cdf((mu - level) / sd), 1e-12, 1.0 - 1e-12)
+            out[pos] = -(1.0 - p) * np.log1p(-p) - p * np.log(p)
+            return out
+        eps = ctx.ei_alpha * sd
+        u1 = (level - mu - eps) / sd
+        u2 = (level - mu + eps) / sd
+        val = ((eps ** 2 - (mu - level) ** 2 - sd ** 2) * (norm.cdf(u2) - norm.cdf(u1))
+               + sd ** 2 * (u2 * norm.pdf(u2) - u1 * norm.pdf(u1))
+               + 2.0 * (mu - level) * sd * (norm.pdf(u2) - norm.pdf(u1)))
+    out[pos] = np.maximum(np.where(np.isfinite(val), val, 0.0), 0.0)
+    return out
+
+
+def extreme_batch(rng, n=48):
+    """Seeded (means, sds) with sd = 0, sd ~ 1e-300 (the standardized
+    distance overflows to +/-inf) and |mean| = 1e300 mixed in."""
+    means = rng.normal(scale=3.0, size=n)
+    sds = rng.uniform(0.0, 2.0, n)
+    case = rng.integers(0, 5, n)
+    sds[case == 1] = 0.0
+    sds[case >= 2] = rng.uniform(0.5, 2.0, n)[case >= 2] * 1e-300
+    means[case >= 3] = rng.choice([-1e300, 1e300], n)[case >= 3]
+    sds[case == 4] = rng.uniform(0.0, 2.0, n)[case == 4]
+    return means, sds
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestCriterionBits:
+    """The criteria keep ``scipy.stats.norm``'s bits without importing it."""
+
+    def test_batches_equal_norm_reference(self):
+        rng = np.random.default_rng(20261019)
+        overflowed = positive = 0
+        for _ in range(200):
+            means, sds = extreme_batch(rng)
+            ctx = ctx_for(level=float(rng.normal()), rho=float(rng.uniform(0.0, 3.0)),
+                          ei_alpha=float(rng.uniform(0.1, 3.0)))
+            for kind in ("ecl", "ei", "lcb"):
+                got = acquisition._criterion(kind, means, sds, ctx)
+                assert same_bits(got, norm_criterion(kind, means, sds, ctx)), kind
+                positive += int(np.sum(got > 0)) if kind != "lcb" else 0
+            with np.errstate(over="ignore"):
+                overflowed += int(np.isinf((means[sds > 0] - ctx.contour_level) / sds[sds > 0]).sum())
+        # the batches reach the overflow paths and nonzero scores
+        assert overflowed > 0 and positive > 0
+
+    def test_scalar_wrappers_equal_norm_reference(self):
+        rng = np.random.default_rng(7)
+        means, sds = extreme_batch(rng, n=300)
+        for mean, sd in zip(means.tolist(), sds.tolist()):
+            ctx = ctx_for(level=0.25, rho=1.5, ei_alpha=1.2)
+            one = np.array([mean]), np.array([sd])
+            assert same_bits(cs.ecl(mean, sd, ctx.contour_level), norm_criterion("ecl", *one, ctx)[0])
+            assert same_bits(cs.ei_contour(mean, sd, ctx), norm_criterion("ei", *one, ctx)[0])
+            assert same_bits(cs.lcb_contour(mean, sd, ctx), -norm_criterion("lcb", *one, ctx)[0])
 
 
 class TestBounds:
