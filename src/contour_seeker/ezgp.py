@@ -192,7 +192,7 @@ class _KernelWorkspace:
     the ``n_pairs`` pairs', in pair order (row-major in the grid), filling
     ``base_rows`` rows with at least one spare slot after them, then each
     level's pairs'.  Each level starts a new row and takes as many rows as
-    its ``counts`` pairs need.  ``width`` is the largest level's count,
+    its pairs need.  ``width`` is the largest level's count of pairs,
     capped at ``_STACK_ROWS`` so that a large grid pads little.
     ``targets`` holds the pair of each level-part entry (the spare slot on
     padding), and ``rate_index`` and ``variance_index`` where each row's
@@ -226,9 +226,8 @@ class _KernelWorkspace:
         member += np.repeat(row_start - sel.shape[1] * np.arange(len(sel)), row_counts)
         kept = np.flatnonzero(level_counts)
         self.levels = tuple(zip(level_factor[kept].tolist(), (level_value[kept] - 1).tolist()))
-        self.counts = level_counts[kept]
         # without levels the base alone sets the width; an empty set of pairs still takes one row
-        self.width = max(1, min(max(self.counts.tolist(), default=n_pairs), _STACK_ROWS))
+        self.width = max(1, min(max(level_counts[kept].tolist(), default=n_pairs), _STACK_ROWS))
         self.base_rows = n_pairs // self.width + 1
         # rows per term; a level no pair shares takes none
         term_rows = np.concatenate(([self.base_rows], -(-level_counts // self.width)))
