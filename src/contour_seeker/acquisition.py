@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-
 from .errors import SelectionError, ValidationError
 
 _PROB_CLIP = 1e-12
