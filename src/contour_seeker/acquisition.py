@@ -154,14 +154,23 @@ class RegionPartition:
     {lb <= min_ub}, ``min_ub`` the global minimum upper bound; it contains
     all of a2, and ``a1_min`` is its part in a1.  Index arrays ascend and
     are computed on first use.
+
+    A 2-D partition holds one candidate set per row: ``min_ub`` is then one
+    minimum per row and ``region`` the row-wise mask of the search region;
+    the index arrays are for one candidate set only.
     """
 
     lb: np.ndarray
     ub: np.ndarray
 
     @cached_property
-    def min_ub(self) -> float:
-        return float(np.min(self.ub))
+    def min_ub(self) -> float | np.ndarray:
+        least = np.min(self.ub, axis=-1)
+        return float(least) if self.ub.ndim == 1 else least
+
+    @cached_property
+    def region(self) -> np.ndarray:
+        return self.lb <= np.expand_dims(self.min_ub, -1)
 
     @cached_property
     def a1(self) -> np.ndarray:
@@ -173,7 +182,7 @@ class RegionPartition:
 
     @cached_property
     def restricted(self) -> np.ndarray:
-        return np.flatnonzero(self.lb <= self.min_ub)
+        return np.flatnonzero(self.region)
 
     @cached_property
     def a1_min(self) -> np.ndarray:
@@ -181,7 +190,8 @@ class RegionPartition:
 
 
 def partition(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> RegionPartition:
-    if len(means) == 0:
+    """The bounds of one candidate set, or of one set per row of 2-D arrays."""
+    if np.size(means) == 0:
         raise ValidationError("partition: empty prediction arrays")
     dist = np.abs(means - ctx.contour_level)
     half = math.sqrt(ctx.beta) * sds

@@ -26,8 +26,9 @@ from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
-from .traceio import (fit_config_from_dict, given_fields, load_document, load_model, read_csv, save_model,
-                      save_trace, space_from_dict, strategy_from_dict, write_csv, write_json)
+from .traceio import (_reject_unknown_keys, fit_config_from_dict, given_fields, integral, integrals, load_document,
+                      load_model, read_csv, save_model, save_trace, space_from_dict, strategy_from_dict, write_csv,
+                      write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -67,15 +68,23 @@ def _strategy_overrides(args) -> dict:
 
 
 # The optional keys of run and bench configs, each with its conversion.
-_SHARED = {"candidates_per_combo": int, "seed": int, "fit": fit_config_from_dict, "transform": str}
-_RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": tuple}
-_BENCH_OPTIONAL = {**_SHARED, "replicates": int, "ref_per_combo": int, "eps": float}
+_SHARED = {"candidates_per_combo": integral, "seed": integral, "fit": fit_config_from_dict, "transform": str}
+_RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": integrals}
+_BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": float}
 _FIELD_NAMES = {"candidates_per_combo": "per_combo"}
+# Every key each config may hold; any other is a misspelt setting.  The
+# outcome keys that a resolved config.json adds are allowed and ignored, so
+# that file decodes as the config it resolves.
+_RUN_KEYS = {"simulator", "space", "strategy", "level", "n0", "N", "out", *_RUN_OPTIONAL, "aborted", "error"}
+_BENCH_KEYS = {"simulator", "space", "strategies", "levels", "budgets", "n0", "out", *_BENCH_OPTIONAL,
+               "fairness_checked", "fairness_violations"}
+_VERIFY_KEYS = {"space", "params", "level", "alpha", "draws", "per_combo", "seed", "n_train", "out"}
 
 
 def _decode_run(args, doc: dict):
     """(simulator, campaign config, config extras) of a run config; a one-shot
     config takes no n0, candidates_per_combo or checkpoint_sizes."""
+    _reject_unknown_keys(doc, _RUN_KEYS, "run config")
     doc = {**doc, **_given(level=args.level, seed=args.seed, out=args.out,
                            candidates_per_combo=args.candidates_per_combo)}
     sim = _simulator(doc)
@@ -86,8 +95,8 @@ def _decode_run(args, doc: dict):
                 raise ValueError(f"field '{key}' does not apply to a one_shot run")
         doc.update(n0=doc["N"], candidates_per_combo=1)
     cfg = CampaignConfig(space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
-                         strategy=strategy, level=float(doc["level"]), n0=int(doc["n0"]),
-                         total_runs=int(doc["N"]), **given_fields(doc, _RUN_OPTIONAL, _FIELD_NAMES))
+                         strategy=strategy, level=float(doc["level"]), n0=integral(doc["n0"]),
+                         total_runs=integral(doc["N"]), **given_fields(doc, _RUN_OPTIONAL, _FIELD_NAMES))
     return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
 
 
@@ -154,11 +163,12 @@ def cmd_fit(args) -> int:
 
 def _decode_bench(args, doc: dict):
     """(simulator, bench config, config extras) of a bench config."""
+    _reject_unknown_keys(doc, _BENCH_KEYS, "bench config")
     doc = {**doc, **_given(replicates=args.replicates, seed=args.seed, out=args.out)}
     sim = _simulator(doc)
     cfg = BenchConfig(strategies=tuple(_strategy(s) for s in doc["strategies"]),
                       levels=tuple(float(v) for v in doc["levels"]),
-                      budgets=tuple(int(v) for v in doc["budgets"]), n0=int(doc["n0"]),
+                      budgets=integrals(doc["budgets"]), n0=integral(doc["n0"]),
                       **given_fields(doc, _BENCH_OPTIONAL, _FIELD_NAMES))
     return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
 
@@ -194,6 +204,7 @@ def cmd_bench(args) -> int:
 
 def _decode_verify(args, doc: dict):
     """(space, true parameters, resolved config) of a verify config."""
+    _reject_unknown_keys(doc, _VERIFY_KEYS, "verify config")
     doc = {**doc, **_given(seed=args.seed, out=args.out)}
     space, params = space_from_dict(doc["space"]), params_from_dict(doc["params"])
     return space, params, {
@@ -201,10 +212,10 @@ def _decode_verify(args, doc: dict):
         "params": params_to_dict(params),
         "level": float(doc["level"]),
         "alpha": float(doc.get("alpha", 0.1)),
-        "draws": int(doc.get("draws", 500)),
-        "per_combo": int(doc.get("per_combo", 50)),
-        "seed": int(doc.get("seed", 0)),
-        "n_train": int(doc.get("n_train", 10)),
+        "draws": integral(doc.get("draws", 500)),
+        "per_combo": integral(doc.get("per_combo", 50)),
+        "seed": integral(doc.get("seed", 0)),
+        "n_train": integral(doc.get("n_train", 10)),
         "out": doc["out"],
     }
 

@@ -20,7 +20,9 @@ terms to their pairs in factor order with one ``np.add.at``; each step
 keeps the bits of a build one level at a time.  The profiled likelihood
 solves for y and 1 with one two-column ``dpotrs``.  ``fit`` runs its
 LAPACK calls on one BLAS thread and restores the previous count
-afterwards.
+afterwards.  The conditioning core, ``_posterior`` and ``_predictive``,
+takes one training Gram or a stack of them along leading axes; only the
+factorizations and solves loop over the stack.
 ``params_to_dict``/``params_from_dict`` give the JSON form of the
 hyperparameters; files are read and written by ``traceio``.
 """
@@ -51,6 +53,9 @@ DUPLICATE_TOL = 1e-12
 # terms and each level's are split into matrices of at most this many rows,
 # so that a large grid pads little.
 _STACK_ROWS = 1024
+# Most elements of a stack of cross-covariances conditioned in one call: a
+# Monte-Carlo block of (draws, n_train, n_grid) takes as many draws as fit.
+_STACK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -354,8 +359,20 @@ def _try_cholesky(phi: np.ndarray, jitter: float):
 
 
 def _solve(factor, b: np.ndarray) -> np.ndarray:
-    """Phi^{-1} b from a ``(c, True)`` factor."""
-    return dpotrs(factor[0], b, lower=1)[0]
+    """Phi^{-1} b from a ``(c, True)`` factor.  A stack of factors c (..., n, n)
+    solves the stack b (..., n) or (..., n, k) one ``dpotrs`` call per matrix,
+    each result laid out as that call returns it (column-major)."""
+    c = factor[0]
+    if c.ndim == 2:
+        return dpotrs(c, b, lower=1)[0]
+    if b.ndim < c.ndim:
+        out = np.empty(b.shape)
+    else:
+        *lead, n, k = b.shape
+        out = np.empty((*lead, k, n)).swapaxes(-1, -2)
+    for i in np.ndindex(c.shape[:-2]):
+        out[i] = dpotrs(c[i], b[i], lower=1)[0]
+    return out
 
 
 def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None):
@@ -371,64 +388,97 @@ def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: fl
     return _factor_gram(ws.gram(_param_vector(params)), jitter)
 
 
-def _diag_mean(phi: np.ndarray) -> float:
-    """Mean of the Gram diagonal (the same bits as ``np.mean(np.diag(phi))``)."""
-    return float(phi.trace()) / phi.shape[0]
+def _diag_mean(phi: np.ndarray):
+    """Mean of the Gram diagonal, one per matrix of a stack (the bits of
+    ``np.mean(np.diag(phi))``)."""
+    return phi.trace(axis1=-2, axis2=-1) / phi.shape[-1]
+
+
+def _jitter_ladder(scale: float, jitter: float | None):
+    """The rungs a Gram with mean diagonal ``scale`` tries: ``jitter`` alone
+    when given, else 1e-8 x scale rising tenfold up to 1e-4 x scale."""
+    if jitter is not None:
+        yield jitter
+        return
+    j = _JITTER_START * scale
+    while j <= _JITTER_CAP * scale * (1 + 1e-9):
+        yield j
+        j *= 10
+
+
+def _climb(phi: np.ndarray, scale: float, jitter: float | None):
+    """``((c, True), rung)`` at the first rung of the ladder where phi factors, or None."""
+    if math.isfinite(scale):
+        for j in _jitter_ladder(scale, jitter):
+            factor = _try_cholesky(phi, j)
+            if factor is not None:
+                return factor, j
+    return None
 
 
 def _factor_gram(phi: np.ndarray, jitter: float | None = None):
+    """Factor the jittered Gram phi (n, n), or each Gram of a stack (..., n, n).
+
+    Each Gram climbs its own jitter ladder (``_jitter_ladder``).  A single
+    Gram that fails at every rung, or whose mean diagonal is not finite,
+    raises IllConditionedModelError; in a stack it leaves NaN in its factor
+    and its jitter instead.
+    """
     scale = _diag_mean(phi)
-    if not math.isfinite(scale):
-        raise IllConditionedModelError(f"Gram diagonal mean is {scale}")
-    if jitter is not None:
-        ladder = [jitter]
-    else:
-        ladder, j = [], _JITTER_START * scale
-        while j <= _JITTER_CAP * scale * (1 + 1e-9):
-            ladder.append(j)
-            j *= 10
-    for j in ladder:
-        factor = _try_cholesky(phi, j)
-        if factor is not None:
-            return factor, j
-    cond = float(np.linalg.cond(phi)) if phi.shape[0] <= 500 else float("inf")
-    raise IllConditionedModelError(
-        f"Gram factorization failed at jitter {ladder[-1]:.3e} (condition ~{cond:.3e})",
-        condition=cond,
-    )
+    if phi.ndim == 2:
+        scale = float(scale)
+        if not math.isfinite(scale):
+            raise IllConditionedModelError(f"Gram diagonal mean is {scale}")
+        found = _climb(phi, scale, jitter)
+        if found is None:
+            cond = float(np.linalg.cond(phi)) if phi.shape[0] <= 500 else float("inf")
+            *_, last = _jitter_ladder(scale, jitter)
+            raise IllConditionedModelError(
+                f"Gram factorization failed at jitter {last:.3e} (condition ~{cond:.3e})", condition=cond)
+        return found
+    c, used = np.full(phi.shape, np.nan), np.full(phi.shape[:-2], np.nan)
+    for i in np.ndindex(used.shape):
+        found = _climb(phi[i], scale[i], jitter)
+        if found is not None:
+            c[i], used[i] = found[0][0], found[1]
+    return (c, True), used
 
 
 def _with_ones(y: np.ndarray) -> np.ndarray:
-    """The (n, 2) column-major right-hand side [y, 1] of ``_profiled_nll``."""
-    rhs = np.ones((len(y), 2), order="F")
-    rhs[:, 0] = y
-    return rhs
+    """The right-hand side [y, 1] (..., n, 2) of ``_profiled_nll``, each
+    matrix column-major."""
+    rhs = np.ones(y.shape[:-1] + (2, y.shape[-1]))
+    rhs[..., 0, :] = y
+    return rhs.swapaxes(-1, -2)
 
 
-def _profiled_nll(factor, rhs: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+def _profiled_nll(factor, rhs: np.ndarray):
     """(objective, profiled mean, Phi^{-1} 1, 1'Phi^{-1} 1) for ``rhs`` =
     ``_with_ones(y)``, where the objective is
-    log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2.  One ``dpotrs`` call solves
-    for both columns, with the bits of two single solves."""
-    y, ones = rhs[:, 0], rhs[:, 1]
-    logdet = 2.0 * float(np.log(factor[0].diagonal()).sum())
+    log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2; one of each per matrix of a
+    stack of factors.  One ``dpotrs`` call per matrix solves for both
+    columns, with the bits of two single solves."""
+    y, ones = rhs[..., 0], rhs[..., 1]
+    logdet = 2.0 * np.log(factor[0].diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     sol = _solve(factor, rhs)
-    sol_y, sol_1 = sol[:, 0], sol[:, 1]
-    one_quad = float(ones @ sol_1)
-    one_y = float(ones @ sol_y)
-    obj = logdet + float(y @ sol_y) - one_y * one_y / one_quad
+    sol_y, sol_1 = sol[..., 0], sol[..., 1]
+    one_quad = np.vecdot(ones, sol_1)
+    one_y = np.vecdot(ones, sol_y)
+    obj = logdet + np.vecdot(y, sol_y) - one_y * one_y / one_quad
     return obj, one_y / one_quad, sol_1, one_quad
 
 
 def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None) -> float:
     """Profiled negative log-likelihood (constants dropped, mean profiled out)."""
     factor, _ = build_gram(params, data, space, jitter)
-    return _profiled_nll(factor, _with_ones(data.responses))[0]
+    return float(_profiled_nll(factor, _with_ones(data.responses))[0])
 
 
 @dataclass
 class _Posterior:
-    """A GP conditioned on one training Gram: jittered factor, profiled mean, objective, solves."""
+    """A GP conditioned on one training Gram, or a stack of GPs each conditioned
+    on its own: jittered factor, profiled mean, objective, solves.  A stack's
+    scalar fields are arrays over its leading axes."""
 
     factor: tuple
     jitter: float
@@ -455,19 +505,32 @@ class FittedModel(_Posterior):
 
 
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
-    """The one conditioning path: training Gram ``phi``, responses ``y``, ``jitter`` as in build_gram."""
+    """The one conditioning path: training Grams phi (..., n, n) with
+    responses y (..., n), ``jitter`` as in build_gram.
+
+    Only the factorizations and solves run one matrix at a time; the jitter,
+    the profiled mean and the objective are computed once for the stack,
+    with the bits of one Gram at a time.  With no leading axis the scalar
+    fields are floats and a Gram that does not factor raises
+    IllConditionedModelError.  A stack's fields carry its leading axes, and
+    a Gram that does not factor leaves NaN in its fields, its jitter
+    included.
+    """
     factor, jitter_used = _factor_gram(phi, jitter)
     obj, mu_hat, ones_solve, ones_quad = _profiled_nll(factor, _with_ones(y))
-    return _Posterior(factor, jitter_used, mu_hat, _solve(factor, y - mu_hat * np.ones(len(y))),
-                      ones_solve, ones_quad, obj)
+    resid_solve = _solve(factor, y - mu_hat[..., None] * np.ones(y.shape[-1]))
+    if phi.ndim == 2:
+        jitter_used, mu_hat, ones_quad, obj = map(float, (jitter_used, mu_hat, ones_quad, obj))
+    return _Posterior(factor, jitter_used, mu_hat, resid_solve, ones_solve, ones_quad, obj)
 
 
 def _predictive(post: _Posterior, prior_var: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive (means, sds) at the columns of the (n, m) cross-covariance ``r``."""
-    means = post.mu_hat + r.T @ post.resid_solve
-    quad = np.sum(r * _solve(post.factor, r), axis=0)
-    s = r.T @ post.ones_solve
-    var = prior_var - quad + np.square(1.0 - s) / post.ones_quad
+    """Predictive (means, sds) at the columns of the (..., n, m)
+    cross-covariance ``r``, one row of m per GP of a stacked ``post``."""
+    means = np.expand_dims(post.mu_hat, -1) + np.vecmat(post.resid_solve, r)
+    quad = np.sum(r * _solve(post.factor, r), axis=-2)
+    s = np.vecmat(post.ones_solve, r)
+    var = prior_var - quad + np.square(1.0 - s) / np.expand_dims(post.ones_quad, -1)
     return means, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -740,7 +803,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         if factor is None:
             return np.inf, np.zeros(dim)
         obj, mu_hat = _profiled_nll(factor, rhs)[:2]
-        return obj, ws.nll_gradient(e, factor, y - mu_hat, terms, jitter_rate)
+        return float(obj), ws.nll_gradient(e, factor, y - mu_hat, terms, jitter_rate)
 
     starts = []
     if warm_start is not None:

@@ -96,6 +96,22 @@ def _optional(conv):
     return lambda v: None if v is None else conv(v)
 
 
+def integral(value) -> int:
+    """A whole number of a JSON document, such as a count or a seed, as an
+    int.  2.7, true or "3" is a ValueError, where ``int`` would truncate or
+    parse it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return value
+
+
+def integrals(values) -> tuple[int, ...]:
+    """``integral`` of each entry of a JSON list."""
+    return tuple(integral(v) for v in values)
+
+
 def space_to_dict(space: DesignSpace) -> dict:
     return {
         "quant_bounds": [[lo, hi] for lo, hi in space.quant_bounds],
@@ -104,7 +120,7 @@ def space_to_dict(space: DesignSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> DesignSpace:
-    return make_space(d["quant_bounds"], **given_fields(d, {"qual_levels": tuple}))
+    return make_space(d["quant_bounds"], **given_fields(d, {"qual_levels": integrals}))
 
 
 def _reject_unknown_keys(d: dict, keys, block: str) -> None:
@@ -116,8 +132,8 @@ def _reject_unknown_keys(d: dict, keys, block: str) -> None:
 
 
 _STRATEGY_FIELDS = {"rho": float, "delta": _optional(float), "alpha": float, "ei_alpha": float}
-_FIT_FIELDS = {"n_starts": int, "seed": int, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
-               "max_fev": _optional(int), "jitter_scale": float}
+_FIT_FIELDS = {"n_starts": integral, "seed": integral, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
+               "max_fev": _optional(integral), "jitter_scale": float}
 
 
 def strategy_from_dict(d: dict) -> Strategy:

@@ -234,6 +234,20 @@ class TestPartition:
             assert part.lb[i] > part.min_ub
         assert part.min_ub == pytest.approx(float(np.min(part.ub)))
 
+    @given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 10_000))
+    def test_rows_equal_one_set_at_a_time(self, rows, n, seed):
+        rng = np.random.default_rng(seed)
+        means, sds = rng.normal(0.0, 2.0, (rows, n)), rng.uniform(0.0, 1.0, (rows, n))
+        sds[:, 0] = 0.0
+        part = cs.partition(means, sds, ctx_for())
+        assert part.min_ub.shape == (rows,) and part.region.shape == (rows, n)
+        for k in range(rows):
+            one = cs.partition(means[k], sds[k], ctx_for())
+            assert type(one.min_ub) is float  # trace.csv prints it with repr
+            assert np.array_equal(part.lb[k], one.lb) and np.array_equal(part.ub[k], one.ub)
+            assert part.min_ub[k] == one.min_ub
+            assert np.array_equal(np.flatnonzero(part.region[k]), one.restricted)
+
 
 class TestSelectA1:
     def test_singleton(self):

@@ -1,10 +1,13 @@
 import ctypes
 import functools
 import glob
+import json
 import math
 import os
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
 from contour_seeker import bench, ezgp
+from contour_seeker.acquisition import AcquisitionContext, partition
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed
-from contour_seeker.errors import MetricUndefinedError, ValidationError
+from contour_seeker.errors import IllConditionedModelError, MetricUndefinedError, ValidationError
+from contour_seeker.traceio import space_from_dict
 
 QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
 
@@ -299,6 +304,134 @@ class TestReplicateBenchmark:
         assert [s.valid for s in result.summary] == [False, False]
 
 
+VERIFY_BAND = Path(__file__).resolve().parent.parent / "configs" / "verify_band.json"
+
+
+def per_draw_coverage(space, truth, level, alpha, draws, per_combo, seed, n_train, record=None):
+    """``coverage_check`` one draw at a time through ``_posterior`` and
+    ``_predictive`` with no leading axis, as it ran before draws were
+    blocked: (hits, skipped, violations).  Appends each conditioned draw's
+    (means, sds) to ``record`` when given."""
+    grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
+    n_grid = len(grid.x)
+    gram = ezgp.cross_covariance(truth, grid.x, grid.z, grid.x, grid.z)
+    chol = np.tril(ezgp._factor_gram(gram)[0][0])
+    ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos, alpha=alpha, delta=1.0)
+    hits = skipped = violations = 0
+    for d in range(draws):
+        rng = np.random.default_rng(derive_seed(seed, 1, d))
+        path = truth.mu + chol @ rng.standard_normal(n_grid)
+        train = rng.choice(n_grid, size=n_train, replace=False)
+        try:
+            post = ezgp._posterior(gram[np.ix_(train, train)], path[train])
+        except IllConditionedModelError:
+            skipped += 1
+            continue
+        means, sds = ezgp._predictive(post, truth.total_variance, gram[train])
+        if record is not None:
+            record.append((means, sds))
+        part = partition(means, sds, ctx)
+        h_min = float(np.min(np.abs(path - level)))
+        if float(np.min(part.lb)) - 1e-12 <= h_min <= part.min_ub + 1e-12:
+            hits += 1
+            sup_sd = float(np.max(sds[part.restricted]))
+            if abs(float(np.min(np.abs(means - level))) - h_min) > math.sqrt(ctx.beta) * sup_sd + 1e-12:
+                violations += 1
+    return hits, skipped, violations
+
+
+def verify_band_inputs():
+    doc = json.loads(VERIFY_BAND.read_text())
+    return (space_from_dict(doc["space"]), ezgp.params_from_dict(doc["params"]),
+            {key: doc[key] for key in ("level", "alpha", "draws", "per_combo", "seed", "n_train")})
+
+
+def rough_inputs():
+    """A wiggly path conditioned on two points at alpha 0.5, where some draws miss the band."""
+    rate = 200.0
+    params = cs.EzGpParams(0.0, np.array([1.0, 0.5]), np.array([rate]), (np.full((1, 3), rate),))
+    return (cs.make_space([(0, 1)], [3]), params,
+            {"level": -3.0, "alpha": 0.5, "draws": 30, "per_combo": 20, "seed": 0, "n_train": 2})
+
+
+def blocked_coverage(monkeypatch, space, truth, settings):
+    """``coverage_check`` with the (means, sds) of each conditioned draw, taken
+    from its block's ``partition`` call."""
+    record, real = [], bench.partition
+
+    def recording(means, sds, ctx):
+        assert means.ndim == 2
+        record.extend(zip(means, sds))
+        return real(means, sds, ctx)
+
+    monkeypatch.setattr(bench, "partition", recording)
+    return cs.coverage_check(space, truth, **settings), record
+
+
+def assert_equals_per_draw(res, record, space, truth, settings):
+    oracle_record = []
+    hits, skipped, violations = per_draw_coverage(space, truth, **settings, record=oracle_record)
+    assert (res.hits, res.skipped, res.theorem1_violations) == (hits, skipped, violations)
+    assert res.theorem1_checked == hits and res.draws == settings["draws"]
+    assert len(record) == len(oracle_record) == settings["draws"] - skipped
+    for (means, sds), (ref_means, ref_sds) in zip(record, oracle_record):
+        assert np.array_equal(means, ref_means) and np.array_equal(sds, ref_sds)
+
+
+class TestBlockedDraws:
+    """Draws run in blocks, with the results and the bits of one draw at a time."""
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (2, 0), (1, 3)], ids=["one", "two-blocks", "block+3"])
+    def test_block_boundaries_equal_per_draw(self, monkeypatch, blocks, extra):
+        space, truth, settings = verify_band_inputs()
+        block = bench._draws_per_block(settings["n_train"], space.num_combos * settings["per_combo"])
+        assert block > 1
+        settings.update(draws=blocks * block + extra)
+        res, record = blocked_coverage(monkeypatch, space, truth, settings)
+        assert_equals_per_draw(res, record, space, truth, settings)
+
+    def test_missed_draws_equal_per_draw(self, monkeypatch):
+        space, truth, settings = rough_inputs()
+        res, record = blocked_coverage(monkeypatch, space, truth, settings)
+        assert 0 < res.hits < res.draws
+        assert_equals_per_draw(res, record, space, truth, settings)
+
+    def test_skipped_draws_equal_per_draw(self, monkeypatch):
+        # the draws whose first two training points covary weakly fail at every rung
+        real = ezgp._try_cholesky
+
+        def try_cholesky(phi, jitter):
+            return None if len(phi) == 6 and phi[0, 1] < 0.5 else real(phi, jitter)
+
+        monkeypatch.setattr(ezgp, "_try_cholesky", try_cholesky)
+        space, truth, settings = verify_band_inputs()
+        settings.update(draws=25, n_train=6)
+        res, record = blocked_coverage(monkeypatch, space, truth, settings)
+        assert 0 < res.skipped < res.draws
+        assert_equals_per_draw(res, record, space, truth, settings)
+
+    def test_block_size_follows_the_input(self):
+        cap = ezgp._STACK_ELEMENTS
+        assert bench._draws_per_block(10, 150) == cap // 1500
+        assert bench._draws_per_block(10, cap // 10) == 1
+        assert bench._draws_per_block(10, cap) == 1  # one draw over the cap still runs
+
+    def test_peak_memory_near_per_draw(self):
+        # a block holds a few (draws, n_train, n_grid) stacks; one block of
+        # every draw would hold 500 of each
+        space, truth, settings = verify_band_inputs()
+        peaks = []
+        for run in (per_draw_coverage, cs.coverage_check):
+            run(space, truth, **settings)  # caches and lazy imports before tracing
+            tracemalloc.start()
+            try:
+                run(space, truth, **settings)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1_000_000
+
+
 class TestCoverage:
     def truth(self, space):
         return cs.EzGpParams(
@@ -361,11 +494,11 @@ class TestCoverage:
         real_posterior, real_partition = bench._posterior, bench.partition
 
         def posterior(phi, y, jitter=None):
-            responses.append(y)
+            responses.extend(y)  # one row per draw of the block
             return real_posterior(phi, y, jitter)
 
         def partition(means, sds, ctx):
-            predictions.append((means, sds))
+            predictions.extend(zip(means, sds))
             return real_partition(means, sds, ctx)
 
         monkeypatch.setattr(bench, "_posterior", posterior)

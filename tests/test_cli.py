@@ -11,7 +11,7 @@ import contour_seeker as cs
 from contour_seeker import cli
 from contour_seeker.cli import main
 from contour_seeker.engine import STRATEGY_KINDS
-from contour_seeker.traceio import fit_config_from_dict, load_document, read_csv, strategy_from_dict
+from contour_seeker.traceio import fit_config_from_dict, integral, load_document, read_csv, strategy_from_dict
 
 
 def run_config(tmp_path, name="run.json", drop=(), **overrides):
@@ -194,6 +194,24 @@ class TestRun:
         monkeypatch.setattr(cli, "run_adaptive", no_work)
         cfg = run_config(tmp_path, **overrides)
         assert_invalid(["run", str(cfg), *flags], None, capsys, match)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, match", [
+        ({"nn0": 3}, "unknown run config setting(s) ['nn0']"),
+        ({"n0": 9.7}, "got 9.7"),
+        ({"N": 11.5}, "got 11.5"),
+        ({"candidates_per_combo": 30.5}, "got 30.5"),
+        ({"checkpoint_sizes": [9.5]}, "got 9.5"),
+        ({"seed": 5.5}, "got 5.5"),
+        ({"fit": {"n_starts": 2.5}}, "got 2.5"),
+        ({"fit": {"max_fev": 250.5}}, "got 250.5"),
+        ({"space": {"quant_bounds": [[0.0, 1.0]], "qual_levels": [3.5]}}, "got 3.5"),
+    ], ids=["unknown-key", "n0", "N", "candidates_per_combo", "checkpoint_sizes", "seed", "n_starts", "max_fev",
+            "qual_levels"])
+    def test_unknown_key_or_fractional_count_exits_2(self, tmp_path, capsys, monkeypatch, overrides, match):
+        monkeypatch.setattr(cli, "run_adaptive", no_work)
+        cfg = run_config(tmp_path, **overrides)
+        assert_invalid(["run", str(cfg)], None, capsys, match)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", [k for k in STRATEGY_KINDS if k != "one_shot"])
@@ -429,6 +447,21 @@ class TestBench:
         assert_invalid(["bench", "--config", str(cfg), *flags], None, capsys, match)
         assert not (tmp_path / "bench").exists()
 
+    @pytest.mark.parametrize("overrides, match", [
+        ({"replicatez": 2}, "unknown bench config setting(s) ['replicatez']"),
+        ({"replicates": 1.5}, "got 1.5"),
+        ({"budgets": [10.5]}, "got 10.5"),
+        ({"n0": 9.5}, "got 9.5"),
+        ({"ref_per_combo": 60.5}, "got 60.5"),
+    ], ids=["unknown-key", "replicates", "budgets", "n0", "ref_per_combo"])
+    def test_unknown_key_or_fractional_count_exits_2(self, tmp_path, capsys, monkeypatch, overrides, match):
+        from contour_seeker import bench
+
+        monkeypatch.setattr(bench, "reference_contour", no_work)
+        cfg = self.bench_config(tmp_path, **overrides)
+        assert_invalid(["bench", "--config", str(cfg)], None, capsys, match)
+        assert not (tmp_path / "bench").exists()
+
     def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         from contour_seeker import bench
 
@@ -487,6 +520,19 @@ class TestVerify:
         path = self.config(tmp_path, drop=(drop,))
         assert_invalid(["verify", "--config", str(path)], path, capsys, f"missing field {drop!r}")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("drwas", 3, "unknown verify config setting(s) ['drwas']"),
+        ("draws", 2.7, "got 2.7"),
+        ("per_combo", 10.5, "got 10.5"),
+        ("n_train", 6.5, "got 6.5"),
+        ("seed", 0.5, "got 0.5"),
+    ])
+    def test_unknown_key_or_fractional_count_exits_2(self, tmp_path, capsys, monkeypatch, key, value, match):
+        monkeypatch.setattr(cli, "coverage_check", no_work)
+        path = self.config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        assert_invalid(["verify", "--config", str(path)], None, capsys, match)
+
     def test_missing_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
         def no_draws(**kwargs):
             pytest.fail("coverage_check ran before the config was fully decoded")
@@ -510,6 +556,17 @@ _bounds = st.tuples(_positive, _positive).filter(lambda b: b[0] < b[1])
 def test_encoded_setting_decodes_to_an_equal_value(value):
     decode = strategy_from_dict if isinstance(value, cs.Strategy) else fit_config_from_dict
     assert decode(json.loads(json.dumps(asdict(value)))) == value
+
+
+@pytest.mark.parametrize("value", [3, 3.0, -2, 2 ** 70])
+def test_integral_keeps_whole_numbers(value):
+    assert integral(value) == value and type(integral(value)) is int
+
+
+@pytest.mark.parametrize("value", [2.7, float("nan"), float("inf"), True, "3", None])
+def test_integral_rejects_what_int_would_truncate_or_parse(value):
+    with pytest.raises(ValueError, match="whole number"):
+        integral(value)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

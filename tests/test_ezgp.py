@@ -800,6 +800,76 @@ class TestCachedSolves:
         assert np.linalg.norm(phi @ small_model.ones_solve - ones) <= 1e-8 * np.linalg.norm(ones)
 
 
+def stacked_problems(lead, n=9, m=40, seed=3):
+    """Training Grams (*lead, n, n), responses (*lead, n) and cross-covariances
+    (*lead, n, m) of random subsets of one example2 point set."""
+    space = cs.builtin_simulator("example2").space
+    rng = np.random.default_rng(seed)
+    params = random_params(space, rng)
+    x, z = point_arrays(random_points(space, n + m, rng))
+    gram = cross_covariance(params, x, z, x, z)
+    train = np.array([rng.choice(n + m, size=n, replace=False) for _ in range(math.prod(lead))])
+    train = train.reshape(*lead, n)
+    return (params, gram[train[..., :, None], train[..., None, :]], rng.standard_normal((*lead, n)),
+            gram[train])
+
+
+def assert_stack_equals_one_at_a_time(post, means, sds, phi, y, r, prior_var):
+    """Each Gram of the stack that factored, conditioned and predicted alone, has the stack's bits."""
+    for i in np.ndindex(phi.shape[:-2]):
+        if np.isnan(post.jitter[i]):
+            continue
+        one = ezgp._posterior(phi[i], y[i])
+        one_means, one_sds = ezgp._predictive(one, prior_var, r[i])
+        assert np.array_equal(post.factor[0][i], one.factor[0])
+        for name in ("jitter", "mu_hat", "nll", "ones_quad", "resid_solve", "ones_solve"):
+            assert np.array_equal(getattr(post, name)[i], getattr(one, name)), name
+        assert np.array_equal(means[i], one_means) and np.array_equal(sds[i], one_sds)
+
+
+class TestStackedConditioning:
+    """A stack of training Grams conditions and predicts with the bits of one Gram at a time."""
+
+    @pytest.mark.parametrize("lead", [(1,), (7,), (2, 3)])
+    def test_stack_equals_one_gram_at_a_time(self, lead):
+        params, phi, y, r = stacked_problems(lead)
+        post = ezgp._posterior(phi, y)
+        means, sds = ezgp._predictive(post, params.total_variance, r)
+        assert post.jitter.shape == post.nll.shape == lead and means.shape == sds.shape == (*lead, r.shape[-1])
+        assert_stack_equals_one_at_a_time(post, means, sds, phi, y, r, params.total_variance)
+
+    def test_one_gram_gives_floats(self):
+        # trace.csv and model.json print these with repr
+        _, phi, y, _ = stacked_problems((1,))
+        post = ezgp._posterior(phi[0], y[0])
+        assert all(type(getattr(post, name)) is float for name in ("jitter", "mu_hat", "nll", "ones_quad"))
+
+    def test_a_failing_gram_climbs_its_ladder_alone(self, monkeypatch):
+        params, phi, y, r = stacked_problems((5,))
+        real, tried = ezgp._try_cholesky, []
+
+        def try_cholesky(a, jitter):
+            k = next(k for k in range(5) if np.array_equal(a, phi[k]))
+            tried.append(k)
+            if k == 3 or (k == 1 and jitter < 5e-8 * a.trace() / len(a)):
+                return None
+            return real(a, jitter)
+
+        monkeypatch.setattr(ezgp, "_try_cholesky", try_cholesky)
+        post = ezgp._posterior(phi, y)
+        means, sds = ezgp._predictive(post, params.total_variance, r)
+        # Gram 1 factors at the second rung; Gram 3 tries all five rungs and fails
+        assert tried == [0, 1, 1, 2, 3, 3, 3, 3, 3, 4]
+        scale = phi.trace(axis1=1, axis2=2) / phi.shape[-1]
+        assert post.jitter[0] == 1e-8 * scale[0] and post.jitter[1] == 1e-8 * scale[1] * 10
+        failed = np.isnan(post.jitter)
+        assert failed.tolist() == [False, False, False, True, False]
+        assert np.isnan(post.nll[3]) and np.isnan(means[3]).all() and np.isnan(sds[3]).all()
+        with pytest.raises(IllConditionedModelError):
+            ezgp._posterior(phi[3], y[3])
+        assert_stack_equals_one_at_a_time(post, means, sds, phi, y, r, params.total_variance)
+
+
 class TestSerialization:
     def test_round_trip_predictions_identical(self, small_model, tmp_path):
         path = tmp_path / "model.json"
