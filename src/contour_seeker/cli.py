@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
-from functools import partial
+from functools import cache, partial
 
 from .bench import BenchConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
@@ -27,8 +27,8 @@ from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
 from .traceio import (_reject_unknown_keys, fit_config_from_dict, given_fields, integral, integrals, load_document,
-                      load_model, read_csv, save_model, save_trace, space_from_dict, strategy_from_dict, write_csv,
-                      write_json)
+                      load_model, read_csv, save_model, save_trace, seed_value, space_from_dict, strategy_from_dict,
+                      write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -68,7 +68,7 @@ def _strategy_overrides(args) -> dict:
 
 
 # The optional keys of run and bench configs, each with its conversion.
-_SHARED = {"candidates_per_combo": integral, "seed": integral, "fit": fit_config_from_dict, "transform": str}
+_SHARED = {"candidates_per_combo": integral, "seed": seed_value, "fit": fit_config_from_dict, "transform": str}
 _RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": integrals}
 _BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": float}
 _FIELD_NAMES = {"candidates_per_combo": "per_combo"}
@@ -214,7 +214,7 @@ def _decode_verify(args, doc: dict):
         "alpha": float(doc.get("alpha", 0.1)),
         "draws": integral(doc.get("draws", 500)),
         "per_combo": integral(doc.get("per_combo", 50)),
-        "seed": integral(doc.get("seed", 0)),
+        "seed": seed_value(doc.get("seed", 0)),
         "n_train": integral(doc.get("n_train", 10)),
         "out": doc["out"],
     }
@@ -255,7 +255,10 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ei-alpha", dest="ei_alpha", type=float, help="improvement band width in sd units")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared after it:
+    each ``parse_args`` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(prog="contour-seeker",
                                      description="Adaptive contour estimation for mixed-input computer experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            args.seed = seed_value(args.seed)
         return args.func(args)
     except ValidationError as exc:
         return _fail(exc, EXIT_USER)

@@ -9,6 +9,7 @@ streams and differ only at the selection step.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -30,15 +31,115 @@ _TAG_CAND = 2
 
 _DELTA_RANGE_FRACTION = 0.05
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): pool size, hash and mix constants.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
-def derive_seed(seed: int, *tags: int) -> int:
-    """Deterministic child seed for a tagged sub-stream of a campaign.
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before and after each of ``count`` hash calls, as a
+    read-only (count + 1, 1) uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    out = np.array(consts, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of row k of ``values`` with the k-th
+    consecutive hash constant: xor with ``consts[k]``, multiply by ``consts[k + 1]``."""
+    h = (values ^ consts[:-1]) * consts[1:]
+    return h ^ (h >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    h = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return h ^ (h >> 16)
+
+
+def _is_array(value) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim > 0
+
+
+def _entropy_words(value) -> np.ndarray:
+    """The uint32 entropy rows SeedSequence makes of one entropy entry: an int
+    gives its 32-bit words, least significant first ({0} for 0), as a column
+    that broadcasts over draws; a 1-D integer array gives one row, so its
+    entries must each fit one word."""
+    if not _is_array(value):
+        n = int(value)
+        if n < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {n}")
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return np.array(words, dtype=np.uint32)[:, None]
+    if value.dtype.kind not in "iu":
+        raise ValidationError(f"seed entropy must be integers, got {value.dtype}")
+    if value.size and (value.min() < 0 or value.max() > _MASK32):
+        raise ValidationError("seed entropy arrays must hold whole numbers in [0, 2**32)")
+    return value.astype(np.uint32).reshape(1, -1)
+
+
+def seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
+    """``np.random.SeedSequence(entropy).generate_state(n_words, dtype)``,
+    computed with uint32 array arithmetic for many entropy lists at once.
+
+    Each entry of ``entropy`` is a non-negative int or a 1-D integer ndarray;
+    arrays broadcast, and row j of the (draws, n_words) result is the state
+    of the entropy list that takes entry j of each array.  With no array the
+    result is the (n_words,) state itself.  A negative entry is a
+    ValidationError.
+    """
+    wide = np.dtype(dtype) == np.uint64
+    if not wide and np.dtype(dtype) != np.uint32:
+        raise ValueError(f"dtype must be uint32 or uint64, got {dtype}")
+    rows = [_entropy_words(e) for e in entropy]
+    columns = max(r.shape[1] for r in rows)
+    n_entropy = sum(len(r) for r in rows)
+    words = np.zeros((max(n_entropy, _POOL_WORDS), columns), np.uint32)  # zero words pad a short pool
+    pos = 0
+    for r in rows:
+        words[pos:pos + len(r)] = r
+        pos += len(r)
+    extra = max(n_entropy - _POOL_WORDS, 0)
+    # filling the pool, mixing it and adding each later entropy word take
+    # _POOL_WORDS, _POOL_WORDS * (_POOL_WORDS - 1) and _POOL_WORDS hash calls
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * (_POOL_WORDS + extra))
+    pool = _hashmix(words[:_POOL_WORDS], consts[:_POOL_WORDS + 1])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
+        k += _POOL_WORDS - 1
+    for word in words[_POOL_WORDS:]:
+        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL_WORDS + 1]))
+        k += _POOL_WORDS
+    n_out = 2 * n_words if wide else n_words
+    state = _hashmix(pool[np.arange(n_out) % _POOL_WORDS], _hash_constants(_INIT_B, _MULT_B, n_out))
+    if wide:  # word pairs, low word first
+        state = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << np.uint64(32)
+    return np.ascontiguousarray(state.T) if any(_is_array(e) for e in entropy) else state[:, 0]
+
+
+def derive_seed(seed: int, *tags):
+    """Deterministic child seed for a tagged sub-stream of a campaign:
+    SeedSequence([seed, tag + 1 ..., number of tags]).generate_state(1)[0].
 
     Tags are offset and length-suffixed because SeedSequence ignores
-    trailing zero entropy words.
+    trailing zero entropy words.  With an array tag, such as draw indices,
+    returns the uint32 array of each entry's seed, all from one hash pass.
     """
-    entropy = [int(seed), *(int(t) + 1 for t in tags), len(tags)]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    offset = [np.add(t, 1, dtype=np.int64) if _is_array(t) else int(t) + 1 for t in tags]
+    state = seed_sequence_state([seed, *offset, len(tags)], 1)
+    return int(state[0]) if state.ndim == 1 else state[:, 0]
 
 
 @dataclass(frozen=True)

@@ -365,14 +365,16 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
     c = factor[0]
     if c.ndim == 2:
         return dpotrs(c, b, lower=1)[0]
+    n = c.shape[-1]
+    cs = c.reshape(-1, n, n)
+    bs = b.reshape(len(cs), *b.shape[c.ndim - 2:])
     if b.ndim < c.ndim:
-        out = np.empty(b.shape)
+        out = np.empty(bs.shape)
     else:
-        *lead, n, k = b.shape
-        out = np.empty((*lead, k, n)).swapaxes(-1, -2)
-    for i in np.ndindex(c.shape[:-2]):
-        out[i] = dpotrs(c[i], b[i], lower=1)[0]
-    return out
+        out = np.empty((len(cs), bs.shape[-1], n)).swapaxes(-1, -2)
+    for i in range(len(cs)):
+        out[i] = dpotrs(cs[i], bs[i], lower=1)[0]
+    return out.reshape(b.shape)
 
 
 def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None):
@@ -436,12 +438,14 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
             raise IllConditionedModelError(
                 f"Gram factorization failed at jitter {last:.3e} (condition ~{cond:.3e})", condition=cond)
         return found
-    c, used = np.full(phi.shape, np.nan), np.full(phi.shape[:-2], np.nan)
-    for i in np.ndindex(used.shape):
-        found = _climb(phi[i], scale[i], jitter)
+    n = phi.shape[-1]
+    phis, scales = phi.reshape(-1, n, n), scale.reshape(-1)
+    c, used = np.full(phis.shape, np.nan), np.full(len(phis), np.nan)
+    for i in range(len(phis)):
+        found = _climb(phis[i], scales[i], jitter)
         if found is not None:
             c[i], used[i] = found[0][0], found[1]
-    return (c, True), used
+    return (c.reshape(phi.shape), True), used.reshape(phi.shape[:-2])
 
 
 def _with_ones(y: np.ndarray) -> np.ndarray:
@@ -552,9 +556,9 @@ class FitConfig:
     construction.
 
     Starts (``n_starts`` >= 1) are 1 centered point plus LHD points in
-    log-parameter space (a warm start, when provided, replaces one LHD
-    start).  ``theta_bounds`` and ``sigma2_rel_bounds`` are two finite
-    numbers with 0 < low < high.  ``max_fev`` (None = scipy default, else
+    log-parameter space drawn from ``seed`` (>= 0); a warm start, when
+    provided, replaces one LHD start.  ``theta_bounds`` and
+    ``sigma2_rel_bounds`` are two finite numbers with 0 < low < high.  ``max_fev`` (None = scipy default, else
     >= 1) is L-BFGS-B's ``maxfun`` per start, a soft cap: the line search
     in progress finishes, so 40 can end after 41 evaluations.
     ``jitter_scale`` (finite, > 0) multiplies the base jitter used inside
@@ -571,6 +575,8 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.max_fev is not None and self.max_fev < 1:
             raise ValidationError(f"max_fev must be None or >= 1, got {self.max_fev}")
         for name in ("theta_bounds", "sigma2_rel_bounds"):

@@ -107,6 +107,16 @@ def integral(value) -> int:
     return value
 
 
+def seed_value(value) -> int:
+    """A seed of a JSON document or a ``--seed`` flag: ``integral``, and
+    non-negative (``FitConfig``'s and the seed derivation's rule), else a
+    ValidationError."""
+    value = integral(value)
+    if value < 0:
+        raise ValidationError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def integrals(values) -> tuple[int, ...]:
     """``integral`` of each entry of a JSON list."""
     return tuple(integral(v) for v in values)
@@ -132,7 +142,7 @@ def _reject_unknown_keys(d: dict, keys, block: str) -> None:
 
 
 _STRATEGY_FIELDS = {"rho": float, "delta": _optional(float), "alpha": float, "ei_alpha": float}
-_FIT_FIELDS = {"n_starts": integral, "seed": integral, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
+_FIT_FIELDS = {"n_starts": integral, "seed": seed_value, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
                "max_fev": _optional(integral), "jitter_scale": float}
 
 

@@ -432,6 +432,42 @@ class TestBlockedDraws:
         assert peaks[1] <= peaks[0] + 1_000_000
 
 
+class TestDrawGenerators:
+    """Each draw's generator, derived for a chunk of draws at once, gives the stream
+    of ``default_rng(derive_seed(seed, 1, i))``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32, 20261017])
+    def test_streams_equal_default_rng(self, seed):
+        draws = bench._SEED_CHUNK + 3
+        for i, rng in enumerate(bench._draw_generators(seed, draws)):
+            if i % 257 and i < bench._SEED_CHUNK - 2:
+                continue
+            ref = np.random.default_rng(derive_seed(seed, 1, i))
+            assert np.array_equal(rng.standard_normal(150), ref.standard_normal(150))
+            assert np.array_equal(rng.choice(150, size=10, replace=False), ref.choice(150, size=10, replace=False))
+        assert i == draws - 1
+
+    def test_chunk_boundary_equals_per_draw(self, monkeypatch):
+        space, truth, settings = verify_band_inputs()
+        settings.update(draws=bench._SEED_CHUNK + 3, per_combo=10)
+        res, record = blocked_coverage(monkeypatch, space, truth, settings)
+        assert_equals_per_draw(res, record, space, truth, settings)
+
+    def test_peak_memory_does_not_grow_with_draws(self):
+        # a pass holds its chunk's arrays, and the last generator's words keep the
+        # previous chunk's alive into the next pass: two chunks' worth at most
+        peaks = []
+        for draws in (2 * bench._SEED_CHUNK, 8 * bench._SEED_CHUNK):
+            tracemalloc.start()
+            try:
+                for _ in bench._draw_generators(3, draws):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 50_000 and peaks[0] <= 400 * bench._SEED_CHUNK
+
+
 class TestCoverage:
     def truth(self, space):
         return cs.EzGpParams(

@@ -542,6 +542,69 @@ class TestVerify:
         assert_invalid(["verify", "--config", str(path)], path, capsys, "missing field 'out'")
 
 
+class TestParser:
+    def test_built_once_and_each_call_gets_its_own_arguments(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        first = cli.build_parser().parse_args(["verify", "--config", "a.json", "--seed", "3"])
+        second = cli.build_parser().parse_args(["fit", "--data", "d.csv", "--space", "s.json", "--starts", "1"])
+        assert (first.command, first.config, first.seed, first.func) == ("verify", "a.json", 3, cli.cmd_verify)
+        assert (second.command, second.seed, second.starts, second.out) == ("fit", None, 1, "model.json")
+        assert not hasattr(second, "config") and not hasattr(first, "starts")
+        # two runs in one process: the second keeps no flag of the first
+        cfg = run_config(tmp_path, candidates_per_combo=10, fit={"n_starts": 1, "max_fev": 40})
+        assert main(["run", str(cfg), "--seed", "9", "--out", str(tmp_path / "flagged")]) == 0
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        seeds = [json.loads((tmp_path / out / "config.json").read_text())["seed"] for out in ("flagged", "out")]
+        assert seeds == [9, 5]
+
+    @pytest.mark.parametrize("argv", [["verify", "--bogus"], ["run"], ["suggest", "--model", "m", "--seed", "x"]])
+    def test_bad_flag_exits_2(self, argv, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    """A negative seed is exit 2 with one line of JSON before any work, from
+    every flag and every config key that sets one."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        for name in ("run_adaptive", "coverage_check", "fit", "suggest_next", "replicate_benchmark"):
+            monkeypatch.setattr(cli, name, no_work)
+
+    def test_flags(self, tmp_path, capsys, model_path):
+        verify = TestVerify().config(tmp_path)
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"quant_bounds": [[0.0, 1.0]], "qual_levels": [3]}))
+        for argv in (["verify", "--config", str(verify), "--seed", "-3"],
+                     ["suggest", "--model", str(model_path), "--level", "0.5", "--seed", "-2"],
+                     ["run", str(run_config(tmp_path)), "--seed", "-1"],
+                     ["fit", "--data", "absent.csv", "--space", str(space), "--seed", "-1"],
+                     ["bench", "--config", str(TestBench().bench_config(tmp_path)), "--seed", "-1"]):
+            assert_invalid(argv, None, capsys, "seed must be >= 0")
+
+    @pytest.mark.parametrize("overrides", [{"seed": -1}, {"fit": {"seed": -4}}])
+    def test_run_config(self, tmp_path, capsys, overrides):
+        assert_invalid(["run", str(run_config(tmp_path, **overrides))], None, capsys, "seed must be >= 0")
+
+    def test_verify_and_bench_configs(self, tmp_path, capsys):
+        verify = TestVerify().config(tmp_path)
+        verify.write_text(json.dumps({**json.loads(verify.read_text()), "seed": -1}))
+        assert_invalid(["verify", "--config", str(verify)], None, capsys, "seed must be >= 0")
+        bench_cfg = TestBench().bench_config(tmp_path, seed=-1, fit={"seed": 2})
+        assert_invalid(["bench", "--config", str(bench_cfg)], None, capsys, "seed must be >= 0")
+        bench_cfg = TestBench().bench_config(tmp_path, fit={"seed": -2})
+        assert_invalid(["bench", "--config", str(bench_cfg)], None, capsys, "seed must be >= 0")
+
+    def test_fit_config_checks_its_seed(self):
+        with pytest.raises(cs.ValidationError, match="seed must be >= 0"):
+            cs.FitConfig(seed=-1)
+
+
 _finite = {"allow_nan": False, "allow_infinity": False}
 _positive = st.floats(min_value=0, exclude_min=True, **_finite)
 _bounds = st.tuples(_positive, _positive).filter(lambda b: b[0] < b[1])
