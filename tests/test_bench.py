@@ -441,7 +441,7 @@ class TestDrawGenerators:
         draws = bench._SEED_CHUNK + 3
         for i, rng in enumerate(bench._draw_generators(seed, draws)):
             if i % 257 and i < bench._SEED_CHUNK - 2:
-                continue
+                continue  # every 257th draw, and every draw from two before the chunk boundary on
             ref = np.random.default_rng(derive_seed(seed, 1, i))
             assert np.array_equal(rng.standard_normal(150), ref.standard_normal(150))
             assert np.array_equal(rng.choice(150, size=10, replace=False), ref.choice(150, size=10, replace=False))
