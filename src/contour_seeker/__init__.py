@@ -18,8 +18,8 @@ from .engine import (CampaignConfig, CampaignTrace, Strategy, derive_seed, run_a
 from .errors import (CampaignError, ContourSeekerError, EvaluationError, FitFailureError,
                      IllConditionedModelError, IngestionError, MetricUndefinedError,
                      SelectionError, ValidationError)
-from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, Prediction, build_gram, condition,
-                   covariance, fit, neg_log_likelihood, predict, predict_batch)
+from .ezgp import (Dataset, EzGpParams, FitConfig, FittedModel, Prediction, condition, covariance, fit,
+                   neg_log_likelihood, predict, predict_batch)
 from .simulators import (FunctionSimulator, Simulator, TabularSimulator, builtin_simulator,
                          get_transform, tabular_simulator)
 from .traceio import load_model, save_model, save_trace

@@ -344,7 +344,7 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         raise ValidationError(f"n_train={n_train} exceeds grid size {n_grid}")
 
     gram = cross_covariance(true_params, grid.x, grid.z, grid.x, grid.z)
-    chol = np.tril(_factor_gram(gram)[0][0])
+    chol = np.tril(_factor_gram(gram)[0])
     ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
                              alpha=alpha, delta=1.0)
     root_beta = math.sqrt(ctx.beta)

@@ -26,9 +26,9 @@ from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
-from .traceio import (_reject_unknown_keys, fit_config_from_dict, given_fields, integral, integrals, load_document,
-                      load_model, read_csv, save_model, save_trace, seed_value, space_from_dict, strategy_from_dict,
-                      write_csv, write_json)
+from .traceio import (CONFIG_KEYS, _reject_unknown_keys, config_to_dict, fit_config_from_dict, given_fields, integral,
+                      integrals, load_document, load_model, read_csv, save_model, save_trace, seed_value,
+                      space_from_dict, strategy_from_dict, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -71,7 +71,7 @@ def _strategy_overrides(args) -> dict:
 _SHARED = {"candidates_per_combo": integral, "seed": seed_value, "fit": fit_config_from_dict, "transform": str}
 _RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": integrals}
 _BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": float}
-_FIELD_NAMES = {"candidates_per_combo": "per_combo"}
+_FIELD_NAMES = {key: name for name, key in CONFIG_KEYS.items()}
 # Every key each config may hold; any other is a misspelt setting.  The
 # outcome keys that a resolved config.json adds are allowed and ignored, so
 # that file decodes as the config it resolves.
@@ -127,7 +127,7 @@ def cmd_suggest(args) -> int:
     model = load_model(args.model)
     strategy = _strategy(args.strategy or "rcc", _strategy_overrides(args))
     if args.candidates:
-        cands = CandidateSet(*_read_points(args.candidates, model.space)[1], per_combo=0, seed=-1)
+        cands = CandidateSet(*_read_points(args.candidates, model.space)[1])
     else:
         cands = candidate_set(model.space, args.per_combo, args.seed or 0)
     if args.level is None:
@@ -186,16 +186,8 @@ def cmd_bench(args) -> int:
               ["strategy", "a", "N", "mean_m_c0", "rel_efficiency", "n_ok", "n_failed", "valid"],
               [[s.strategy, s.level, s.budget, s.mean_m_c0, s.rel_efficiency,
                 s.n_ok, s.n_failed, int(s.valid)] for s in result.summary])
-    resolved = {
-        **extra,
-        "strategies": [asdict(s) for s in cfg.strategies],
-        "levels": list(cfg.levels), "budgets": list(cfg.budgets), "n0": cfg.n0,
-        "replicates": cfg.replicates, "candidates_per_combo": cfg.per_combo,
-        "ref_per_combo": cfg.ref_per_combo, "eps": cfg.eps, "seed": cfg.seed,
-        "transform": cfg.transform, "fit": asdict(cfg.fit),
-        "fairness_checked": result.fairness_checked,
-        "fairness_violations": result.fairness_violations,
-    }
+    resolved = {**extra, **config_to_dict(cfg), "fairness_checked": result.fairness_checked,
+                "fairness_violations": result.fairness_violations}
     write_json(os.path.join(outdir, "config.json"), resolved, sort_keys=True)
     print(json.dumps({"out": outdir, "rows": len(result.rows),
                       "fairness_violations": result.fairness_violations}))

@@ -101,13 +101,12 @@ def point_arrays(points) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """per_combo quantitative LHD points attached to every level combination,
-    as (m, p) normalized coordinates ``x`` and (m, q) level indices ``z``."""
+    """Candidate inputs as (m, p) normalized coordinates ``x`` and (m, q)
+    level indices ``z``, such as ``candidate_set``'s LHD points per level
+    combination."""
 
     x: np.ndarray
     z: np.ndarray
-    per_combo: int
-    seed: int
 
     def point(self, i: int) -> MixedPoint:
         """Candidate i with Python float coordinates and int levels."""
@@ -156,7 +155,7 @@ def candidate_set(space: DesignSpace, per_combo: int, seed: int) -> CandidateSet
     rng = np.random.default_rng(seed)
     combos = np.array(space.level_combos(), dtype=int).reshape(space.num_combos, space.q)
     x = np.concatenate([_unit_lhd(per_combo, space.p, rng) for _ in combos])
-    return CandidateSet(x, np.repeat(combos, per_combo, axis=0), per_combo, seed)
+    return CandidateSet(x, np.repeat(combos, per_combo, axis=0))
 
 
 def _balanced_combo_sample(space: DesignSpace, n: int, rng: np.random.Generator) -> list[tuple[int, ...]]:

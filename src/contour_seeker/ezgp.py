@@ -326,7 +326,7 @@ class _KernelWorkspace:
         design[self.rate_index[row, :, 0], cols[:, None]] = w[:, None] * self.stacked.reshape(-1, p)[positions]
         return design, np.ravel_multi_index(self.pairs, self.size, order="F")[term_pair]
 
-    def nll_gradient(self, e: np.ndarray, factor, resid: np.ndarray, terms: np.ndarray,
+    def nll_gradient(self, e: np.ndarray, factor: np.ndarray, resid: np.ndarray, terms: np.ndarray,
                      jitter_rate: float) -> np.ndarray:
         """Gradient of the profiled objective in the log-parameters of ``_pack``,
         at ``e`` = exp(log-parameters), over a lower triangle's pairs.
@@ -340,7 +340,7 @@ class _KernelWorkspace:
         """
         design, term_index = self.design
         alpha = _solve(factor, resid)
-        inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
+        inv = dpotri(factor, lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
         w = (inv.T - alpha[:, None] * alpha).reshape(-1)[term_index]
         g = design @ (w * terms)
         n_sigma = len(self.qual_levels) + 1
@@ -350,19 +350,22 @@ class _KernelWorkspace:
 
 
 def _try_cholesky(phi: np.ndarray, jitter: float):
-    """Lower LAPACK factor ``(c, True)`` of phi + jitter I, or None."""
+    """LAPACK's lower factor c of phi + jitter I, or None.
+
+    ``c`` is column-major, and its strict upper triangle still holds phi's
+    entries, so read it through ``np.tril``."""
     # column-major, so potrf factors this copy in place instead of copying again
     a = np.array(phi, order="F")
     a.reshape(-1, order="F")[::len(a) + 1] += jitter  # a view: a is column-major
     c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-    return None if info != 0 else (c, True)
+    return None if info != 0 else c
 
 
-def _solve(factor, b: np.ndarray) -> np.ndarray:
-    """Phi^{-1} b from a ``(c, True)`` factor.  A stack of factors c (..., n, n)
-    solves the stack b (..., n) or (..., n, k) one ``dpotrs`` call per matrix,
-    each result laid out as that call returns it (column-major)."""
-    c = factor[0]
+def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phi^{-1} b from the factor c of ``_try_cholesky``.  A stack of factors
+    c (..., n, n) solves the stack b (..., n) or (..., n, k) one ``dpotrs``
+    call per matrix, each result laid out as that call returns it
+    (column-major)."""
     if c.ndim == 2:
         return dpotrs(c, b, lower=1)[0]
     n = c.shape[-1]
@@ -377,19 +380,6 @@ def _solve(factor, b: np.ndarray) -> np.ndarray:
     return out.reshape(b.shape)
 
 
-def build_gram(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None):
-    """Factorize the jittered Gram matrix; returns ((c, True), jitter_used).
-
-    ``c`` is LAPACK ``potrf``'s lower factor; its strict upper triangle
-    still holds the Gram entries, so read it through ``np.tril``.
-
-    When ``jitter`` is None, starts at 1e-8 x (mean Gram diagonal) and
-    escalates tenfold up to 1e-4 before giving up.
-    """
-    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels)
-    return _factor_gram(ws.gram(_param_vector(params)), jitter)
-
-
 def _diag_mean(phi: np.ndarray):
     """Mean of the Gram diagonal, one per matrix of a stack (the bits of
     ``np.mean(np.diag(phi))``)."""
@@ -398,7 +388,10 @@ def _diag_mean(phi: np.ndarray):
 
 def _jitter_ladder(scale: float, jitter: float | None):
     """The rungs a Gram with mean diagonal ``scale`` tries: ``jitter`` alone
-    when given, else 1e-8 x scale rising tenfold up to 1e-4 x scale."""
+    when given, else 1e-8 x scale rising tenfold up to 1e-4 x scale; none
+    when ``scale`` is not finite."""
+    if not math.isfinite(scale):
+        return
     if jitter is not None:
         yield jitter
         return
@@ -408,44 +401,36 @@ def _jitter_ladder(scale: float, jitter: float | None):
         j *= 10
 
 
-def _climb(phi: np.ndarray, scale: float, jitter: float | None):
-    """``((c, True), rung)`` at the first rung of the ladder where phi factors, or None."""
-    if math.isfinite(scale):
-        for j in _jitter_ladder(scale, jitter):
-            factor = _try_cholesky(phi, j)
-            if factor is not None:
-                return factor, j
-    return None
-
-
 def _factor_gram(phi: np.ndarray, jitter: float | None = None):
-    """Factor the jittered Gram phi (n, n), or each Gram of a stack (..., n, n).
+    """``(c, jitter_used)``: the factor of the jittered Gram phi (n, n), or of
+    each Gram of a stack (..., n, n), and the jitter it took.
 
-    Each Gram climbs its own jitter ladder (``_jitter_ladder``).  A single
-    Gram that fails at every rung, or whose mean diagonal is not finite,
-    raises IllConditionedModelError; in a stack it leaves NaN in its factor
-    and its jitter instead.
+    Each Gram climbs its own jitter ladder (``_jitter_ladder``) and stops at
+    the first rung where ``_try_cholesky`` factors it.  A Gram that fails at
+    every rung, or whose mean diagonal is not finite, leaves NaN in its
+    factor and its jitter; a single Gram, run as a stack of one, raises
+    IllConditionedModelError instead.
     """
-    scale = _diag_mean(phi)
-    if phi.ndim == 2:
-        scale = float(scale)
+    n = phi.shape[-1]
+    phis = phi.reshape(-1, n, n)
+    scales = _diag_mean(phis).tolist()
+    # each factor column-major, as potrf returns it, so that potrs reads it without a copy
+    c, used = np.full((len(phis), n, n), np.nan).swapaxes(-1, -2), np.full(len(phis), np.nan)
+    for i, scale in enumerate(scales):
+        for j in _jitter_ladder(scale, jitter):
+            factor = _try_cholesky(phis[i], j)
+            if factor is not None:
+                c[i], used[i] = factor, j
+                break
+    if phi.ndim == 2 and math.isnan(used[0]):
+        scale, = scales
         if not math.isfinite(scale):
             raise IllConditionedModelError(f"Gram diagonal mean is {scale}")
-        found = _climb(phi, scale, jitter)
-        if found is None:
-            cond = float(np.linalg.cond(phi)) if phi.shape[0] <= 500 else float("inf")
-            *_, last = _jitter_ladder(scale, jitter)
-            raise IllConditionedModelError(
-                f"Gram factorization failed at jitter {last:.3e} (condition ~{cond:.3e})", condition=cond)
-        return found
-    n = phi.shape[-1]
-    phis, scales = phi.reshape(-1, n, n), scale.reshape(-1)
-    c, used = np.full(phis.shape, np.nan), np.full(len(phis), np.nan)
-    for i in range(len(phis)):
-        found = _climb(phis[i], scales[i], jitter)
-        if found is not None:
-            c[i], used[i] = found[0][0], found[1]
-    return (c.reshape(phi.shape), True), used.reshape(phi.shape[:-2])
+        cond = float(np.linalg.cond(phi)) if n <= 500 else float("inf")
+        *_, last = _jitter_ladder(scale, jitter)
+        raise IllConditionedModelError(
+            f"Gram factorization failed at jitter {last:.3e} (condition ~{cond:.3e})", condition=cond)
+    return c.reshape(phi.shape), used.reshape(phi.shape[:-2])
 
 
 def _with_ones(y: np.ndarray) -> np.ndarray:
@@ -456,14 +441,14 @@ def _with_ones(y: np.ndarray) -> np.ndarray:
     return rhs.swapaxes(-1, -2)
 
 
-def _profiled_nll(factor, rhs: np.ndarray):
+def _profiled_nll(factor: np.ndarray, rhs: np.ndarray):
     """(objective, profiled mean, Phi^{-1} 1, 1'Phi^{-1} 1) for ``rhs`` =
     ``_with_ones(y)``, where the objective is
     log|Phi| + y'P y - (1'P 1)^{-1} (1'P y)^2; one of each per matrix of a
     stack of factors.  One ``dpotrs`` call per matrix solves for both
     columns, with the bits of two single solves."""
     y, ones = rhs[..., 0], rhs[..., 1]
-    logdet = 2.0 * np.log(factor[0].diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    logdet = 2.0 * np.log(factor.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
     sol = _solve(factor, rhs)
     sol_y, sol_1 = sol[..., 0], sol[..., 1]
     one_quad = np.vecdot(ones, sol_1)
@@ -474,8 +459,7 @@ def _profiled_nll(factor, rhs: np.ndarray):
 
 def neg_log_likelihood(params: EzGpParams, data: Dataset, space: DesignSpace, jitter: float | None = None) -> float:
     """Profiled negative log-likelihood (constants dropped, mean profiled out)."""
-    factor, _ = build_gram(params, data, space, jitter)
-    return float(_profiled_nll(factor, _with_ones(data.responses))[0])
+    return condition(params, data, space, jitter).nll
 
 
 @dataclass
@@ -484,7 +468,7 @@ class _Posterior:
     on its own: jittered factor, profiled mean, objective, solves.  A stack's
     scalar fields are arrays over its leading axes."""
 
-    factor: tuple
+    factor: np.ndarray        # lower Cholesky factor(s) of the jittered Gram(s), as _factor_gram returns
     jitter: float
     mu_hat: float
     resid_solve: np.ndarray   # Phi^{-1} (y - mu_hat 1)
@@ -510,7 +494,7 @@ class FittedModel(_Posterior):
 
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
     """The one conditioning path: training Grams phi (..., n, n) with
-    responses y (..., n), ``jitter`` as in build_gram.
+    responses y (..., n), ``jitter`` as in ``condition``.
 
     Only the factorizations and solves run one matrix at a time; the jitter,
     the profiled mean and the objective are computed once for the stack,
@@ -543,9 +527,14 @@ def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
     """Build a FittedModel from known hyperparameters (no estimation).
 
     The process mean is profiled from the data even when ``params.mu`` is
-    set; the stored params carry the profiled value.
+    set; the stored params carry the profiled value.  ``jitter`` (finite,
+    >= 0) is added to the Gram diagonal as given; None climbs from 1e-8 x
+    the mean Gram diagonal tenfold up to 1e-4 x.  A Gram that does not
+    factor raises IllConditionedModelError.
     """
     params.validate(space)
+    if jitter is not None and not (math.isfinite(jitter) and jitter >= 0):
+        raise ValidationError(f"jitter must be None or finite and >= 0, got {jitter}")
     post = _posterior(cross_covariance(params, data.x, data.z, data.x, data.z), data.responses, jitter)
     return FittedModel(params=replace(params, mu=post.mu_hat), data=data, space=space, **vars(post))
 

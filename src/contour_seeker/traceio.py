@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .design_space import DesignSpace, MixedPoint, make_space
-from .engine import CampaignConfig, CampaignTrace, Strategy
+from .engine import CampaignTrace, Strategy
 from .errors import IngestionError, ValidationError
 from .ezgp import Dataset, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
 
@@ -178,7 +178,7 @@ def model_to_dict(model: FittedModel) -> dict:
 def model_from_dict(doc: dict) -> FittedModel:
     space = space_from_dict(doc["space"])
     d = doc["data"]
-    pts = tuple(MixedPoint(tuple(x), tuple(z)) for x, z in zip(d["x_norm"], d["z"]))
+    pts = tuple(MixedPoint(tuple(x), integrals(z)) for x, z in zip(d["x_norm"], d["z"]))
     for pt in pts:
         space.validate_point(pt)
     data = Dataset(pts, np.array(d["y"], dtype=float), **given_fields(d, {"transform": str}))
@@ -195,19 +195,14 @@ def load_model(path) -> FittedModel:
     return load_document(path, model_from_dict, "model")
 
 
-def config_to_dict(cfg: CampaignConfig) -> dict:
-    return {
-        "space": space_to_dict(cfg.space),
-        "strategy": asdict(cfg.strategy),
-        "level": cfg.level,
-        "n0": cfg.n0,
-        "N": cfg.total_runs,
-        "candidates_per_combo": cfg.per_combo,
-        "seed": cfg.seed,
-        "transform": cfg.transform,
-        "fit": asdict(cfg.fit),
-        "checkpoint_sizes": list(cfg.checkpoint_sizes),
-    }
+# The config-file key of each campaign or bench config field named otherwise.
+CONFIG_KEYS = {"per_combo": "candidates_per_combo", "total_runs": "N"}
+
+
+def config_to_dict(cfg) -> dict:
+    """The fields of a ``CampaignConfig`` or ``BenchConfig`` under their
+    config-file keys (``CONFIG_KEYS``), as a JSON-ready document."""
+    return {CONFIG_KEYS.get(name, name): value for name, value in asdict(cfg).items()}
 
 
 def _trace_header(space: DesignSpace) -> list[str]:

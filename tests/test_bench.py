@@ -315,7 +315,7 @@ def per_draw_coverage(space, truth, level, alpha, draws, per_combo, seed, n_trai
     grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
     n_grid = len(grid.x)
     gram = ezgp.cross_covariance(truth, grid.x, grid.z, grid.x, grid.z)
-    chol = np.tril(ezgp._factor_gram(gram)[0][0])
+    chol = np.tril(ezgp._factor_gram(gram)[0])
     ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos, alpha=alpha, delta=1.0)
     hits = skipped = violations = 0
     for d in range(draws):

@@ -284,12 +284,22 @@ class TestSuggest:
         assert doc["error"] == "ValidationError" and match in doc["message"]
 
     @pytest.mark.parametrize("field, value, match", [("z", [7], "z[0]=7 outside 1..3"),
-                                                     ("x_norm", [3.5], "x[0]=3.5 outside")])
+                                                     ("x_norm", [3.5], "x[0]=3.5 outside"),
+                                                     # these levels used to load as level 1
+                                                     ("z", [1.5], "got 1.5"), ("z", [True], "got True")])
     def test_design_outside_space_exits_2(self, model_path, capsys, field, value, match):
         doc = json.loads(model_path.read_text())
         doc["data"][field][0] = value
         model_path.write_text(json.dumps(doc))
         assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], None, capsys, match)
+
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1e-12])
+    def test_bad_model_jitter_exits_2(self, model_path, capsys, jitter):
+        # such a jitter used to exit 0 with a point chosen from NaN predictions
+        doc = json.loads(model_path.read_text())
+        doc["jitter"] = jitter
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], None, capsys, "jitter must be")
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_nonfinite_model_params_exit_2(self, model_path, capsys, bad):

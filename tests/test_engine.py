@@ -407,7 +407,7 @@ class TestSuggestNext:
         assert point == cand.points[expected]
 
     def test_empty_candidates_rejected(self, small_model):
-        empty = cs.CandidateSet(np.empty((0, 1)), np.empty((0, 1), dtype=int), per_combo=0, seed=0)
+        empty = cs.CandidateSet(np.empty((0, 1)), np.empty((0, 1), dtype=int))
         with pytest.raises(ValidationError):
             cs.suggest_next(small_model, empty, cs.Strategy("rcc"), level=0.0)
 

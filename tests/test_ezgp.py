@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -159,8 +160,9 @@ class TestGram:
         sp = cs.make_space([(0, 1)], [3])
         params = simple_params(sp, theta=5.0)
         data = cs.Dataset((cs.MixedPoint((0.0,), (1,)), cs.MixedPoint((1.0,), (2,))), np.array([0.0, 1.0]))
-        factor, jitter = cs.build_gram(params, data, sp)
-        diag = np.diag(factor[0])
+        model = condition(params, data, sp)
+        factor, jitter = model.factor, model.jitter
+        diag = np.diag(factor)
         assert np.all(diag > 0) and jitter > 0
 
     def test_psd_before_jitter(self):
@@ -176,14 +178,18 @@ class TestGram:
             eigmin = float(np.linalg.eigvalsh(gram)[0])
             assert eigmin >= -1e-8 * np.trace(gram) / n
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_nonfinite_diagonal_is_ill_conditioned(self, bad):
+    @pytest.mark.parametrize("phi, match", [
+        pytest.param(np.diag([1.0, np.inf, 1.0]), "diagonal", id="inf"),
+        pytest.param(np.diag([1.0, np.nan, 1.0]), "diagonal", id="nan"),
+        pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), "failed at jitter", id="indefinite")])
+    def test_nonfinite_diagonal_is_ill_conditioned(self, phi, match):
         # an infinite diagonal used to grow the jitter ladder without end,
-        # a NaN one to fail inside numpy's condition-number SVD
-        phi = np.eye(3)
-        phi[1, 1] = bad
-        with pytest.raises(IllConditionedModelError, match="diagonal"):
+        # a NaN one to fail inside numpy's condition-number SVD; an indefinite
+        # Gram fails at every rung and reports its condition number
+        with pytest.raises(IllConditionedModelError, match=match) as raised:
             ezgp._factor_gram(phi)
+        if match == "failed at jitter":
+            assert raised.value.condition == pytest.approx(3.0)
 
 
 class TestNonFiniteParams:
@@ -200,6 +206,18 @@ class TestNonFiniteParams:
             condition(params, data, sp)
 
 
+class TestJitter:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_jitter_rejected(self, bad):
+        sp = cs.make_space([(0, 1)], [2])
+        params = simple_params(sp)
+        data = cs.Dataset((cs.MixedPoint((0.2,), (1,)), cs.MixedPoint((0.7,), (2,))), np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="jitter must be"):
+            condition(params, data, sp, jitter=bad)
+        with pytest.raises(ValidationError, match="jitter must be"):
+            neg_log_likelihood(params, data, sp, jitter=bad)
+
+
 class TestLikelihood:
     def test_constant_response_profiles_mean(self):
         sp = cs.make_space([(0, 1)], [2])
@@ -209,8 +227,8 @@ class TestLikelihood:
         model = condition(params, data, sp)
         assert model.mu_hat == pytest.approx(2.5, abs=1e-10)
         # residual y - mu 1 is zero, so the objective reduces to log|Phi|
-        factor, jitter = cs.build_gram(params, data, sp)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        factor, jitter = model.factor, model.jitter
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
         assert neg_log_likelihood(params, data, sp, jitter=jitter) == pytest.approx(logdet, abs=1e-9)
 
     def test_two_point_brute_force(self):
@@ -245,8 +263,8 @@ class TestLikelihood:
                                params.theta)
         base_obj = neg_log_likelihood(params, data, sp, jitter=0.0)
         scaled_obj = neg_log_likelihood(scaled, data, sp, jitter=0.0)
-        factor, _ = cs.build_gram(params, data, sp, jitter=0.0)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        factor = condition(params, data, sp, jitter=0.0).factor
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
         quad = base_obj - logdet
         assert scaled_obj == pytest.approx(logdet + n * math.log(c) + quad / c, rel=1e-10)
 
@@ -821,7 +839,7 @@ def assert_stack_equals_one_at_a_time(post, means, sds, phi, y, r, prior_var):
             continue
         one = ezgp._posterior(phi[i], y[i])
         one_means, one_sds = ezgp._predictive(one, prior_var, r[i])
-        assert np.array_equal(post.factor[0][i], one.factor[0])
+        assert np.array_equal(post.factor[i], one.factor)
         for name in ("jitter", "mu_hat", "nll", "ones_quad", "resid_solve", "ones_solve"):
             assert np.array_equal(getattr(post, name)[i], getattr(one, name)), name
         assert np.array_equal(means[i], one_means) and np.array_equal(sds[i], one_sds)
@@ -882,3 +900,27 @@ class TestSerialization:
             np.testing.assert_array_equal(u, v)
         assert loaded.jitter == small_model.jitter
         assert loaded.mu_hat == small_model.mu_hat
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_jitter_rejected(self, small_model, tmp_path, bad):
+        path = tmp_path / "model.json"
+        cs.save_model(small_model, path)
+        doc = json.loads(path.read_text())
+        doc["jitter"] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="jitter must be"):
+            cs.load_model(path)
+
+    @pytest.mark.parametrize("level, loads", [(1.5, False), (True, False), (2.0, True)])
+    def test_levels_must_be_whole_numbers(self, small_model, tmp_path, level, loads):
+        # a level of 1.5 or true used to load as level 1
+        path = tmp_path / "model.json"
+        cs.save_model(small_model, path)
+        doc = json.loads(path.read_text())
+        doc["data"]["z"][0] = [level]
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert cs.load_model(path).data.z[0].tolist() == [2]
+        else:
+            with pytest.raises(ValidationError, match="whole number"):
+                cs.load_model(path)
