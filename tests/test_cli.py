@@ -293,7 +293,7 @@ class TestSuggest:
         model_path.write_text(json.dumps(doc))
         assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], None, capsys, match)
 
-    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1e-12])
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0, -1e-12])
     def test_bad_model_jitter_exits_2(self, model_path, capsys, jitter):
         # such a jitter used to exit 0 with a point chosen from NaN predictions
         doc = json.loads(model_path.read_text())
