@@ -22,13 +22,13 @@ from .bench import BenchConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
 from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, suggest_next
 from .errors import CampaignError, ContourSeekerError, ValidationError
-from .ezgp import Dataset, FitConfig, fit, params_from_dict, params_to_dict
+from .ezgp import Dataset, FitConfig, fit, params_to_dict
 from .simulators import builtin_simulator, read_table, tabular_simulator
 # read_csv is not called here; it stays bound as cli.read_csv, one of the
 # boundaries that perfbench/tracing.py rebinds
 from .traceio import (CONFIG_KEYS, _reject_unknown_keys, config_to_dict, fit_config_from_dict, given_fields, integral,
-                      integrals, load_document, load_model, read_csv, save_model, save_trace, seed_value,
-                      space_from_dict, strategy_from_dict, write_csv, write_json)
+                      integrals, load_document, load_model, params_from_doc, read_csv, real, reals, save_model,
+                      save_trace, seed_value, space_from_dict, strategy_from_dict, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -70,7 +70,7 @@ def _strategy_overrides(args) -> dict:
 # The optional keys of run and bench configs, each with its conversion.
 _SHARED = {"candidates_per_combo": integral, "seed": seed_value, "fit": fit_config_from_dict, "transform": str}
 _RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": integrals}
-_BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": float}
+_BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": real}
 _FIELD_NAMES = {key: name for name, key in CONFIG_KEYS.items()}
 # Every key each config may hold; any other is a misspelt setting.  The
 # outcome keys that a resolved config.json adds are allowed and ignored, so
@@ -95,7 +95,7 @@ def _decode_run(args, doc: dict):
                 raise ValueError(f"field '{key}' does not apply to a one_shot run")
         doc.update(n0=doc["N"], candidates_per_combo=1)
     cfg = CampaignConfig(space=space_from_dict(doc["space"]) if "space" in doc else sim.space,
-                         strategy=strategy, level=float(doc["level"]), n0=integral(doc["n0"]),
+                         strategy=strategy, level=real(doc["level"]), n0=integral(doc["n0"]),
                          total_runs=integral(doc["N"]), **given_fields(doc, _RUN_OPTIONAL, _FIELD_NAMES))
     return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
 
@@ -167,7 +167,7 @@ def _decode_bench(args, doc: dict):
     doc = {**doc, **_given(replicates=args.replicates, seed=args.seed, out=args.out)}
     sim = _simulator(doc)
     cfg = BenchConfig(strategies=tuple(_strategy(s) for s in doc["strategies"]),
-                      levels=tuple(float(v) for v in doc["levels"]),
+                      levels=reals(doc["levels"]),
                       budgets=integrals(doc["budgets"]), n0=integral(doc["n0"]),
                       **given_fields(doc, _BENCH_OPTIONAL, _FIELD_NAMES))
     return sim, cfg, {"simulator": doc["simulator"], "out": doc["out"]}
@@ -198,12 +198,12 @@ def _decode_verify(args, doc: dict):
     """(space, true parameters, resolved config) of a verify config."""
     _reject_unknown_keys(doc, _VERIFY_KEYS, "verify config")
     doc = {**doc, **_given(seed=args.seed, out=args.out)}
-    space, params = space_from_dict(doc["space"]), params_from_dict(doc["params"])
+    space, params = space_from_dict(doc["space"]), params_from_doc(doc["params"])
     return space, params, {
         "space": doc["space"],
         "params": params_to_dict(params),
-        "level": float(doc["level"]),
-        "alpha": float(doc.get("alpha", 0.1)),
+        "level": real(doc["level"]),
+        "alpha": real(doc.get("alpha", 0.1)),
         "draws": integral(doc.get("draws", 500)),
         "per_combo": integral(doc.get("per_combo", 50)),
         "seed": seed_value(doc.get("seed", 0)),

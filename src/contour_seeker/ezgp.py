@@ -9,11 +9,13 @@ form given the rest), with its analytic gradient (Rasmussen & Williams
 2006, sec. 5.4.1).  ``minimize`` takes scipy's call form and runs
 L-BFGS-B in this module's own loop over scipy's ``setulb`` kernel: the
 iterates of scipy's ``minimize`` without its per-evaluation wrappers.
-One kernel builder, ``_KernelWorkspace``, serves both uses:
-cross-covariances on the full grid between two point sets, and the fit's
-Gram on the pairs of its lower triangle, where the gradient is one
-product of a design matrix, built at the first gradient, with the pair
-terms.  A Gram build takes the variances and rates in ``_pack``'s order,
+The fit builds its Gram on a pair table, ``_KernelWorkspace``, over the
+pairs of its lower triangle, where the gradient is one product of a
+design matrix, built at the first gradient, with the pair terms.
+One-shot cross-covariances between two point sets (``condition``,
+``predict_batch``, ``coverage_check``) build no table: ``cross_covariance``
+computes them in column blocks, with the table's bits.  A table's Gram
+build takes the variances and rates in ``_pack``'s order,
 computes the rates of every term, base and level, in one stacked product,
 exponentiates and scales them in one buffer once, and adds the level
 terms to their pairs in factor order with one ``np.add.at``; each step
@@ -49,10 +51,13 @@ _JITTER_CAP = 1e-4
 
 DUPLICATE_TOL = 1e-12
 
-# Most rows of one matrix of the Gram builder's stacked product: the base
+# Most rows of one matrix of the pair table's stacked product: the base
 # terms and each level's are split into matrices of at most this many rows,
-# so that a large grid pads little.
+# so that a large design pads little.
 _STACK_ROWS = 1024
+# Most columns of one block of ``cross_covariance``: a block's negated squared
+# differences take (n1, columns, p) floats.
+_GRID_COLUMNS = 1024
 # Most elements of a stack of cross-covariances conditioned in one call: a
 # Monte-Carlo block of (draws, n_train, n_grid) takes as many draws as fit.
 _STACK_ELEMENTS = 1 << 14
@@ -159,9 +164,49 @@ def coincident(x1, z1, x2, z2) -> np.ndarray:
 
 
 def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
-    """Covariance matrix between two point sets given as (n,p) and (n,q) arrays."""
-    levels = tuple(mat.shape[1] for mat in params.theta)
-    return _KernelWorkspace(x1, z1, x2, z2, levels).gram(_param_vector(params))
+    """Covariance matrix (n1, n2) between two point sets given as (n,p) and
+    (n,q) arrays.
+
+    Built in equal blocks of at most ``_GRID_COLUMNS`` columns of the second
+    set, so memory grows as n1 x n2 plus one block's differences.  A block
+    writes its negated squared differences once, into one buffer; takes the
+    base term as one product with ``theta0``, its ``exp`` and its variance;
+    then, factor by factor, every pair's term at the first point's level
+    rates (one product per row), its ``exp`` and its variance, added where
+    the levels match.  So each pair gets its base term and then its level
+    terms in factor order.  Every product is a gemv over rows of negated
+    squared differences, with the bits of the fit's pair table; a product
+    of one row would be a dot, so a single column is computed as two.
+    """
+    n1, n2, p = len(x1), len(x2), x1.shape[1]
+    if n2 == 1:
+        return cross_covariance(params, x1, z1, np.repeat(x2, 2, axis=0), np.repeat(z2, 2, axis=0))[:, :1].copy()
+    k = np.empty((n1, n2))
+    # each first-set point's rates at its level of each factor, shaped as a product's right-hand side
+    level_rates = [mat.T[z1[:, h] - 1][:, :, None] for h, mat in enumerate(params.theta)]
+    # equal blocks, so that none is a single column
+    n_blocks = max(1, -(-n2 // _GRID_COLUMNS))
+    width = max(1, -(-n2 // n_blocks))
+    # one block's buffers, each contiguous; a narrower last block takes their front
+    neg_d2_buf, values_buf = np.empty(n1 * width * p), np.empty(2 * n1 * width)
+    for start in range(0, n2, width):
+        x_block, z_block = x2[start:start + width], z2[start:start + width]
+        cols = len(x_block)
+        neg_d2 = neg_d2_buf[:n1 * cols * p].reshape(n1, cols, p)
+        block, term = values_buf[:2 * n1 * cols].reshape(2, n1, cols)
+        np.subtract(x1[:, None, :], x_block[None, :, :], out=neg_d2)
+        np.square(neg_d2, out=neg_d2)
+        np.negative(neg_d2, out=neg_d2)
+        np.matmul(neg_d2, params.theta0, out=block)
+        np.exp(block, out=block)
+        block *= params.sigma2[0]
+        for h, rates in enumerate(level_rates):
+            np.matmul(neg_d2, rates, out=term[:, :, None])
+            np.exp(term, out=term)
+            term *= params.sigma2[h + 1]
+            np.add(block, term, out=block, where=z1[:, h, None] == z_block[:, h])
+        k[:, start:start + cols] = block
+    return k
 
 
 @cache
@@ -184,21 +229,22 @@ def _term_tables(qual_levels: tuple[int, ...], p: int) -> tuple[np.ndarray, ...]
 
 
 class _KernelWorkspace:
-    """The pair table: what repeated Gram builds over a list of pairs share.
+    """The pair table: what the fit's repeated Gram builds over a list of
+    pairs share.  One-shot grids, such as ``predict_batch``'s, go through
+    ``cross_covariance``'s column blocks instead, which build no table.
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram; None is the full (n1, n2) grid.  ``levels`` lists, in
-    factor order, the (factor, column) of each level that some pair
-    shares; levels no pair shares are dropped.
+    set's Gram.  ``levels`` lists, in factor order, the (factor, column) of
+    each level that some pair shares; levels no pair shares are dropped.
 
     ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
     squared coordinate differences, one per term of a build: first each of
-    the ``n_pairs`` pairs', in pair order (row-major in the grid), filling
-    ``base_rows`` rows with at least one spare slot after them, then each
-    level's pairs'.  Each level starts a new row and takes as many rows as
-    its pairs need.  ``width`` is the largest level's count of pairs,
-    capped at ``_STACK_ROWS`` so that a large grid pads little.
+    the ``n_pairs`` pairs', in pair order, filling ``base_rows`` rows with
+    at least one spare slot after them, then each level's pairs'.  Each
+    level starts a new row and takes as many rows as its pairs need.
+    ``width`` is the largest level's count of pairs, capped at
+    ``_STACK_ROWS`` so that a large design pads little.
     ``targets`` holds the pair of each level-part entry (the spare slot on
     padding), and ``rate_index`` and ``variance_index`` where each row's
     rates and variance sit in ``_pack``'s order.  All of them are built
@@ -207,28 +253,17 @@ class _KernelWorkspace:
     use.
     """
 
-    def __init__(self, x1, z1, x2, z2, qual_levels, pairs=None):
+    def __init__(self, x1, z1, x2, z2, qual_levels, pairs):
         self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
         p = x1.shape[1]
-        self.n_pairs = n_pairs = self.size[0] * self.size[1] if pairs is None else len(pairs[0])
+        self.n_pairs = n_pairs = len(pairs[0])
         variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
-        in1 = z1.T[level_factor] == level_value[:, None]
-        in2 = z2.T[level_factor] == level_value[:, None]
-        # each row of ``sel`` marks pairs that share one level: on the grid, the pairs of one
-        # point of the first set at that level (a level's pairs are its points in the first set
-        # times those in the second), else all of the level's pairs; ``member`` lists the marked
-        # pairs in level order, ascending within a level
-        if pairs is None:
-            sel_level, first = np.nonzero(in1)
-            level_counts = in2.sum(axis=1)
-            sel, row_start, row_counts = in2[sel_level], first * self.size[1], level_counts[sel_level]
-            level_counts *= in1.sum(axis=1)
-        else:
-            sel = in1[:, pairs[0]] & in2[:, pairs[1]]
-            row_start, row_counts = 0, sel.sum(axis=1)
-            level_counts = row_counts
-        member = np.flatnonzero(sel)
-        member += np.repeat(row_start - sel.shape[1] * np.arange(len(sel)), row_counts)
+        # each row of ``sel`` marks the pairs that share one level; ``member`` lists the
+        # marked pairs in level order, ascending within a level
+        sel = ((z1.T[level_factor] == level_value[:, None])[:, pairs[0]]
+               & (z2.T[level_factor] == level_value[:, None])[:, pairs[1]])
+        level_counts = sel.sum(axis=1)
+        member = np.flatnonzero(sel) - np.repeat(n_pairs * np.arange(len(sel)), level_counts)
         kept = np.flatnonzero(level_counts)
         self.levels = tuple(zip(level_factor[kept].tolist(), (level_value[kept] - 1).tolist()))
         # without levels the base alone sets the width; an empty set of pairs still takes one row
@@ -253,10 +288,7 @@ class _KernelWorkspace:
         rows = self.stacked.reshape(-1, p)
         cut = self.base_rows * self.width
         neg_d2 = rows[:n_pairs]
-        if pairs is None:
-            np.subtract(x1[:, None, :], x2[None, :, :], out=neg_d2.reshape(self.size + (p,)))
-        else:
-            np.subtract(x1[pairs[0]], x2[pairs[1]], out=neg_d2)
+        np.subtract(x1[pairs[0]], x2[pairs[1]], out=neg_d2)
         np.square(neg_d2, out=neg_d2)
         np.negative(neg_d2, out=neg_d2)
         rows[n_pairs:cut] = 0
@@ -265,8 +297,8 @@ class _KernelWorkspace:
         np.take(rows[:n_pairs + 1], self.targets, axis=0, out=rows[cut:], mode="clip")
 
     def gram(self, e: np.ndarray, with_terms: bool = False):
-        """Kernel values on the pairs ((n1, n2) for the grid) at ``e``, the
-        variances and rates in ``_pack``'s order (not logged).
+        """Kernel values on the pairs at ``e``, the variances and rates in
+        ``_pack``'s order (not logged).
 
         Each value is the base term plus one level term per factor, added in
         factor order.  Every step keeps the bits of a build over each
@@ -291,7 +323,7 @@ class _KernelWorkspace:
         flat = buf.reshape(-1)
         terms = flat[self.term_positions] if with_terms else None
         np.add.at(flat[:cut], self.targets, flat[cut:])
-        k = flat[:n_pairs] if self.pairs is not None else flat[:n_pairs].reshape(self.size)
+        k = flat[:n_pairs]
         return (k, terms) if with_terms else k
 
     @cached_property

@@ -24,7 +24,7 @@ import numpy as np
 from .design_space import DesignSpace, MixedPoint, make_space
 from .engine import CampaignTrace, Strategy
 from .errors import IngestionError, ValidationError
-from .ezgp import Dataset, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
+from .ezgp import Dataset, EzGpParams, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
 
 SCHEMA_LINE = "# schema=1"
 
@@ -61,7 +61,9 @@ def load_document(path, decode, kind: str):
 
     An unreadable file, invalid JSON, a document that is not an object, a
     missing field or a malformed value is a ValidationError naming the
-    file; ContourSeekerErrors raised by ``decode`` pass through unchanged.
+    file.  A ValidationError raised by ``decode``, such as an out-of-range
+    value, keeps its class and gets the file's name in front of its
+    message; other ContourSeekerErrors pass through unchanged.
     """
     try:
         with open(path) as fh:
@@ -74,6 +76,9 @@ def load_document(path, decode, kind: str):
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         return decode(doc)
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from None
     except (TypeError, ValueError, IndexError, AttributeError) as exc:
@@ -107,6 +112,20 @@ def integral(value) -> int:
     return value
 
 
+def real(value) -> float:
+    """A real number of a JSON document as a float.  true or "1.5" is a
+    ValueError, where ``float`` would convert it.  NaN and infinities load;
+    the range checks of the value's user reject them where they must."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def reals(values) -> tuple[float, ...]:
+    """``real`` of each entry of a JSON list."""
+    return tuple(real(v) for v in values)
+
+
 def seed_value(value) -> int:
     """A seed of a JSON document or a ``--seed`` flag: ``integral``, and
     non-negative (``FitConfig``'s and the seed derivation's rule), else a
@@ -130,7 +149,14 @@ def space_to_dict(space: DesignSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> DesignSpace:
-    return make_space(d["quant_bounds"], **given_fields(d, {"qual_levels": integrals}))
+    return make_space([reals(bounds) for bounds in d["quant_bounds"]], **given_fields(d, {"qual_levels": integrals}))
+
+
+def params_from_doc(d: dict) -> EzGpParams:
+    """``params_from_dict`` of a document's params block, each number read
+    by ``real``."""
+    return params_from_dict({"mu": real(d["mu"]), "sigma2": reals(d["sigma2"]), "theta0": reals(d["theta0"]),
+                             "theta": [[reals(row) for row in mat] for mat in d["theta"]]})
 
 
 def _reject_unknown_keys(d: dict, keys, block: str) -> None:
@@ -141,9 +167,9 @@ def _reject_unknown_keys(d: dict, keys, block: str) -> None:
         raise ValidationError(f"unknown {block} setting(s) {unknown}; known: {sorted(keys)}")
 
 
-_STRATEGY_FIELDS = {"rho": float, "delta": _optional(float), "alpha": float, "ei_alpha": float}
-_FIT_FIELDS = {"n_starts": integral, "seed": seed_value, "theta_bounds": tuple, "sigma2_rel_bounds": tuple,
-               "max_fev": _optional(integral), "jitter_scale": float}
+_STRATEGY_FIELDS = {"rho": real, "delta": _optional(real), "alpha": real, "ei_alpha": real}
+_FIT_FIELDS = {"n_starts": integral, "seed": seed_value, "theta_bounds": reals, "sigma2_rel_bounds": reals,
+               "max_fev": _optional(integral), "jitter_scale": real}
 
 
 def strategy_from_dict(d: dict) -> Strategy:
@@ -178,12 +204,12 @@ def model_to_dict(model: FittedModel) -> dict:
 def model_from_dict(doc: dict) -> FittedModel:
     space = space_from_dict(doc["space"])
     d = doc["data"]
-    pts = tuple(MixedPoint(tuple(x), integrals(z)) for x, z in zip(d["x_norm"], d["z"]))
+    pts = tuple(MixedPoint(reals(x), integrals(z)) for x, z in zip(d["x_norm"], d["z"]))
     for pt in pts:
         space.validate_point(pt)
-    data = Dataset(pts, np.array(d["y"], dtype=float), **given_fields(d, {"transform": str}))
+    data = Dataset(pts, np.array(reals(d["y"])), **given_fields(d, {"transform": str}))
     # the stored nll is not read: conditioning at the stored jitter recomputes it
-    return condition(params_from_dict(doc["params"]), data, space, jitter=float(doc["jitter"]))
+    return condition(params_from_doc(doc["params"]), data, space, jitter=real(doc["jitter"]))
 
 
 def save_model(model: FittedModel, path) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -11,7 +12,7 @@ import contour_seeker as cs
 from contour_seeker import cli
 from contour_seeker.cli import main
 from contour_seeker.engine import STRATEGY_KINDS
-from contour_seeker.traceio import fit_config_from_dict, integral, load_document, read_csv, strategy_from_dict
+from contour_seeker.traceio import fit_config_from_dict, integral, load_document, read_csv, real, strategy_from_dict
 
 
 def run_config(tmp_path, name="run.json", drop=(), **overrides):
@@ -640,6 +641,107 @@ def test_integral_keeps_whole_numbers(value):
 def test_integral_rejects_what_int_would_truncate_or_parse(value):
     with pytest.raises(ValueError, match="whole number"):
         integral(value)
+
+
+@pytest.mark.parametrize("value", [3, -2.5, 0, float("nan"), float("inf")])
+def test_real_keeps_numbers(value):
+    assert real(value) == float(value) or math.isnan(value)
+    assert type(real(value)) is float
+
+
+@pytest.mark.parametrize("value", [True, False, "1.5", None, [1.0]])
+def test_real_rejects_what_float_would_convert(value):
+    with pytest.raises(ValueError, match="expected a number"):
+        real(value)
+
+
+def set_field(doc: dict, where: tuple, value) -> None:
+    """Set the entry of ``doc`` at the key and index path ``where``."""
+    for key in where[:-1]:
+        doc = doc[key]
+    doc[where[-1]] = value
+
+
+class TestRealNumbers:
+    """A real number of a model file or config is a JSON number: true, false
+    or a string there is exit 2 naming the file (each used to load as a number)."""
+
+    @pytest.mark.parametrize("where, value", [
+        (("data", "x_norm", 0), [True]), (("data", "y", 1), True), (("jitter",), True),
+        (("params", "mu"), True), (("params", "sigma2", 0), "1.0"), (("params", "theta0"), [True]),
+        (("params", "theta", 0, 0, 1), False), (("space", "quant_bounds"), [[0.0, True]])],
+        ids=["x_norm", "y", "jitter", "mu", "sigma2", "theta0", "theta", "quant_bounds"])
+    def test_model_file(self, model_path, capsys, where, value):
+        doc = json.loads(model_path.read_text())
+        set_field(doc, where, value)
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], model_path, capsys,
+                       "expected a number")
+
+    @pytest.mark.parametrize("overrides", [
+        {"level": True}, {"strategy": {"kind": "rcc", "alpha": True}}, {"strategy": {"kind": "rcc", "rho": "1"}},
+        {"strategy": {"kind": "rcc", "delta": True}}, {"strategy": {"kind": "rcc", "ei_alpha": False}},
+        {"fit": {"theta_bounds": [0.01, True]}}, {"fit": {"sigma2_rel_bounds": ["1e-6", 10.0]}},
+        {"fit": {"jitter_scale": True}}, {"space": {"quant_bounds": [[0.0, True]], "qual_levels": [3]}}],
+        ids=["level", "alpha", "rho", "delta", "ei_alpha", "theta_bounds", "sigma2_rel_bounds", "jitter_scale",
+             "space"])
+    def test_run_config(self, tmp_path, capsys, monkeypatch, overrides):
+        monkeypatch.setattr(cli, "run_adaptive", no_work)
+        cfg = run_config(tmp_path, **overrides)
+        assert_invalid(["run", str(cfg)], cfg, capsys, "expected a number")
+
+    @pytest.mark.parametrize("overrides", [{"levels": [True]}, {"eps": True},
+                                           {"strategies": [{"kind": "rcc", "alpha": "0.1"}, "one_shot"]}],
+                             ids=["levels", "eps", "strategy"])
+    def test_bench_config(self, tmp_path, capsys, monkeypatch, overrides):
+        from contour_seeker import bench
+
+        monkeypatch.setattr(bench, "reference_contour", no_work)
+        cfg = TestBench().bench_config(tmp_path, **overrides)
+        assert_invalid(["bench", "--config", str(cfg)], cfg, capsys, "expected a number")
+
+    @pytest.mark.parametrize("where, value", [(("level",), True), (("alpha",), "0.1"), (("params", "theta0"), [True]),
+                                              (("space", "quant_bounds", 0, 1), True)],
+                             ids=["level", "alpha", "theta0", "quant_bounds"])
+    def test_verify_config(self, tmp_path, capsys, monkeypatch, where, value):
+        monkeypatch.setattr(cli, "coverage_check", no_work)
+        path = TestVerify().config(tmp_path)
+        doc = json.loads(path.read_text())
+        set_field(doc, where, value)
+        path.write_text(json.dumps(doc))
+        assert_invalid(["verify", "--config", str(path)], path, capsys, "expected a number")
+
+    def test_space_file(self, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"quant_bounds": [[0.0, True]], "qual_levels": [3]}))
+        data = tmp_path / "data.csv"
+        data.write_text("x_1,z_1,y\n0.1,1,1.0\n0.6,2,2.0\n")
+        assert_invalid(["fit", "--data", str(data), "--space", str(space), "--out", str(tmp_path / "m.json")],
+                       space, capsys, "expected a number")
+
+
+class TestOutOfRangeNamesTheFile:
+    """A value of the right type but out of range is a ValidationError that
+    names the file, as a malformed one is."""
+
+    def test_nan_model_jitter(self, model_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["jitter"] = float("nan")
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], model_path, capsys,
+                       "jitter must be")
+
+    def test_infinite_model_variance(self, model_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["params"]["sigma2"][0] = float("inf")
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], model_path, capsys,
+                       "variances and rates must be finite")
+
+    def test_run_config_n0_below_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_adaptive", no_work)
+        cfg = run_config(tmp_path, n0=1)
+        assert_invalid(["run", str(cfg)], cfg, capsys, "n0 must be >= 2")
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

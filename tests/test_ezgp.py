@@ -109,7 +109,9 @@ class TestCovariance:
         a = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 1), (3, 1), (3, 1), (2, 1), (1, 1)]]
         b = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 2), (2, 2), (1, 1)]]
         (x1, z1), (x2, z2) = point_arrays(a), point_arrays(b)
-        ws = ezgp._KernelWorkspace(x1, z1, x2, z2, sp.qual_levels)
+        # a pair table over every (i, j) pair of the two sets
+        all_pairs = tuple(np.indices((5, 3)).reshape(2, -1))
+        ws = ezgp._KernelWorkspace(x1, z1, x2, z2, sp.qual_levels, pairs=all_pairs)
         assert ws.levels == ((0, 0), (0, 1), (1, 0))
         k = cross_covariance(params, x1, z1, x2, z2)
         assert k.shape == (5, 3)
@@ -451,10 +453,17 @@ def reference_cross_covariance(params, x1, z1, x2, z2, qual_levels):
     return k
 
 
-class TestGridGram:
-    """The grid path (``predict_batch``, ``coverage_check``) builds its Gram as the fit does."""
+B = ezgp._GRID_COLUMNS  # the block width of cross_covariance
 
-    @pytest.mark.parametrize("name, n, per_combo, m", [("example3", 30, 23, 600), ("example2", 18, 40, 360)])
+
+class TestGridGram:
+    """One-shot cross-covariances (``predict_batch``, ``condition``,
+    ``coverage_check``) are built in column blocks with the reference's bits."""
+
+    @pytest.mark.parametrize("name, n, per_combo, m", [
+        ("example3", 30, 23, 600), ("example2", 18, 40, 360),
+        ("example3", 30, 100, B - 1), ("example3", 30, 100, B), ("example3", 30, 100, B + 1),
+        ("example2", 18, 300, 2 * B + 1), ("example1", 12, 400, B + 1)])
     def test_rectangular_equals_reference(self, name, n, per_combo, m):
         space, data = design_data(name, n, seed=3)
         cand = cs.candidate_set(space, per_combo, seed=4)
@@ -467,21 +476,57 @@ class TestGridGram:
             assert k.shape == (n, m)
             assert np.array_equal(k, reference_cross_covariance(params, data.x, data.z, x2, z2, space.qual_levels))
 
+    @pytest.mark.parametrize("quant, levels", [(2, ()), (1, (3, 2))])
+    @pytest.mark.parametrize("m", [0, 5, B + 1])
+    def test_other_spaces_equal_reference(self, quant, levels, m):
+        # q = 0, p = 1, and no second-set points at all
+        space = cs.make_space([(0, 1)] * quant, levels)
+        rng = np.random.default_rng(7)
+        data = cs.Dataset(tuple(cs.initial_design(space, 10, seed=4)), rng.standard_normal(10))
+        cand = cs.candidate_set(space, B + 1, seed=2)
+        x2, z2 = cand.x[:m], cand.z[:m]
+        for _ in range(3):
+            params = random_params(space, rng)
+            k = cross_covariance(params, data.x, data.z, x2, z2)
+            assert k.shape == (10, m)
+            assert np.array_equal(k, reference_cross_covariance(params, data.x, data.z, x2, z2, space.qual_levels))
+
+    def test_one_sided_levels_equal_reference(self):
+        # factor 1 level 3 occurs only in the first set, factor 2 level 2 only in the second
+        space = cs.make_space([(0, 1)] * 2, [3, 2])
+        rng = np.random.default_rng(5)
+        x1, z1 = rng.random((5, 2)), np.array([(1, 1), (3, 1), (3, 1), (2, 1), (1, 1)])
+        x2, z2 = rng.random((B + 1, 2)), np.array([(1, 2), (2, 2), (1, 1)] * B)[:B + 1]
+        params = random_params(space, rng)
+        assert np.array_equal(cross_covariance(params, x1, z1, x2, z2),
+                              reference_cross_covariance(params, x1, z1, x2, z2, space.qual_levels))
+
+    def test_single_column_equals_its_column_in_a_block(self):
+        # a one-column product would be a dot: a single point gets the bits it has in a wider block
+        space, data = design_data("example3", 30, seed=3)
+        cand = cs.candidate_set(space, 2, seed=4)
+        params = reference_unpack(np.zeros(len(ezgp._pack(simple_params(space)))), space)
+        wide = cross_covariance(params, data.x, data.z, cand.x, cand.z)
+        for j in range(len(cand.x)):
+            one = cross_covariance(params, data.x, data.z, cand.x[j:j + 1], cand.z[j:j + 1])
+            assert np.array_equal(one, wide[:, j:j + 1])
+
     def test_build_peak_memory(self):
-        # the kernel values and one buffer of level terms, no per-factor temporaries
+        # the whole predict_batch call: the kernel, one block's buffers and the
+        # predictive's temporaries, no pair table
         space, data = design_data("example3", 30, seed=3)
         cand = cs.candidate_set(space, 200, seed=4)
-        params = simple_params(space)
-        ws = ezgp._KernelWorkspace(data.x, data.z, cand.x, cand.z, space.qual_levels)
+        model = condition(simple_params(space), data, space)
+        k_nbytes = 30 * 5400 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            k = ws.gram(ezgp._param_vector(params))
+            means, sds = ezgp.predict_batch(model, cand.x, cand.z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert k.shape == (30, 5400)
-        assert peak <= 2.5 * k.nbytes
+        assert means.shape == sds.shape == (5400,)
+        assert peak <= 3 * k_nbytes
 
 
 class TestPredict:
