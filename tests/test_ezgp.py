@@ -505,7 +505,7 @@ class TestGridGram:
         # a one-column product would be a dot: a single point gets the bits it has in a wider block
         space, data = design_data("example3", 30, seed=3)
         cand = cs.candidate_set(space, 2, seed=4)
-        params = reference_unpack(np.zeros(len(ezgp._pack(simple_params(space)))), space)
+        params = random_params(space, np.random.default_rng(3))
         wide = cross_covariance(params, data.x, data.z, cand.x, cand.z)
         for j in range(len(cand.x)):
             one = cross_covariance(params, data.x, data.z, cand.x[j:j + 1], cand.z[j:j + 1])
