@@ -10,10 +10,14 @@ runs of each end-to-end metric (``op_p50_probes``, ``setup_s``,
 ``peak_rss_mb``), whether every run was correct with no failed operation,
 and the mean and the runs of each traced per-layer metric.  It also holds
 the machine stamp, each side's ``source_sha256`` (perfbench's hash of the
-program and benchmark sources, taken in that side's checkout) and, per
-side, the best NLL, the evaluation count and a digest of the fitted
-parameters of ``fit`` on five fixed designs.  Run from the repository root;
-both checkouts need ``perfbench/`` and ``src/``.
+program and benchmark sources, taken in that side's checkout), each side's
+commit and, per side, the best NLL, the evaluation count and a digest of
+the fitted parameters of ``fit`` on five fixed designs.  A side's commit is
+its HEAD when the directory is the top of a git checkout; otherwise (a
+``git archive`` export, say) it is the newest commit in this checkout's
+history whose sources hash to that side's ``source_sha256``, or null when
+none does.  Run from the repository root; both checkouts need
+``perfbench/`` and ``src/``.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,8 +71,6 @@ def fit_table() -> list[dict]:
 
     Runs in a child whose ``sys.path`` starts with one side's ``src`` and root.
     """
-    import tempfile
-
     import numpy as np
 
     import contour_seeker as cs
@@ -124,9 +127,39 @@ def source_sha256(side_dir: Path) -> str:
     return res.stdout.strip()
 
 
-def git_commit(side_dir: Path) -> str | None:
-    res = subprocess.run(["git", "-C", str(side_dir), "rev-parse", "HEAD"], capture_output=True, text=True)
-    return res.stdout.strip() if res.returncode == 0 else None
+def git(repo: Path, *args: str, text: bool = True) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=text)
+
+
+def checkout_head(side_dir: Path) -> str | None:
+    """HEAD of the git checkout whose top is ``side_dir``, else None: a
+    directory inside another repository does not take that repository's HEAD."""
+    top = git(side_dir, "rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != side_dir.resolve():
+        return None
+    head = git(side_dir, "rev-parse", "HEAD")
+    return head.stdout.strip() if head.returncode == 0 else None
+
+
+def side_commit(side_dir: Path, source: str) -> str | None:
+    """The commit ``side_dir`` holds: its HEAD if it is the top of a checkout,
+    else the newest commit of this checkout whose ``git archive`` export has
+    ``source`` as its ``source_sha256``, else None."""
+    head = checkout_head(side_dir)
+    if head is not None:
+        return head
+    for commit in git(ROOT, "rev-list", "HEAD").stdout.split():
+        archive = git(ROOT, "archive", commit, "src", "perfbench", "configs", text=False)
+        if archive.returncode != 0:
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+            try:
+                if source_sha256(Path(tmp)) == source:
+                    return commit
+            except RuntimeError:  # a commit from before perfbench's source_hash
+                continue
+    return None
 
 
 def compare(args) -> dict:
@@ -160,6 +193,7 @@ def compare(args) -> dict:
                 values = [r["metrics"][name]["value"] for r in traced[side]]
                 entry["traced"][name][side] = {"mean": statistics.fmean(values), "runs": values}
         workloads[workload] = entry
+    sources = {side: source_sha256(path) for side, path in sides.items()}
     return {
         "commands": {
             "untraced": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds} "
@@ -171,8 +205,8 @@ def compare(args) -> dict:
                          "params_sha256 is the sha256 of json.dumps(params_to_dict(params))",
         },
         "stamp": machine_stamp(),
-        "commits": {side: git_commit(path) for side, path in sides.items()},
-        "sources": {side: {"source_sha256": source_sha256(path)} for side, path in sides.items()},
+        "commits": {side: side_commit(path, sources[side]) for side, path in sides.items()},
+        "sources": {side: {"source_sha256": sources[side]} for side in sides},
         "workloads": workloads,
         "fit_table": {side: side_fit_table(path) for side, path in sides.items()},
     }

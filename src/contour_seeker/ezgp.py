@@ -9,6 +9,9 @@ form given the rest), with its analytic gradient (Rasmussen & Williams
 2006, sec. 5.4.1).  ``minimize`` takes scipy's call form and runs
 L-BFGS-B in this module's own loop over scipy's ``setulb`` kernel: the
 iterates of scipy's ``minimize`` without its per-evaluation wrappers.
+The kernel's compiled module is loaded from scipy's ``optimize``
+directory by itself, so a process that fits never runs
+``scipy.optimize``'s package import.
 The fit builds its Gram on a pair table, ``_KernelWorkspace``, over the
 pairs of its lower triangle, where the gradient is one product of a
 design matrix, built at the first gradient, with the pair terms.
@@ -32,11 +35,14 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 import scipy
@@ -653,8 +659,43 @@ _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
-def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=None,
-             **kwargs) -> scipy.optimize.OptimizeResult:
+_LBFGSB_MODULE = "scipy.optimize._lbfgsb"
+
+
+@cache
+def _lbfgsb():
+    """scipy's compiled L-BFGS-B module, which holds ``setulb``.
+
+    Taken from ``sys.modules`` when ``scipy.optimize`` has loaded it, and
+    otherwise loaded by itself from the installed scipy's ``optimize``
+    directory, so ``scipy/optimize/__init__.py`` does not run: that package
+    import takes far longer than a fit of a small design.
+    """
+    if _LBFGSB_MODULE in sys.modules:
+        return sys.modules[_LBFGSB_MODULE]
+    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "optimize"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_LBFGSB_MODULE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class LbfgsbResult:
+    """What ``minimize`` returns for L-BFGS-B: the fields of scipy's
+    ``OptimizeResult`` that its L-BFGS-B driver sets, as attributes."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int
+    njev: int
+    nit: int
+    status: int
+
+
+def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=None, **kwargs):
     """scipy's ``minimize``, with bounded L-BFGS-B run by this module's own
     loop over scipy's ``setulb`` kernel (Byrd, Lu, Nocedal & Zhu 1995).
 
@@ -668,22 +709,24 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     when it differs from the last one, ``maxiter`` and the soft ``maxfun``
     cap checked at each new iteration, and the same status rule).  So the
     iterates and the returned ``x``, ``fun``, ``jac``, ``nfev``, ``njev``,
-    ``nit`` and ``status`` are scipy's.  L-BFGS-B here takes nothing else:
+    ``nit`` and ``status`` are scipy's, returned as an ``LbfgsbResult``,
+    not scipy's ``OptimizeResult``.  L-BFGS-B here takes nothing else:
     another option, infinite bounds or a ``fun`` without its gradient raise
     ``ValueError``, so no call reaches scipy's own L-BFGS-B driver.
 
     The name and the call form are scipy's because callers that count or
     time the starts rebind this module attribute and call it as scipy's
-    ``minimize``; any other ``method`` is scipy's ``minimize`` itself.
-    ``scipy.optimize`` is imported at the first call, so a process that
-    never fits never loads it.
+    ``minimize``; any other ``method`` is scipy's ``minimize`` itself, the
+    one path that imports ``scipy.optimize``.  L-BFGS-B needs only the
+    kernel's module (``_lbfgsb``), so a process that fits never runs
+    ``scipy.optimize``'s package import.
     """
-    import scipy.optimize
-    from scipy.optimize._lbfgsb import setulb
-
     if method.upper() != "L-BFGS-B":
+        import scipy.optimize
+
         return scipy.optimize.minimize(fun, x0, method=method, jac=jac, bounds=bounds,
                                        options=options, **kwargs)
+    setulb = _lbfgsb().setulb
     options = dict(options or {})
     maxfun = options.pop("maxfun", None)
     if jac is not True or options or kwargs:
@@ -731,7 +774,7 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
         status = 0
     else:
         status = 1 if nfev > maxfun or nit >= _MAX_ITER else 2
-    return scipy.optimize.OptimizeResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
+    return LbfgsbResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
 
 
 # numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"

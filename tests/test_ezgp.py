@@ -405,6 +405,23 @@ class TestBitIdentity:
                 assert neg_log_likelihood(params, data, space) == ref
 
 
+def wide_design(p, n=30, seed=3):
+    """A design of n points in p quantitative coordinates and one factor of
+    three levels, with standard normal responses."""
+    space = cs.make_space([(0, 1)] * p, [3])
+    rng = np.random.default_rng(seed)
+    return space, cs.Dataset(tuple(cs.initial_design(space, n, seed=seed)), rng.standard_normal(n))
+
+
+# The fit's pair table and cross_covariance agree bit for bit only while
+# OpenBLAS's gemv gives each row the same bits whatever other rows share the
+# call.  With numpy 2.4.6's OpenBLAS 0.3.31 that holds for p <= 6, not from
+# p = 7 on (the open FOUND on the gemv in CHANGES.md).
+GEMV_ROW_BITS = pytest.mark.xfail(strict=False, reason="FOUND: from p = 7 on, OpenBLAS's gemv bits of a row depend "
+                                                       "on the rows sharing its call")
+WIDE_P = [4, 5, 6]
+
+
 class TestPairTable:
     """The fit's Gram is built on the pairs of its lower triangle only."""
 
@@ -412,6 +429,15 @@ class TestPairTable:
     def test_lower_triangle_equals_cross_covariance(self, name, n, monkeypatch):
         space, data = design_data(name, n, seed=3)
         assert unequal_level_counts(data) == ((name, n) in UNEQUAL_LEVEL_COUNTS)
+        self.assert_lower_triangle_equals_cross_covariance(space, data, monkeypatch)
+
+    @pytest.mark.parametrize("p", WIDE_P + [pytest.param(8, marks=GEMV_ROW_BITS)])
+    def test_wide_lower_triangle_equals_cross_covariance(self, p, monkeypatch):
+        space, data = wide_design(p)
+        self.assert_lower_triangle_equals_cross_covariance(space, data, monkeypatch)
+
+    @staticmethod
+    def assert_lower_triangle_equals_cross_covariance(space, data, monkeypatch):
         captured = []
 
         def capture(fun, x0, **kwargs):
@@ -490,6 +516,18 @@ class TestGridGram:
             k = cross_covariance(params, data.x, data.z, x2, z2)
             assert k.shape == (10, m)
             assert np.array_equal(k, reference_cross_covariance(params, data.x, data.z, x2, z2, space.qual_levels))
+
+    @pytest.mark.parametrize("p", WIDE_P)
+    def test_wide_equals_reference(self, p):
+        space, data = wide_design(p)
+        cand = cs.candidate_set(space, 300, seed=4)
+        lo, hi = ezgp._log_bounds(space, cs.FitConfig(), data.responses)
+        rng = np.random.default_rng(20261020)
+        for _ in range(5):
+            params = reference_unpack(lo + rng.random(len(lo)) * (hi - lo), space)
+            assert np.array_equal(cross_covariance(params, data.x, data.z, cand.x, cand.z),
+                                  reference_cross_covariance(params, data.x, data.z, cand.x, cand.z,
+                                                             space.qual_levels))
 
     def test_one_sided_levels_equal_reference(self):
         # factor 1 level 3 occurs only in the first set, factor 2 level 2 only in the second

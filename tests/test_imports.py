@@ -1,9 +1,10 @@
 """Which scipy modules the program loads, checked in a fresh interpreter.
 
-The criteria's normal cdf comes from ``scipy.special`` and the fit's
-L-BFGS-B kernel from ``scipy.optimize``, imported at the first fit; so
-importing the package loads neither ``scipy.stats`` nor ``scipy.optimize``,
-``verify`` and ``suggest`` never load ``scipy.optimize``, and ``fit`` does.
+The criteria's normal cdf comes from ``scipy.special``, and the fit loads
+only scipy's compiled L-BFGS-B module, not the ``scipy.optimize`` package;
+so importing the package, ``verify``, ``suggest``, ``fit``, ``run`` and
+``bench`` load neither ``scipy.stats`` nor ``scipy.optimize``, and a fit
+gives the same model whether or not ``scipy.optimize`` was imported first.
 """
 import json
 import os
@@ -49,7 +50,17 @@ calls = {
                 "--seed", "1"],
     "fit": ["fit", "--data", str(tmp / "data.csv"), "--space", str(tmp / "space.json"),
             "--out", str(tmp / "fitted.json"), "--starts", "1", "--max-fev", "40"],
+    "run": ["run", str(tmp / "run.json")],
+    "bench": ["bench", "--config", str(tmp / "bench.json")],
 }
+fit_block = {"n_starts": 1, "max_fev": 40}
+(tmp / "run.json").write_text(json.dumps({
+    "simulator": {"builtin": "example1"}, "level": -0.9, "n0": 9, "N": 11, "candidates_per_combo": 20,
+    "fit": fit_block, "seed": 1, "out": str(tmp / "run")}))
+(tmp / "bench.json").write_text(json.dumps({
+    "simulator": {"builtin": "example1"}, "strategies": [{"kind": "rcc", "delta": 0.05}], "levels": [-0.9],
+    "budgets": [10], "n0": 9, "replicates": 1, "candidates_per_combo": 20, "ref_per_combo": 20,
+    "fit": fit_block, "seed": 1, "out": str(tmp / "bench")}))
 codes = {}
 for name, argv in calls.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -66,10 +77,55 @@ def test_scipy_modules_load_when_called(tmp_path):
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     doc = json.loads(res.stdout.strip().splitlines()[-1])
-    assert doc["codes"] == {"verify": 0, "suggest": 0, "fit": 0}
-    steps = doc["steps"]
-    assert steps["import"] == {"scipy.stats": False, "scipy.optimize": False}
-    # verify and suggest condition and predict, but never fit
-    assert steps["verify"] == {"scipy.stats": False, "scipy.optimize": False}
-    assert steps["suggest"] == {"scipy.stats": False, "scipy.optimize": False}
-    assert steps["fit"] == {"scipy.stats": False, "scipy.optimize": True}
+    assert doc["codes"] == {"verify": 0, "suggest": 0, "fit": 0, "run": 0, "bench": 0}
+    # verify and suggest condition and predict, but never fit; fit, run and
+    # bench fit through the L-BFGS-B kernel's own module
+    assert doc["steps"] == {step: {"scipy.stats": False, "scipy.optimize": False}
+                            for step in ("import", "verify", "suggest", "fit", "run", "bench")}
+
+
+FIT_SCRIPT = r"""
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+if sys.argv[2] == "first":
+    import scipy.optimize
+import contour_seeker as cs
+from contour_seeker import ezgp
+
+sim = cs.builtin_simulator("example1")
+points = cs.initial_design(sim.space, 12, seed=3)
+data = cs.Dataset(tuple(points), [sim.evaluate(pt) for pt in points])
+model = cs.fit(data, sim.space, cs.FitConfig(n_starts=2))
+cs.save_model(model, Path(sys.argv[1]))
+before = "scipy.optimize" in sys.modules
+
+# scipy's own L-BFGS-B still runs once the fit has loaded its kernel
+import scipy.optimize
+
+def fun(v):
+    return float((v - 0.3) @ (v - 0.3)), 2 * (v - 0.3)
+
+call = {"jac": True, "method": "L-BFGS-B", "bounds": [(-1.0, 1.0)] * 3}
+ref = scipy.optimize.minimize(fun, np.ones(3), **call)
+ours = ezgp.minimize(fun, np.ones(3), **call)
+print(json.dumps({"before": before, "ref_ok": bool(ref.success), "max_abs": float(np.abs(ref.x - 0.3).max()),
+                  "same": bool(np.array_equal(ours.x, ref.x) and ours.fun == ref.fun and ours.nfev == ref.nfev)}))
+"""
+
+
+def test_fit_same_with_or_without_scipy_optimize(tmp_path):
+    pythonpath = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    docs = {}
+    for order in ("first", "never"):
+        res = subprocess.run([sys.executable, "-c", FIT_SCRIPT, str(tmp_path / f"{order}.json"), order], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        docs[order] = json.loads(res.stdout.strip().splitlines()[-1])
+    assert docs["first"]["before"] and not docs["never"]["before"]
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "never.json").read_bytes()
+    for doc in docs.values():
+        assert doc["ref_ok"] and doc["max_abs"] < 1e-6 and doc["same"], doc
