@@ -70,13 +70,19 @@ print(json.dumps({"codes": codes, "steps": steps}))
 """
 
 
-def test_scipy_modules_load_when_called(tmp_path):
+def run_fresh(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh interpreter that imports this package; the
+    JSON object on its last output line."""
     pythonpath = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-    res = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env, capture_output=True,
-                         text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                         timeout=120)
     assert res.returncode == 0, res.stderr
-    doc = json.loads(res.stdout.strip().splitlines()[-1])
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def test_scipy_modules_load_when_called(tmp_path):
+    doc = run_fresh(SCRIPT, str(tmp_path))
     assert doc["codes"] == {"verify": 0, "suggest": 0, "fit": 0, "run": 0, "bench": 0}
     # verify and suggest condition and predict, but never fit; fit, run and
     # bench fit through the L-BFGS-B kernel's own module
@@ -117,14 +123,7 @@ print(json.dumps({"before": before, "ref_ok": bool(ref.success), "max_abs": floa
 
 
 def test_fit_same_with_or_without_scipy_optimize(tmp_path):
-    pythonpath = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-    docs = {}
-    for order in ("first", "never"):
-        res = subprocess.run([sys.executable, "-c", FIT_SCRIPT, str(tmp_path / f"{order}.json"), order], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert res.returncode == 0, res.stderr
-        docs[order] = json.loads(res.stdout.strip().splitlines()[-1])
+    docs = {order: run_fresh(FIT_SCRIPT, str(tmp_path / f"{order}.json"), order) for order in ("first", "never")}
     assert docs["first"]["before"] and not docs["never"]["before"]
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "never.json").read_bytes()
     for doc in docs.values():
