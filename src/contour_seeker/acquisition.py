@@ -9,9 +9,11 @@ adaptive search region {lb <= min ub}; the region-based cooperative step
 (RCC), the restricted-region distance criterion (ARSD) and the
 coverage check all read that partition.  All selectors break ties toward
 the smallest candidate index so that results are deterministic.  The
-standard normal cdf is ``scipy.special.ndtr`` and the pdf is
-``scipy.stats.norm``'s expression for it, so the scores carry
-``scipy.stats.norm``'s bits without importing ``scipy.stats``.
+standard normal cdf is ``scipy.special.ndtr``, taken from its compiled
+module ``scipy.special._special_ufuncs`` without the ``scipy.special``
+package import, and the pdf is ``scipy.stats.norm``'s expression for it,
+so the scores carry ``scipy.stats.norm``'s bits without importing
+``scipy.stats``.
 """
 from __future__ import annotations
 
@@ -20,9 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import SelectionError, ValidationError
+from .ezgp import _scipy_extension
+
+ndtr, = _scipy_extension("special", "_special_ufuncs", "ndtr")
 
 _PROB_CLIP = 1e-12
 _RCC_INNER = ("ecl", "ei")

@@ -9,9 +9,11 @@ form given the rest), with its analytic gradient (Rasmussen & Williams
 2006, sec. 5.4.1).  ``minimize`` takes scipy's call form and runs
 L-BFGS-B in this module's own loop over scipy's ``setulb`` kernel: the
 iterates of scipy's ``minimize`` without its per-evaluation wrappers.
-The kernel's compiled module is loaded from scipy's ``optimize``
-directory by itself, so a process that fits never runs
-``scipy.optimize``'s package import.
+The compiled modules that hold ``setulb`` (``scipy.optimize._lbfgsb``)
+and LAPACK's ``dpotrf``, ``dpotrs`` and ``dpotri``
+(``scipy.linalg._flapack``) are loaded by themselves with
+``_scipy_extension``, so no process runs the package import of
+``scipy.optimize`` or ``scipy.linalg``.
 The fit builds its Gram on a pair table, ``_KernelWorkspace``, over the
 pairs of its lower triangle, where the gradient is one product of a
 design matrix, built at the first gradient, with the pair terms.
@@ -46,10 +48,42 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
 from .errors import FitFailureError, IllConditionedModelError, ValidationError
+
+# the scipy releases whose private compiled modules _scipy_extension loads (pyproject.toml's pin)
+_SCIPY_SUPPORTED = ">=1.17,<1.18"
+
+
+def _scipy_extension(subpackage: str, name: str, *attributes: str) -> tuple:
+    """The named attributes of scipy's compiled module ``scipy.<subpackage>.<name>``.
+
+    The module is taken from ``sys.modules`` when scipy has loaded it, and
+    otherwise loaded by itself from the installed scipy's ``subpackage``
+    directory and registered under its own name, so the subpackage's
+    ``__init__.py`` does not run (its import takes far longer than the calls
+    the library makes) and a later import of the subpackage reuses the
+    module: the same function objects run either way.  A scipy without the
+    module or one of the attributes raises ``ImportError``.
+    """
+    full = f"scipy.{subpackage}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), subpackage),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(full)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[full] = module
+            spec.loader.exec_module(module)
+    if module is None or not all(hasattr(module, attr) for attr in attributes):
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module {full} with "
+                          f"{', '.join(attributes)}; contour-seeker needs scipy{_SCIPY_SUPPORTED}")
+    return tuple(getattr(module, attr) for attr in attributes)
+
+
+dpotrf, dpotri, dpotrs = _scipy_extension("linalg", "_flapack", "dpotrf", "dpotri", "dpotrs")
 
 # Jitter ladder, relative to the (constant) Gram diagonal.
 _JITTER_START = 1e-8
@@ -659,28 +693,6 @@ _FG, _NEW_X, _CONVERGENCE, _STOP = 3, 1, 4, 5
 _STOP_MAXFUN, _STOP_MAXITER = 502, 504
 
 
-_LBFGSB_MODULE = "scipy.optimize._lbfgsb"
-
-
-@cache
-def _lbfgsb():
-    """scipy's compiled L-BFGS-B module, which holds ``setulb``.
-
-    Taken from ``sys.modules`` when ``scipy.optimize`` has loaded it, and
-    otherwise loaded by itself from the installed scipy's ``optimize``
-    directory, so ``scipy/optimize/__init__.py`` does not run: that package
-    import takes far longer than a fit of a small design.
-    """
-    if _LBFGSB_MODULE in sys.modules:
-        return sys.modules[_LBFGSB_MODULE]
-    finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "optimize"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_LBFGSB_MODULE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @dataclass(frozen=True)
 class LbfgsbResult:
     """What ``minimize`` returns for L-BFGS-B: the fields of scipy's
@@ -718,15 +730,16 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     time the starts rebind this module attribute and call it as scipy's
     ``minimize``; any other ``method`` is scipy's ``minimize`` itself, the
     one path that imports ``scipy.optimize``.  L-BFGS-B needs only the
-    kernel's module (``_lbfgsb``), so a process that fits never runs
-    ``scipy.optimize``'s package import.
+    kernel's module, ``scipy.optimize._lbfgsb``, which ``_scipy_extension``
+    loads, so a process that fits never runs ``scipy.optimize``'s package
+    import.
     """
     if method.upper() != "L-BFGS-B":
         import scipy.optimize
 
         return scipy.optimize.minimize(fun, x0, method=method, jac=jac, bounds=bounds,
                                        options=options, **kwargs)
-    setulb = _lbfgsb().setulb
+    setulb, = _scipy_extension("optimize", "_lbfgsb", "setulb")
     options = dict(options or {})
     maxfun = options.pop("maxfun", None)
     if jac is not True or options or kwargs:
