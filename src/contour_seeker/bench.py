@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +222,8 @@ def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> B
             for i, level in enumerate(cfg.levels)}
 
     if workers > 1 and cfg.replicates > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: its import is ~20 ms of process start
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas) as pool:
             outcomes = list(pool.map(_run_replicate,
                                      [sim] * cfg.replicates, [cfg] * cfg.replicates,

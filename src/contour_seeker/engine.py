@@ -1,4 +1,4 @@
-"""Sequential campaign driver and its one-shot baseline.
+"""Sequential campaign driver, its one-shot baseline and ``suggest``'s step.
 
 A campaign starts from a balanced initial design, then repeats: fit the
 surrogate, draw a fresh per-combination candidate LHD, score candidates
@@ -6,6 +6,10 @@ with the configured strategy, evaluate the chosen input, append.  All
 randomness is derived from the campaign seed with fixed tags, so two
 strategies sharing a seed see identical initial designs and candidate
 streams and differ only at the selection step.
+
+``run_adaptive`` and ``suggest_next`` share one selection step.  It skips
+candidates that coincide with a design point (the next fit would reject
+them), and its ``chosen_index`` is a row of the caller's candidate set.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 from .acquisition import AcquisitionContext, SelectionReport, select_arsd, select_global, select_rcc
 from .design_space import CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design
 from .errors import CampaignError, ContourSeekerError, EvaluationError, ValidationError
-from .ezgp import Dataset, FitConfig, FittedModel, coincident, fit, params_to_dict, predict_batch
+from .ezgp import Dataset, FitConfig, FittedModel, coincident_rows, fit, params_to_dict, predict_batch
 from .simulators import ResponseTransform, Simulator, get_transform
 
 STRATEGY_KINDS = ("rcc", "rcc_ei", "arsd", "ecl", "ei", "lcb", "one_shot")
@@ -242,19 +246,6 @@ def default_delta(responses: np.ndarray) -> float:
     return max(_DELTA_RANGE_FRACTION * span, 1e-8)
 
 
-def _context(strategy: Strategy, level_eff: float, data: Dataset, num_combos: int) -> AcquisitionContext:
-    delta = strategy.delta if strategy.delta is not None else default_delta(data.responses)
-    return AcquisitionContext(
-        contour_level=level_eff,
-        n=len(data),
-        num_combos=num_combos,
-        alpha=strategy.alpha,
-        delta=delta,
-        rho=strategy.rho,
-        ei_alpha=strategy.ei_alpha,
-    )
-
-
 def select_point(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
                  strategy: Strategy) -> SelectionReport:
     """Dispatch one selection step; returns a report with the chosen index."""
@@ -295,16 +286,33 @@ def _evaluate_design(sim: Simulator, points, tr: ResponseTransform) -> tuple[lis
     return list(raw), Dataset(tuple(points), np.array(y_model), transform=tr.name)
 
 
-def _remap_report(report: SelectionReport, keep_idx: np.ndarray) -> SelectionReport:
-    def remap_finalist(f):
-        return None if f is None else replace(f, index=int(keep_idx[f.index]))
+def _select(model: FittedModel, cand: CandidateSet, strategy: Strategy,
+            level_eff: float) -> tuple[SelectionReport, float, float, int]:
+    """``(report, beta, delta, skipped)`` of the selection step at the
+    modeling-scale level; the report's indices are rows of ``cand``.
+    Candidates that all coincide with design points are a CampaignError."""
+    data = model.data
+    keep = np.flatnonzero(~coincident_rows(cand.x, cand.z, data.x, data.z))
+    if len(keep) == 0:
+        raise CampaignError("all candidates duplicate existing design points")
+    means, sds = predict_batch(model, cand.x[keep], cand.z[keep])
+    ctx = AcquisitionContext(level_eff, len(data), model.space.num_combos, alpha=strategy.alpha,
+                             delta=default_delta(data.responses) if strategy.delta is None else strategy.delta,
+                             rho=strategy.rho, ei_alpha=strategy.ei_alpha)
+    report = select_point(means, sds, ctx, strategy)
 
-    return replace(
-        report,
-        chosen_index=int(keep_idx[report.chosen_index]),
-        a1_finalist=remap_finalist(report.a1_finalist),
-        a2_finalist=remap_finalist(report.a2_finalist),
-    )
+    def remap(f):
+        return None if f is None else replace(f, index=int(keep[f.index]))
+
+    report = replace(report, chosen_index=int(keep[report.chosen_index]), a1_finalist=remap(report.a1_finalist),
+                     a2_finalist=remap(report.a2_finalist))
+    return report, ctx.beta, ctx.delta, len(cand.x) - len(keep)
+
+
+def _abort(trace: CampaignTrace, error: str) -> CampaignError:
+    """Mark the trace aborted with ``error``; the CampaignError to raise."""
+    trace.aborted, trace.error = True, error
+    return CampaignError(error, trace)
 
 
 def _fit_with_retry(data: Dataset, space: DesignSpace, cfg: FitConfig, warm) -> FittedModel:
@@ -338,8 +346,7 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
         try:
             model = _fit_with_retry(data, space, replace(cfg.fit, seed=derive_seed(cfg.seed, _TAG_FIT, n)), warm)
         except ContourSeekerError as exc:
-            trace.aborted, trace.error = True, f"fit failed at n={n}: {exc}"
-            raise CampaignError(trace.error, trace) from exc
+            raise _abort(trace, f"fit failed at n={n}: {exc}") from exc
         warm, trace.model = model.params, model
         if n in checkpoints or n == cfg.total_runs:
             trace.checkpoints[n] = model
@@ -349,23 +356,15 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 
         cand_seed = derive_seed(cfg.seed, _TAG_CAND, n)
         cand = candidate_set(space, cfg.per_combo, cand_seed)
-        keep_idx = np.flatnonzero(~coincident(cand.x, cand.z, data.x, data.z).any(axis=1))
-        if len(keep_idx) == 0:
-            trace.aborted, trace.error = True, f"all candidates duplicate existing design points at n={n}"
-            raise CampaignError(trace.error, trace)
-        skipped = len(cand.x) - len(keep_idx)
-        note = f"skipped {skipped} duplicate candidates" if skipped else ""
-
-        means, sds = predict_batch(model, cand.x[keep_idx], cand.z[keep_idx])
-        ctx = _context(cfg.strategy, level_eff, data, space.num_combos)
-        report = _remap_report(select_point(means, sds, ctx, cfg.strategy), keep_idx)
+        try:
+            report, beta, delta, skipped = _select(model, cand, cfg.strategy, level_eff)
+        except CampaignError as exc:
+            raise _abort(trace, f"{exc} at n={n}") from exc
         chosen = cand.point(report.chosen_index)
-
         try:
             y_raw, y_model = _evaluate(sim, chosen, tr)
         except EvaluationError as exc:
-            trace.aborted, trace.error = True, f"simulator failed at n={n}: {exc}"
-            raise CampaignError(trace.error, trace) from exc
+            raise _abort(trace, f"simulator failed at n={n}: {exc}") from exc
         trace.dataset = data = data.extended(chosen, y_model)
         trace.raw_responses.append(y_raw)
         trace.records.append(IterationRecord(
@@ -376,12 +375,12 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
             y_raw=y_raw,
             y_model=y_model,
             report=report,
-            beta=ctx.beta,
-            delta=ctx.delta,
+            beta=beta,
+            delta=delta,
             nll=model.nll,
             params=params_to_dict(model.params),
             duration_s=time.perf_counter() - it_start,
-            note=note,
+            note=f"skipped {skipped} duplicate candidates" if skipped else "",
         ))
         iteration += 1
     return trace
@@ -397,15 +396,15 @@ def run_one_shot(sim: Simulator, space: DesignSpace, n: int, seed: int,
 
 def suggest_next(model: FittedModel, candidates: CandidateSet, strategy: Strategy,
                  level: float) -> tuple[MixedPoint, SelectionReport]:
-    """Stateless selection step for externally driven loops.
+    """Stateless selection step for externally driven loops: the campaign's
+    step, so candidates that coincide with a design point are skipped and
+    ``chosen_index`` is a row of ``candidates``.
 
     ``level`` is on the raw response scale and is mapped through the
-    model's response transform.
+    model's response transform.  An empty candidate set is a
+    ValidationError; one of design points only is a CampaignError.
     """
     if len(candidates.x) == 0:
         raise ValidationError("suggest_next: empty candidate set")
-    level_eff = get_transform(model.data.transform).apply(level)
-    means, sds = predict_batch(model, candidates.x, candidates.z)
-    ctx = _context(strategy, level_eff, model.data, model.space.num_combos)
-    report = select_point(means, sds, ctx, strategy)
+    report = _select(model, candidates, strategy, get_transform(model.data.transform).apply(level))[0]
     return candidates.point(report.chosen_index), report

@@ -203,6 +203,18 @@ def coincident(x1, z1, x2, z2) -> np.ndarray:
     return same_x & np.all(z1[:, None, :] == z2[None, :, :], axis=2)
 
 
+def coincident_rows(x1, z1, x2, z2) -> np.ndarray:
+    """``coincident(x1, z1, x2, z2).any(axis=1)`` without its (n1, n2, p)
+    broadcast: only the first set's points within 2 x DUPLICATE_TOL of a
+    second-set point in the first coordinate take the exact test."""
+    first = np.sort(x2[:, 0])
+    near = np.flatnonzero(np.searchsorted(first, x1[:, 0] - 2 * DUPLICATE_TOL)
+                          < np.searchsorted(first, x1[:, 0] + 2 * DUPLICATE_TOL, side="right"))
+    mask = np.zeros(len(x1), dtype=bool)
+    mask[near] = coincident(x1[near], z1[near], x2, z2).any(axis=1)
+    return mask
+
+
 def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     """Covariance matrix (n1, n2) between two point sets given as (n,p) and
     (n,q) arrays.
@@ -269,13 +281,16 @@ def _term_tables(qual_levels: tuple[int, ...], p: int) -> tuple[np.ndarray, ...]
 
 
 class _KernelWorkspace:
-    """The pair table: what the fit's repeated Gram builds over a list of
-    pairs share.  One-shot grids, such as ``predict_batch``'s, go through
-    ``cross_covariance``'s column blocks instead, which build no table.
+    """The pair table: what the Gram builds over a list of pairs share, such
+    as the fit's repeated builds of its training Gram and ``condition``'s
+    one.  Grids against other points, such as ``predict_batch``'s, go
+    through ``cross_covariance``'s column blocks instead, which build no
+    table.
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram.  ``levels`` lists, in factor order, the (factor, column) of
+    set's Gram, and ``flat_pairs`` their positions in a row-major (n1, n2)
+    matrix.  ``levels`` lists, in factor order, the (factor, column) of
     each level that some pair shares; levels no pair shares are dropped.
 
     ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
@@ -295,6 +310,7 @@ class _KernelWorkspace:
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs):
         self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
+        self.flat_pairs = np.ravel_multi_index(pairs, self.size)
         p = x1.shape[1]
         self.n_pairs = n_pairs = len(pairs[0])
         variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
@@ -419,6 +435,15 @@ class _KernelWorkspace:
         g[:n_sigma] += e[:n_sigma] * (jitter_rate * (inv.trace() - alpha @ alpha))
         g[n_sigma:] *= e[n_sigma:]
         return g
+
+
+def _lower_gram(ws: _KernelWorkspace, values: np.ndarray) -> np.ndarray:
+    """The Gram with ``ws.gram``'s values over a lower triangle's pairs and
+    zeros above: potrf reads the lower triangle only, and the diagonal
+    gives the jitter."""
+    phi = np.zeros(ws.size)
+    phi.reshape(-1)[ws.flat_pairs] = values
+    return phi
 
 
 def _try_cholesky(phi: np.ndarray, jitter: float):
@@ -603,11 +628,18 @@ def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
     >= 0) is added to the Gram diagonal as given; None climbs from 1e-8 x
     the mean Gram diagonal tenfold up to 1e-4 x.  A Gram that does not
     factor raises IllConditionedModelError.
+
+    The training Gram is built as the fit's objective builds it, on the
+    pair table of its lower triangle, so that a fitted model is the
+    posterior its objective scored.
     """
     params.validate(space)
     if jitter is not None and not (math.isfinite(jitter) and jitter >= 0):
         raise ValidationError(f"jitter must be None or finite and >= 0, got {jitter}")
-    post = _posterior(cross_covariance(params, data.x, data.z, data.x, data.z), data.responses, jitter)
+    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(len(data)))
+    phi = _lower_gram(ws, ws.gram(_param_vector(params)))
+    phi += np.tril(phi, -1).T  # symmetric, for a failure's condition number
+    post = _posterior(phi, data.responses, jitter)
     return FittedModel(params=replace(params, mu=post.mu_hat), data=data, space=space, **vars(post))
 
 
@@ -861,19 +893,11 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     start's initial objective, taken from the start's first evaluation.
     """
     y = data.responses
-    n = len(y)
-    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(n))
-    lower = np.ravel_multi_index(ws.pairs, (n, n))
+    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(len(data)))
     rhs = _with_ones(y)
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
     jitter_rate = _JITTER_START * config.jitter_scale
-
-    def lower_gram(values: np.ndarray) -> np.ndarray:
-        # potrf reads the lower triangle only; the diagonal gives the jitter
-        phi = np.zeros((n, n))
-        phi.reshape(-1)[lower] = values
-        return phi
 
     def jitter_of(phi: np.ndarray) -> float:
         return jitter_rate * _diag_mean(phi)
@@ -881,7 +905,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
         e = np.exp(vec)
         values, terms = ws.gram(e, with_terms=True)
-        phi = lower_gram(values)
+        phi = _lower_gram(ws, values)
         factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
             return np.inf, np.zeros(dim)
@@ -922,7 +946,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         try:
             # condition at the objective's jitter, so the stored nll is the
             # likelihood of the returned factor
-            jitter = jitter_of(lower_gram(ws.gram(np.exp(xb))))
+            jitter = jitter_of(_lower_gram(ws, ws.gram(np.exp(xb))))
             model = condition(params, data, space, jitter=jitter)
         except IllConditionedModelError:
             continue

@@ -262,6 +262,32 @@ class TestSuggest:
         doc = json.loads(capsys.readouterr().out)
         assert doc["report"]["chosen_index"] in (0, 1, 2)
 
+    @staticmethod
+    def write_candidates(path, model, extra=()):
+        """A candidates CSV of the model's design points, then ``extra`` rows."""
+        rows = [(*model.space.denormalize(pt.x), *pt.z) for pt in model.data.points] + list(extra)
+        path.write_text("x_1,z_1\n" + "".join(f"{x!r},{z}\n" for x, z in rows))
+
+    def test_candidates_on_design_skipped(self, small_model, model_path, tmp_path, capsys):
+        path = tmp_path / "cands.csv"
+        self.write_candidates(path, small_model, [(0.05, 1), (0.45, 2), (0.95, 3)])
+        level = float(small_model.data.responses[0])
+        assert main(["suggest", "--model", str(model_path), "--candidates", str(path),
+                     "--strategy", "ecl", "--level", repr(level)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["report"]["chosen_index"] >= len(small_model.data)
+        design = [(list(small_model.space.denormalize(pt.x)), list(pt.z)) for pt in small_model.data.points]
+        assert (doc["point"]["x"], doc["point"]["z"]) not in design
+
+    def test_candidates_all_on_design_exit_3(self, small_model, model_path, tmp_path, capsys):
+        path = tmp_path / "cands.csv"
+        self.write_candidates(path, small_model)
+        assert main(["suggest", "--model", str(model_path), "--candidates", str(path), "--level", "-0.9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        doc = json.loads(captured.err)
+        assert doc["error"] == "CampaignError" and "all candidates duplicate" in doc["message"]
+
     def test_empty_candidates_file(self, model_path, tmp_path, capsys):
         path = tmp_path / "cands.csv"
         path.write_text("x_1,z_1\n")

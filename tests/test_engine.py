@@ -9,7 +9,7 @@ import contour_seeker as cs
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed, seed_sequence_state, select_point
 from contour_seeker.errors import CampaignError, ValidationError
-from contour_seeker.ezgp import coincident, condition, params_from_dict
+from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition, params_from_dict
 from contour_seeker.traceio import read_csv, save_trace
 
 from conftest import arrays
@@ -296,11 +296,37 @@ class TestDuplicateGuard:
         ([((0.25,), (1, 2, 3)), ((0.75,), (3, 2, 1))],
          [((0.25,), (1, 2, 3)), ((0.25,), (1, 2, 1)), ((0.75 - 5e-13,), (3, 2, 1)), ((0.75,), (1, 2, 3))],
          [True, False, True, False]),
+        # q=0, design points sharing a first coordinate: the other coordinates decide
+        ([((0.5, 0.1), ()), ((0.5, 0.4), ()), ((0.5, 0.9), ()), ((0.2, 0.4), ())],
+         [((0.5, 0.4 + 5e-13), ()), ((0.5 + 5e-13, 0.9), ()), ((0.5, 0.5), ()), ((0.2, 0.1), ()),
+          ((0.5 + 1e-9, 0.1), ()), ((0.2 - 5e-13, 0.4 - 5e-13), ())],
+         [True, True, False, False, False, True]),
+        # q=3, design points sharing a first coordinate: the levels decide
+        ([((0.3, 0.6), (1, 1, 1)), ((0.3, 0.6), (2, 1, 1)), ((0.3, 0.2), (1, 2, 3))],
+         [((0.3 + 5e-13, 0.6), (2, 1, 1)), ((0.3, 0.6), (2, 2, 3)), ((0.3 - 1e-9, 0.6), (1, 1, 1)),
+          ((0.3, 0.2), (1, 2, 3)), ((0.3, 0.2 + 1e-9), (1, 2, 3))],
+         [True, False, False, True, False]),
     ])
     def test_mask_factor_counts(self, existing, cands, expected):
-        data = cs.Dataset(tuple(cs.MixedPoint(x, z) for x, z in existing), np.array([1.0, 2.0]))
-        mask = coincident(*point_arrays([cs.MixedPoint(x, z) for x, z in cands]), data.x, data.z).any(axis=1)
-        assert mask.tolist() == expected
+        data = cs.Dataset(tuple(cs.MixedPoint(x, z) for x, z in existing), np.arange(len(existing), dtype=float))
+        x, z = point_arrays([cs.MixedPoint(x, z) for x, z in cands])
+        assert coincident(x, z, data.x, data.z).any(axis=1).tolist() == expected
+        assert coincident_rows(x, z, data.x, data.z).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_mask_equals_coincident_at_tolerance_edges(self, seed):
+        # a few first coordinates shared by many design points, and candidates
+        # moved off design points by steps around DUPLICATE_TOL, in each coordinate
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.choice([0.0, 0.125, 0.3, 0.7, 1.0], 40), rng.random((40, 2))])
+        z = rng.integers(1, 3, (40, 2))
+        steps = DUPLICATE_TOL * np.array([0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 2.001, 3.0, 1e3])
+        rows = rng.integers(0, 40, 400)
+        cx = x[rows] + rng.choice([-1.0, 1.0], (400, 3)) * rng.choice(steps, (400, 3)) * (rng.random((400, 3)) < 0.5)
+        cz = np.where(rng.random((400, 1)) < 0.8, z[rows], rng.integers(1, 3, (400, 2)))
+        expected = coincident(cx, cz, x, z).any(axis=1)
+        assert 0 < expected.sum() < len(expected)
+        assert np.array_equal(coincident_rows(cx, cz, x, z), expected)
 
     @pytest.mark.parametrize("pts,pairs", [
         ([((0.1, 0.2), ()), ((0.3, 0.4), ()), ((0.1, 0.2), ()), ((0.3, 0.4 + 5e-13), ())],
@@ -357,6 +383,24 @@ class TestDuplicateGuard:
         header, rows = read_csv(tmp_path / "trace.csv")
         assert [row[header.index("note")] for row in rows] == ["skipped 1 duplicate candidates"]
 
+    def test_run_with_design_candidates_only_aborts(self, ex1_sim, monkeypatch):
+        from contour_seeker import engine
+
+        real_fit = engine.fit
+        fitted = []
+
+        def recording_fit(data, *args, **kwargs):
+            fitted.append(data)
+            return real_fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "fit", recording_fit)
+        monkeypatch.setattr(engine, "candidate_set", lambda *args: cs.CandidateSet(fitted[-1].x, fitted[-1].z))
+        with pytest.raises(CampaignError, match="^all candidates duplicate existing design points at n=9$") as err:
+            cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
+        trace = err.value.trace
+        assert trace.aborted and trace.error == str(err.value)
+        assert trace.records == [] and len(trace.dataset) == 9
+
     def test_mask_tolerance(self, ex1_space):
         pts = (cs.MixedPoint((0.25,), (1,)), cs.MixedPoint((0.75,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0]))
@@ -410,6 +454,24 @@ class TestSuggestNext:
         empty = cs.CandidateSet(np.empty((0, 1)), np.empty((0, 1), dtype=int))
         with pytest.raises(ValidationError):
             cs.suggest_next(small_model, empty, cs.Strategy("rcc"), level=0.0)
+
+    @pytest.mark.parametrize("kind", ["ecl", "rcc"])
+    def test_skips_design_points(self, small_model, kind):
+        # at the level of a design response, the design point itself is the
+        # likeliest pick of an unfiltered step
+        data = small_model.data
+        extra = cs.candidate_set(small_model.space, 30, seed=12)
+        cand = cs.CandidateSet(np.vstack([data.x, extra.x]), np.vstack([data.z, extra.z]))
+        for level in data.responses:
+            point, report = cs.suggest_next(small_model, cand, cs.Strategy(kind, delta=0.05), level=float(level))
+            assert report.chosen_index >= len(data)
+            assert point == cand.point(report.chosen_index)
+            assert point not in data.points
+
+    def test_design_points_only_rejected(self, small_model):
+        data = small_model.data
+        with pytest.raises(CampaignError, match="all candidates duplicate existing design points"):
+            cs.suggest_next(small_model, cs.CandidateSet(data.x, data.z), cs.Strategy("rcc"), level=0.0)
 
 
 class TestRunOneShot:

@@ -663,6 +663,24 @@ class TestFit:
         m = cs.fit(data, sim.space, config)
         assert neg_log_likelihood(m.params, m.data, m.space, m.jitter) == m.nll
 
+    # design and fit seeds; the first three are fits whose stored nll differed
+    # from the objective while the model's Gram came from cross_covariance
+    @pytest.mark.parametrize("seed, fit_seed", [(1, 1), (6, 0), (9, 0), (0, 0)])
+    def test_stored_nll_is_objective_at_returned_params_wide(self, seed, fit_seed, tmp_path, monkeypatch):
+        # at p = 8 the pair table and cross_covariance differ in last bits
+        # (GEMV_ROW_BITS); the model must still be the posterior the
+        # objective scored, and a saved model must load as that posterior
+        space, data = wide_design(8, seed=seed)
+        config = cs.FitConfig(n_starts=2, max_fev=200, seed=fit_seed)
+        model, starts = recorded_starts(data, space, config, monkeypatch)
+        e = ezgp._param_vector(model.params)
+        objective, vec = next((fun, v) for fun, x0, res in starts for v in (res.x, x0)
+                              if np.array_equal(np.exp(v), e))
+        assert objective(vec)[0] == model.nll
+        path = tmp_path / "model.json"
+        cs.save_model(model, path)
+        assert cs.load_model(path).nll == model.nll
+
     def test_never_worse_than_any_start(self, small_model):
         achieved = small_model.nll
         assert small_model.start_objectives

@@ -218,3 +218,9 @@ def test_loader_names_what_is_missing():
         ezgp._scipy_extension("linalg", "_flapack", "dpotrf", "no_such_routine")
     # the range the message names is the dependency pin
     assert '"scipy>=1.17,<1.18"' in (SRC.parent / "pyproject.toml").read_text()
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a parallel bench starts worker processes, so only it imports the executor
+    script = "import json, sys\nfrom contour_seeker import cli\nprint(json.dumps('concurrent.futures' in sys.modules))"
+    assert run_fresh(script) is False
