@@ -205,13 +205,19 @@ def coincident(x1, z1, x2, z2) -> np.ndarray:
 
 def coincident_rows(x1, z1, x2, z2) -> np.ndarray:
     """``coincident(x1, z1, x2, z2).any(axis=1)`` without its (n1, n2, p)
-    broadcast: only the first set's points within 2 x DUPLICATE_TOL of a
-    second-set point in the first coordinate take the exact test."""
-    first = np.sort(x2[:, 0])
-    near = np.flatnonzero(np.searchsorted(first, x1[:, 0] - 2 * DUPLICATE_TOL)
-                          < np.searchsorted(first, x1[:, 0] + 2 * DUPLICATE_TOL, side="right"))
+    broadcast.  A coincident pair is within 2 x DUPLICATE_TOL in the first
+    coordinate.  The first set's sorted coordinates give the second-set
+    points with such a neighbour (usually none); the first-set points near
+    one of those, found by ``searchsorted``, alone take the exact test."""
+    reach = 2 * DUPLICATE_TOL
+    ordered = np.sort(x1[:, 0])
+    hit = np.flatnonzero(np.searchsorted(ordered, x2[:, 0] - reach)
+                         < np.searchsorted(ordered, x2[:, 0] + reach, side="right"))
+    first = np.sort(x2[hit, 0])
+    near = np.flatnonzero(np.searchsorted(first, x1[:, 0] - reach)
+                          < np.searchsorted(first, x1[:, 0] + reach, side="right"))
     mask = np.zeros(len(x1), dtype=bool)
-    mask[near] = coincident(x1[near], z1[near], x2, z2).any(axis=1)
+    mask[near] = coincident(x1[near], z1[near], x2[hit], z2[hit]).any(axis=1)
     return mask
 
 
