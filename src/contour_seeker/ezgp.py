@@ -19,13 +19,17 @@ pairs of its lower triangle, where the gradient is one product of a
 design matrix, built at the first gradient, with the pair terms.
 One-shot cross-covariances between two point sets (``condition``,
 ``predict_batch``, ``coverage_check``) build no table: ``cross_covariance``
-computes them in column blocks, with the table's bits.  A table's Gram
-build takes the variances and rates in ``_pack``'s order,
-computes the rates of every term, base and level, in one stacked product,
-exponentiates and scales them in one buffer once, and adds the level
-terms to their pairs in factor order with one ``np.add.at``; each step
-keeps the bits of a build one level at a time.  The profiled likelihood
-solves for y and 1 with one two-column ``dpotrs``.  ``fit`` runs its
+computes them in column blocks, with the table's bits.  A block writes
+its differences one coordinate at a time, so that numpy's inner loops run
+over the block's columns rather than over p, and adds each level term
+times its mask of matching levels.  A table's Gram build takes the
+variances and rates in ``_pack``'s order, computes the rates of every
+term, base and level, in one stacked product, exponentiates and scales
+them in one buffer once, and adds the level terms to their pairs in
+factor order with one ``np.add.at``; each step keeps the bits of a build
+one level at a time.  The fit writes each evaluation's Gram into one
+column-major buffer, which ``_try_cholesky`` factors in place.  The
+profiled likelihood solves for y and 1 with one two-column ``dpotrs``.  ``fit`` runs its
 LAPACK calls on one BLAS thread and restores the previous count
 afterwards.  The conditioning core, ``_posterior`` and ``_predictive``,
 takes one training Gram or a stack of them along leading axes; only the
@@ -199,8 +203,13 @@ def covariance(params: EzGpParams, a: MixedPoint, b: MixedPoint) -> float:
 def coincident(x1, z1, x2, z2) -> np.ndarray:
     """(n1, n2) mask of input pairs that share every level and differ by at
     most DUPLICATE_TOL in every quantitative coordinate."""
-    same_x = np.max(np.abs(x1[:, None, :] - x2[None, :, :]), axis=2) <= DUPLICATE_TOL
-    return same_x & np.all(z1[:, None, :] == z2[None, :, :], axis=2)
+    mask = np.ones((len(x1), len(x2)), dtype=bool)
+    # one (n1, n2) comparison per coordinate and per factor; a NaN coordinate compares False
+    for a in range(x1.shape[1]):
+        mask &= np.abs(x1[:, a, None] - x2[:, a]) <= DUPLICATE_TOL
+    for h in range(z1.shape[1]):
+        mask &= z1[:, h, None] == z2[:, h]
+    return mask
 
 
 def coincident_rows(x1, z1, x2, z2) -> np.ndarray:
@@ -227,14 +236,19 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
 
     Built in equal blocks of at most ``_GRID_COLUMNS`` columns of the second
     set, so memory grows as n1 x n2 plus one block's differences.  A block
-    writes its negated squared differences once, into one buffer; takes the
-    base term as one product with ``theta0``, its ``exp`` and its variance;
-    then, factor by factor, every pair's term at the first point's level
-    rates (one product per row), its ``exp`` and its variance, added where
-    the levels match.  So each pair gets its base term and then its level
-    terms in factor order.  Every product is a gemv over rows of negated
-    squared differences, with the bits of the fit's pair table; a product
-    of one row would be a dot, so a single column is computed as two.
+    writes its negated squared differences once, into one (n1, columns, p)
+    buffer, one coordinate at a time (so numpy's loops run over the block's
+    columns, not over p); takes the base term as one product with
+    ``theta0``, its ``exp`` and its variance; then, factor by factor, every
+    pair's term at the first point's level rates (one product per row), its
+    ``exp`` and its variance, multiplied by the mask of matching levels and
+    added.  That is exactly the add where the levels match: a term of valid
+    parameters is finite and >= 0, so off the mask it becomes +0.0, and the
+    values (>= +0) plus +0.0 are unchanged.  So each pair gets its base term
+    and then its level terms in factor order.  Every product is a gemv over
+    rows of negated squared differences, with the bits of the fit's pair
+    table; a product of one row would be a dot, so a single column is
+    computed as two.
     """
     n1, n2, p = len(x1), len(x2), x1.shape[1]
     if n2 == 1:
@@ -252,7 +266,8 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
         cols = len(x_block)
         neg_d2 = neg_d2_buf[:n1 * cols * p].reshape(n1, cols, p)
         block, term = values_buf[:2 * n1 * cols].reshape(2, n1, cols)
-        np.subtract(x1[:, None, :], x_block[None, :, :], out=neg_d2)
+        for a in range(p):
+            np.subtract(x1[:, a, None], x_block[:, a], out=neg_d2[:, :, a])
         np.square(neg_d2, out=neg_d2)
         np.negative(neg_d2, out=neg_d2)
         np.matmul(neg_d2, params.theta0, out=block)
@@ -262,7 +277,8 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
             np.matmul(neg_d2, rates, out=term[:, :, None])
             np.exp(term, out=term)
             term *= params.sigma2[h + 1]
-            np.add(block, term, out=block, where=z1[:, h, None] == z_block[:, h])
+            np.multiply(term, z1[:, h, None] == z_block[:, h], out=term)
+            block += term
         k[:, start:start + cols] = block
     return k
 
@@ -295,9 +311,10 @@ class _KernelWorkspace:
 
     ``pairs`` lists the (i, j) pairs of points of the two sets as two index
     arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram, and ``flat_pairs`` their positions in a row-major (n1, n2)
-    matrix.  ``levels`` lists, in factor order, the (factor, column) of
-    each level that some pair shares; levels no pair shares are dropped.
+    set's Gram, and ``flat_pairs`` their positions i + n1 * j in a
+    column-major (n1, n2) matrix.  ``levels`` lists, in factor order, the
+    (factor, column) of each level that some pair shares; levels no pair
+    shares are dropped.
 
     ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
     squared coordinate differences, one per term of a build: first each of
@@ -316,7 +333,7 @@ class _KernelWorkspace:
 
     def __init__(self, x1, z1, x2, z2, qual_levels, pairs):
         self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
-        self.flat_pairs = np.ravel_multi_index(pairs, self.size)
+        self.flat_pairs = np.ravel_multi_index(pairs, self.size, order="F")
         p = x1.shape[1]
         self.n_pairs = n_pairs = len(pairs[0])
         variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
@@ -400,11 +417,11 @@ class _KernelWorkspace:
         """``(D, term_index)`` for a lower triangle's pairs.
 
         The terms are those of ``term_positions``; ``term_index`` is the
-        position of each term's pair in a column-major (n, n) matrix.  ``D``
-        has one row per log-parameter in ``_pack``'s order and one column
-        per term: the term's pair weight at its variance and the weight
-        times its ``stacked`` row at its rates, the sign of the term's
-        derivative.  The weight is 1 on the diagonal and 2 off it, where a
+        position of each term's pair in a column-major (n, n) matrix, as in
+        ``flat_pairs``.  ``D`` has one row per log-parameter in ``_pack``'s
+        order and one column per term: the term's pair weight at its
+        variance and the weight times its ``stacked`` row at its rates, the
+        sign of the term's derivative.  The weight is 1 on the diagonal and 2 off it, where a
         pair stands for its mirror image.
         """
         i, j = self.pairs
@@ -418,7 +435,7 @@ class _KernelWorkspace:
         design = np.zeros((len(self.qual_levels) + 1 + p + p * sum(self.qual_levels), len(positions)))
         design[self.variance_index[row, 0], cols] = w
         design[self.rate_index[row, :, 0], cols[:, None]] = w[:, None] * self.stacked.reshape(-1, p)[positions]
-        return design, np.ravel_multi_index(self.pairs, self.size, order="F")[term_pair]
+        return design, self.flat_pairs[term_pair]
 
     def nll_gradient(self, e: np.ndarray, factor: np.ndarray, resid: np.ndarray, terms: np.ndarray,
                      jitter_rate: float) -> np.ndarray:
@@ -443,22 +460,28 @@ class _KernelWorkspace:
         return g
 
 
-def _lower_gram(ws: _KernelWorkspace, values: np.ndarray) -> np.ndarray:
-    """The Gram with ``ws.gram``'s values over a lower triangle's pairs and
-    zeros above: potrf reads the lower triangle only, and the diagonal
-    gives the jitter."""
-    phi = np.zeros(ws.size)
-    phi.reshape(-1)[ws.flat_pairs] = values
-    return phi
+def _lower_gram(ws: _KernelWorkspace, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The column-major Gram with ``ws.gram``'s values over a lower
+    triangle's pairs, written into ``out`` when given, else into a new zero
+    matrix: potrf reads the lower triangle only, and the diagonal gives the
+    jitter.  potrf and potri with ``lower=1`` never write the upper
+    triangle, so a buffer that they factor and invert in place keeps it
+    zero, and the next values overwrite every entry they wrote."""
+    if out is None:
+        out = np.zeros(ws.size, order="F")
+    out.reshape(-1, order="F")[ws.flat_pairs] = values
+    return out
 
 
-def _try_cholesky(phi: np.ndarray, jitter: float):
-    """LAPACK's lower factor c of phi + jitter I, or None.
+def _try_cholesky(a: np.ndarray, jitter: float):
+    """LAPACK's lower factor c of a + jitter I, or None, computed in a's
+    place.
 
-    ``c`` is column-major, and its strict upper triangle still holds phi's
-    entries, so read it through ``np.tril``."""
-    # column-major, so potrf factors this copy in place instead of copying again
-    a = np.array(phi, order="F")
+    ``a`` must be column-major, so that potrf writes over it without a copy:
+    the jitter goes onto its diagonal, and its lower triangle becomes the
+    factor (or, on failure, a partial one).  ``c`` is ``a`` itself, and its
+    strict upper triangle still holds a's entries, so read it through
+    ``np.tril``."""
     a.reshape(-1, order="F")[::len(a) + 1] += jitter  # a view: a is column-major
     c, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
     return None if info != 0 else c
@@ -509,7 +532,8 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
     each Gram of a stack (..., n, n), and the jitter it took.
 
     Each Gram climbs its own jitter ladder (``_jitter_ladder``) and stops at
-    the first rung where ``_try_cholesky`` factors it.  A Gram that fails at
+    the first rung where ``_try_cholesky`` factors it; each rung factors a
+    fresh column-major copy, so phi is left as it was.  A Gram that fails at
     every rung, or whose mean diagonal is not finite, leaves NaN in its
     factor and its jitter; a single Gram, run as a stack of one, raises
     IllConditionedModelError instead.
@@ -521,7 +545,7 @@ def _factor_gram(phi: np.ndarray, jitter: float | None = None):
     c, used = np.full((len(phis), n, n), np.nan).swapaxes(-1, -2), np.full(len(phis), np.nan)
     for i, scale in enumerate(scales):
         for j in _jitter_ladder(scale, jitter):
-            factor = _try_cholesky(phis[i], j)
+            factor = _try_cholesky(np.array(phis[i], order="F"), j)
             if factor is not None:
                 c[i], used[i] = factor, j
                 break
@@ -891,12 +915,16 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     on the pair table of the Gram's lower triangle, which is all LAPACK's
     lower Cholesky factor reads, and hands the exponentiated log-parameters
     to the Gram build as they are; the gradient's design matrix is built at
-    the first gradient.  No ``EzGpParams`` is built per evaluation.  The fit runs on
-    one BLAS thread and restores the previous count on return or raise.  A
-    trial point whose Gram does not factor scores inf, which ends that
-    start at its last finite point.  Returns the best factorizable local
-    optimum over all starts; the achieved objective never exceeds any
-    start's initial objective, taken from the start's first evaluation.
+    the first gradient.  Every evaluation writes its Gram into the lower
+    triangle of one column-major buffer, which ``_try_cholesky`` factors
+    and the gradient's ``dpotri`` inverts in place, so no evaluation copies
+    its Gram or keeps state from the last one.  No ``EzGpParams`` is built
+    per evaluation.  The fit runs on one BLAS thread and restores the
+    previous count on return or raise.  A trial point whose Gram does not
+    factor scores inf, which ends that start at its last finite point.
+    Returns the best factorizable local optimum over all starts; the
+    achieved objective never exceeds any start's initial objective, taken
+    from the start's first evaluation.
     """
     y = data.responses
     ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(len(data)))
@@ -908,10 +936,12 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     def jitter_of(phi: np.ndarray) -> float:
         return jitter_rate * _diag_mean(phi)
 
+    phi = np.zeros(ws.size, order="F")  # every evaluation's Gram, factored in place
+
     def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
         e = np.exp(vec)
         values, terms = ws.gram(e, with_terms=True)
-        phi = _lower_gram(ws, values)
+        _lower_gram(ws, values, out=phi)
         factor = _try_cholesky(phi, jitter_of(phi))
         if factor is None:
             return np.inf, np.zeros(dim)

@@ -157,6 +157,57 @@ class TestDataset:
         assert len(bigger) == 3 and bigger.responses[-1] == 7.0
 
 
+def broadcast_coincident(x1, z1, x2, z2):
+    """``coincident``'s mask from one (n1, n2, p) broadcast and its max over p."""
+    same_x = np.max(np.abs(x1[:, None, :] - x2[None, :, :]), axis=2) <= ezgp.DUPLICATE_TOL
+    return same_x & np.all(z1[:, None, :] == z2[None, :, :], axis=2)
+
+
+class TestCoincident:
+    """``coincident`` compares one coordinate and one factor at a time, with
+    the broadcast's mask."""
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_equals_broadcast(self, p, q):
+        rng = np.random.default_rng(10 * p + q)
+        x2, z2 = rng.random((40, p)), rng.integers(1, 3, (40, q))
+        # second-set points moved by offsets around the tolerance in each coordinate,
+        # some with one level changed, then points drawn afresh and a NaN coordinate
+        src = rng.integers(40, size=300)
+        offsets = np.array([0.0, 0.999, 1.0, 1.001, 2.0]) * ezgp.DUPLICATE_TOL
+        x1 = x2[src] + rng.choice(offsets, (300, p)) * rng.choice([-1.0, 1.0], (300, p))
+        z1 = z2[src].copy()
+        other = rng.random((300, q)) < 0.1
+        z1[other] = 3 - z1[other]
+        x1[-30:] = rng.random((30, p))
+        x1[0, -1] = np.nan
+        mask = ezgp.coincident(x1, z1, x2, z2)
+        expected = broadcast_coincident(x1, z1, x2, z2)
+        assert mask.dtype == bool and mask.shape == (300, 40)
+        assert np.array_equal(mask, expected)
+        assert 0 < expected[1:].any(axis=1).sum() < 299 and not mask[0].any()
+
+    def test_dataset_reports_planted_duplicates(self):
+        space = cs.make_space([(0, 1)] * 3, [2, 3])
+        points = list(cs.initial_design(space, 12, seed=2))
+        tol = ezgp.DUPLICATE_TOL
+
+        def moved(i, offset, z=None):
+            return cs.MixedPoint(tuple(np.add(points[i].x, offset)), points[i].z if z is None else z)
+
+        points += [
+            moved(1, 0.0),                        # 12: a copy of 1
+            moved(4, 0.5 * tol),                  # 13: within the tolerance of 4 in every coordinate
+            moved(1, [0.5 * tol, 0.0, 0.0]),      # 14: within the tolerance of 1, and so of 12
+            moved(7, [0.0, 0.0, 2.5 * tol]),      # 15: out of reach of 7
+            moved(9, 0.0, z=(points[9].z[0], points[9].z[1] % 3 + 1)),  # 16: 9 at another level
+        ]
+        with pytest.raises(ValidationError) as info:
+            cs.Dataset(tuple(points), np.zeros(len(points)))
+        assert str(info.value) == "duplicate design points at index pairs [(1, 12), (1, 14), (4, 13), (12, 14)]"
+
+
 class TestGram:
     def test_two_well_separated_points(self):
         sp = cs.make_space([(0, 1)], [3])
@@ -831,6 +882,41 @@ class TestOptimizer:
         cs.fit(data, space, cs.FitConfig(n_starts=5, max_fev=60))
         assert len(nfev) == 5
         assert sum(nfev) == calls[0]
+
+
+def captured_objective(data, space, config, monkeypatch):
+    """The objective ``fit`` hands its first start, captured before any evaluation."""
+    captured = []
+
+    def capture(fun, x0, **kwargs):
+        captured.append(fun)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ezgp, "minimize", capture)
+        with pytest.raises(_Captured):
+            cs.fit(data, space, config)
+    return captured[0]
+
+
+class TestObjectiveBuffer:
+    def test_reused_gram_keeps_no_state(self, monkeypatch):
+        # the objective factors one Gram buffer in place at every evaluation; a
+        # jitter of 1e-24 of the diagonal leaves failed, partial factors in it
+        space, data = design_data("example1", 30)
+        config = cs.FitConfig(jitter_scale=1e-16)
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        rng = np.random.default_rng(20261020)
+        points = [lo + rng.random(len(lo)) * (hi - lo) for _ in range(16)]
+        objective = captured_objective(data, space, config, monkeypatch)
+        forwards = [objective(vec) for vec in points]
+        backwards = [objective(vec) for vec in reversed(points)][::-1]
+        fresh = [captured_objective(data, space, config, monkeypatch)(vec) for vec in points]
+        values = [value for value, _ in forwards]
+        assert 0 < sum(np.isfinite(values)) < len(points)
+        for (value, grad), *others in zip(forwards, backwards, fresh):
+            for other_value, other_grad in others:
+                assert other_value == value and np.array_equal(other_grad, grad)
 
 
 class TestLbfgsbLoop:
