@@ -122,33 +122,6 @@ def _criterion(kind: str, means: np.ndarray, sds: np.ndarray, ctx: AcquisitionCo
     return out
 
 
-def _scalar(kind: str, mean: float, sd: float, ctx: AcquisitionContext) -> float:
-    return float(_criterion(kind, np.array([mean]), np.array([sd]), ctx)[0])
-
-
-def ei_contour(mean: float, sd: float, ctx: AcquisitionContext) -> float:
-    """Expected improvement toward the contour level (closed form).
-
-    The improvement of a response y is eps^2 - min{(y - a)^2, eps^2}
-    with eps = ei_alpha * sd; zero when sd is zero.
-    """
-    return _scalar("ei", mean, sd, ctx)
-
-
-def ecl(mean: float, sd: float, level: float) -> float:
-    """Bernoulli entropy of the exceedance probability; in [0, log 2].
-
-    Maximal where the surrogate is most uncertain about which side of
-    the contour the point lies on; zero when sd is zero.
-    """
-    return _scalar("ecl", mean, sd, AcquisitionContext(level, n=1, num_combos=1))
-
-
-def lcb_contour(mean: float, sd: float, ctx: AcquisitionContext) -> float:
-    """|mean - a| - rho * sd; smaller is better."""
-    return -_scalar("lcb", mean, sd, ctx)
-
-
 @dataclass(frozen=True)
 class RegionPartition:
     """Candidates split by the confidence bounds lb, ub on |Y - a|.
@@ -202,12 +175,6 @@ def partition(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> Re
     return RegionPartition(dist - half, dist + half)
 
 
-def bounds(mean: float, sd: float, ctx: AcquisitionContext) -> tuple[float, float]:
-    """Confidence bounds on the distance |Y - a|: |mean - a| -/+ sqrt(beta) sd."""
-    part = partition(np.array([mean]), np.array([sd]), ctx)
-    return float(part.lb[0]), float(part.ub[0])
-
-
 def _check_inner(inner: str) -> None:
     """RCC's band-region criterion is the entropy or the expected improvement."""
     if inner not in _RCC_INNER:
@@ -259,12 +226,12 @@ def _finalist(means, sds, i: int, ctx: AcquisitionContext, acq_value: float) -> 
 
 
 def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None,
-              ctx: AcquisitionContext, part: RegionPartition | None = None,
-              inner: str = "ecl") -> SelectionReport:
+              ctx: AcquisitionContext, part: RegionPartition, inner: str = "ecl") -> SelectionReport:
     """Pick between the two region finalists by sd / max(delta, |mean - a|).
 
     Ties go to the band-region finalist; a single finalist is chosen with
-    region tag "fallback".
+    region tag "fallback".  The report takes its region sizes and minimum
+    upper bound from ``part``, the candidates' partition.
     """
     _check_inner(inner)
     if i1 is None and i2 is None:
@@ -280,9 +247,7 @@ def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None
     else:
         chosen, region = (f1 or f2).index, "fallback"
 
-    sizes = (len(part.a1), len(part.a2), len(part.a1_min)) if part is not None else (0, 0, 0)
-    min_ub = part.min_ub if part is not None else float("nan")
-    return SelectionReport(chosen, region, f1, f2, sizes[0], sizes[1], sizes[2], min_ub)
+    return SelectionReport(chosen, region, f1, f2, len(part.a1), len(part.a2), len(part.a1_min), part.min_ub)
 
 
 def select_rcc(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,

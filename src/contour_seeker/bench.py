@@ -55,8 +55,8 @@ def reference_contour(sim: Simulator, space: DesignSpace, level: float, eps: flo
     Raises MetricUndefinedError when the band captures nothing; widen eps
     (or move the level) in that case.  A failed evaluation is an EvaluationError.
     """
-    if eps <= 0:
-        raise ValidationError(f"reference_contour: eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"reference_contour: eps must be finite and positive, got {eps}")
     tr = get_transform(transform)
     level_eff = tr.apply(level)
     cand = candidate_set(space, per_combo, seed)
@@ -94,6 +94,8 @@ class BenchConfig:
             raise ValidationError("benchmark grid must have strategies, levels, and budgets")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         for level in self.levels:
             CampaignConfig.check_level(level)
         for s in self.strategies:
@@ -197,17 +199,6 @@ def resolve_workers(requested: int) -> int:
     return max(requested, 1)
 
 
-def _single_thread_blas() -> None:
-    """Pool initializer: run the OpenBLAS bundled with numpy and scipy on one thread.
-
-    Each fit's L-BFGS-B calls scipy's OpenBLAS, which by default runs one
-    thread per CPU; with several workers the threads oversubscribe the CPUs
-    and each small BLAS call slows several-fold.  Does nothing where a
-    library or its thread-count symbols are absent.
-    """
-    _set_blas_threads(1)
-
-
 def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> BenchResult:
     """Run the full grid; replicates may run in parallel processes, each
     with single-threaded BLAS.
@@ -224,7 +215,10 @@ def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> B
     if workers > 1 and cfg.replicates > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: its import is ~20 ms of process start
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_single_thread_blas) as pool:
+        # each worker runs the bundled OpenBLAS on one thread: at its default of one thread per
+        # CPU, several workers' threads oversubscribe the CPUs and each small BLAS call slows
+        # several-fold
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
             outcomes = list(pool.map(_run_replicate,
                                      [sim] * cfg.replicates, [cfg] * cfg.replicates,
                                      range(cfg.replicates), [refs] * cfg.replicates))

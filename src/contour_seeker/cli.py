@@ -199,6 +199,7 @@ def _decode_verify(args, doc: dict):
     _reject_unknown_keys(doc, _VERIFY_KEYS, "verify config")
     doc = {**doc, **_given(seed=args.seed, out=args.out)}
     space, params = space_from_dict(doc["space"]), params_from_doc(doc["params"])
+    params.validate(space)
     return space, params, {
         "space": doc["space"],
         "params": params_to_dict(params),

@@ -132,18 +132,6 @@ def _unit_lhd(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def latin_hypercube(space: DesignSpace, n: int, seed: int) -> np.ndarray:
-    """n-point random LHD on the normalized cube [0,1]^p.
-
-    Each dimension places exactly one point in each stratum
-    [(i-1)/n, i/n).  Deterministic for a fixed seed.
-    """
-    if n < 1:
-        raise ValidationError(f"latin_hypercube: n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    return _unit_lhd(n, space.p, rng)
-
-
 def candidate_set(space: DesignSpace, per_combo: int, seed: int) -> CandidateSet:
     """Independent per-combination LHDs, per_combo x M points in total.
 

@@ -17,8 +17,8 @@ and LAPACK's ``dpotrf``, ``dpotrs`` and ``dpotri``
 The fit builds its Gram on a pair table, ``_KernelWorkspace``, over the
 pairs of its lower triangle, where the gradient is one product of a
 design matrix, built at the first gradient, with the pair terms.
-One-shot cross-covariances between two point sets (``condition``,
-``predict_batch``, ``coverage_check``) build no table: ``cross_covariance``
+One-shot cross-covariances between two point sets (``predict_batch``,
+``coverage_check``) build no table: ``cross_covariance``
 computes them in column blocks, with the table's bits.  A block writes
 its differences one coordinate at a time, so that numpy's inner loops run
 over the block's columns rather than over p, and adds each level term
@@ -55,6 +55,7 @@ import scipy
 
 from .design_space import DesignSpace, MixedPoint, _unit_lhd, point_arrays
 from .errors import FitFailureError, IllConditionedModelError, ValidationError
+from .simulators import get_transform
 
 # the scipy releases whose private compiled modules _scipy_extension loads (pyproject.toml's pin)
 _SCIPY_SUPPORTED = ">=1.17,<1.18"
@@ -121,8 +122,8 @@ class EzGpParams:
     theta: tuple[np.ndarray, ...]  # q arrays of shape (p, m_h)
 
     def validate(self, space: DesignSpace) -> None:
-        if not all(np.all(np.isfinite(v)) for v in (self.sigma2, self.theta0, *self.theta)):
-            raise ValidationError("variances and rates must be finite")
+        if not all(np.all(np.isfinite(v)) for v in (self.mu, self.sigma2, self.theta0, *self.theta)):
+            raise ValidationError("mu, variances and rates must be finite")
         if len(self.sigma2) != space.q + 1:
             raise ValidationError(f"sigma2 must have length q+1={space.q + 1}")
         if self.sigma2[0] <= 0 or np.any(np.asarray(self.sigma2) < 0):
@@ -149,6 +150,7 @@ class Dataset:
     """Ordered training pairs on the modeling (possibly transformed) scale.
 
     ``x`` (n, p) and ``z`` (n, q) are the arrays of ``points``, built once.
+    ``transform`` must name a response transform (``get_transform``).
     """
 
     points: tuple[MixedPoint, ...]
@@ -159,6 +161,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "responses", np.asarray(self.responses, dtype=float))
+        get_transform(self.transform)
         if len(self.points) != len(self.responses):
             raise ValidationError("points and responses must have equal length")
         if len(self.points) < 2:
@@ -182,22 +185,6 @@ class Dataset:
 
     def extended(self, point: MixedPoint, y: float) -> "Dataset":
         return Dataset(self.points + (point,), np.append(self.responses, y), self.transform)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    mean: float
-    sd: float
-
-
-def covariance(params: EzGpParams, a: MixedPoint, b: MixedPoint) -> float:
-    """Covariance between two inputs; symmetric by construction."""
-    d2 = np.square(np.asarray(a.x) - np.asarray(b.x))
-    val = params.sigma2[0] * math.exp(-float(d2 @ params.theta0))
-    for h, (la, lb) in enumerate(zip(a.z, b.z)):
-        if la == lb:
-            val += params.sigma2[h + 1] * math.exp(-float(d2 @ params.theta[h][:, la - 1]))
-    return float(val)
 
 
 def coincident(x1, z1, x2, z2) -> np.ndarray:
@@ -303,18 +290,16 @@ def _term_tables(qual_levels: tuple[int, ...], p: int) -> tuple[np.ndarray, ...]
 
 
 class _KernelWorkspace:
-    """The pair table: what the Gram builds over a list of pairs share, such
-    as the fit's repeated builds of its training Gram and ``condition``'s
-    one.  Grids against other points, such as ``predict_batch``'s, go
-    through ``cross_covariance``'s column blocks instead, which build no
-    table.
+    """The pair table of one point set's training Gram: what the fit's
+    repeated builds of it and ``condition``'s one share.  Grids against
+    other points, such as ``predict_batch``'s, go through
+    ``cross_covariance``'s column blocks instead, which build no table.
 
-    ``pairs`` lists the (i, j) pairs of points of the two sets as two index
-    arrays, such as ``np.tril_indices(n)`` for the lower triangle of one
-    set's Gram, and ``flat_pairs`` their positions i + n1 * j in a
-    column-major (n1, n2) matrix.  ``levels`` lists, in factor order, the
-    (factor, column) of each level that some pair shares; levels no pair
-    shares are dropped.
+    ``pairs`` lists the (i, j) pairs of the Gram's lower triangle,
+    ``np.tril_indices(n)``, as two index arrays, and ``flat_pairs`` their
+    positions i + n * j in a column-major (n, n) matrix.  ``levels`` lists,
+    in factor order, the (factor, column) of each level that some point of
+    the set takes; levels no point takes are dropped.
 
     ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
     squared coordinate differences, one per term of a build: first each of
@@ -327,20 +312,21 @@ class _KernelWorkspace:
     padding), and ``rate_index`` and ``variance_index`` where each row's
     rates and variance sit in ``_pack``'s order.  All of them are built
     with array operations, without a loop over the levels.  ``design``,
-    for the likelihood gradient over a lower triangle, is built on first
-    use.
+    for the likelihood gradient, is built on first use.
     """
 
-    def __init__(self, x1, z1, x2, z2, qual_levels, pairs):
-        self.size, self.qual_levels, self.pairs = (len(x1), len(x2)), tuple(qual_levels), pairs
-        self.flat_pairs = np.ravel_multi_index(pairs, self.size, order="F")
-        p = x1.shape[1]
-        self.n_pairs = n_pairs = len(pairs[0])
+    def __init__(self, x, z, qual_levels):
+        self.size, self.qual_levels = (len(x), len(x)), tuple(qual_levels)
+        self.pairs = i, j = np.tril_indices(len(x))
+        self.flat_pairs = np.ravel_multi_index(self.pairs, self.size, order="F")
+        p = x.shape[1]
+        self.n_pairs = n_pairs = len(i)
         variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
-        # each row of ``sel`` marks the pairs that share one level; ``member`` lists the
-        # marked pairs in level order, ascending within a level
-        sel = ((z1.T[level_factor] == level_value[:, None])[:, pairs[0]]
-               & (z2.T[level_factor] == level_value[:, None])[:, pairs[1]])
+        # each row of ``at_level`` marks the points at one level, and each row of ``sel``
+        # the pairs that share it; ``member`` lists the marked pairs in level order,
+        # ascending within a level
+        at_level = z.T[level_factor] == level_value[:, None]
+        sel = at_level[:, i] & at_level[:, j]
         level_counts = sel.sum(axis=1)
         member = np.flatnonzero(sel) - np.repeat(n_pairs * np.arange(len(sel)), level_counts)
         kept = np.flatnonzero(level_counts)
@@ -361,13 +347,13 @@ class _KernelWorkspace:
         targets = np.full((len(level_row), self.width), n_pairs, dtype=np.intp)
         targets[np.arange(self.width) < fill[:, None]] = member
         self.targets = targets.reshape(-1)
-        del sel, member  # freed before the stack is allocated
+        del at_level, sel, member  # freed before the stack is allocated
 
         self.stacked = np.empty((len(row_term), self.width, p))
         rows = self.stacked.reshape(-1, p)
         cut = self.base_rows * self.width
         neg_d2 = rows[:n_pairs]
-        np.subtract(x1[pairs[0]], x2[pairs[1]], out=neg_d2)
+        np.subtract(x[i], x[j], out=neg_d2)
         np.square(neg_d2, out=neg_d2)
         np.negative(neg_d2, out=neg_d2)
         rows[n_pairs:cut] = 0
@@ -414,7 +400,7 @@ class _KernelWorkspace:
 
     @cached_property
     def design(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(D, term_index)`` for a lower triangle's pairs.
+        """``(D, term_index)`` over the pairs.
 
         The terms are those of ``term_positions``; ``term_index`` is the
         position of each term's pair in a column-major (n, n) matrix, as in
@@ -440,7 +426,7 @@ class _KernelWorkspace:
     def nll_gradient(self, e: np.ndarray, factor: np.ndarray, resid: np.ndarray, terms: np.ndarray,
                      jitter_rate: float) -> np.ndarray:
         """Gradient of the profiled objective in the log-parameters of ``_pack``,
-        at ``e`` = exp(log-parameters), over a lower triangle's pairs.
+        at ``e`` = exp(log-parameters).
 
         ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I,
         ``resid`` is y - mu_hat 1 and ``terms`` the stacked term values.  With
@@ -666,7 +652,7 @@ def condition(params: EzGpParams, data: Dataset, space: DesignSpace,
     params.validate(space)
     if jitter is not None and not (math.isfinite(jitter) and jitter >= 0):
         raise ValidationError(f"jitter must be None or finite and >= 0, got {jitter}")
-    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(len(data)))
+    ws = _KernelWorkspace(data.x, data.z, space.qual_levels)
     phi = _lower_gram(ws, ws.gram(_param_vector(params)))
     phi += np.tril(phi, -1).T  # symmetric, for a failure's condition number
     post = _posterior(phi, data.responses, jitter)
@@ -927,7 +913,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     from the start's first evaluation.
     """
     y = data.responses
-    ws = _KernelWorkspace(data.x, data.z, data.x, data.z, space.qual_levels, pairs=np.tril_indices(len(data)))
+    ws = _KernelWorkspace(data.x, data.z, space.qual_levels)
     rhs = _with_ones(y)
     lo, hi = _log_bounds(space, config, y)
     dim = len(lo)
@@ -989,12 +975,6 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         model.start_objectives = path
         return model
     raise FitFailureError("no optimizer start produced a factorizable model")
-
-
-def predict(model: FittedModel, w: MixedPoint) -> Prediction:
-    """Predictive mean and standard deviation at one input."""
-    means, sds = predict_batch(model, *point_arrays([w]))
-    return Prediction(float(means[0]), float(sds[0]))
 
 
 def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -37,11 +37,6 @@ class ResponseTransform:
             raise ValidationError(f"log transform requires a positive response, got {value}")
         return math.log(value)
 
-    def invert(self, value: float) -> float:
-        if self.name == "identity":
-            return float(value)
-        return math.exp(value)
-
 
 def get_transform(name: str) -> ResponseTransform:
     if name not in ("identity", "log"):

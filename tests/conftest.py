@@ -1,8 +1,12 @@
+import math
+from collections import namedtuple
+
 import hypothesis
 import numpy as np
 import pytest
 
 import contour_seeker as cs
+from contour_seeker.acquisition import _criterion
 
 hypothesis.settings.register_profile("suite", deadline=None, max_examples=60)
 hypothesis.settings.load_profile("suite")
@@ -60,6 +64,26 @@ def random_points(space, n, rng, min_dist=0.02):
             points.append(cs.MixedPoint(x, z))
     assert len(points) == n
     return points
+
+
+def covariance(params, a, b):
+    """Brute-force oracle of the kernel between two ``MixedPoint``s: the base
+    term plus each shared level's term, one point pair at a time."""
+    d2 = np.square(np.asarray(a.x) - np.asarray(b.x))
+    val = params.sigma2[0] * math.exp(-float(d2 @ params.theta0))
+    for h, (la, lb) in enumerate(zip(a.z, b.z)):
+        if la == lb:
+            val += params.sigma2[h + 1] * math.exp(-float(d2 @ params.theta[h][:, la - 1]))
+    return float(val)
+
+
+# one candidate's predictive mean and sd
+Prediction = namedtuple("Prediction", ["mean", "sd"])
+
+
+def score(kind, mean, sd, ctx):
+    """Criterion ``kind`` at one (mean, sd): ``_criterion`` on one-element arrays."""
+    return float(_criterion(kind, np.array([mean]), np.array([sd]), ctx)[0])
 
 
 def arrays(preds):

@@ -11,10 +11,11 @@ import pytest
 
 import contour_seeker as cs
 from contour_seeker.cli import main
+from contour_seeker.design_space import point_arrays
 from contour_seeker.ezgp import condition, cross_covariance
 from contour_seeker.traceio import read_csv
 
-from conftest import random_params, random_points
+from conftest import Prediction, covariance, random_params, random_points, score
 
 
 def report(criterion, detail):
@@ -33,7 +34,8 @@ def test_criterion_1_gp_property_suite():
     for _ in range(200):
         params = random_params(space, rng)
         a, b = random_points(space, 2, rng, min_dist=0.0)
-        assert cs.covariance(params, a, b) == cs.covariance(params, b, a)
+        (xa, za), (xb, zb) = point_arrays([a]), point_arrays([b])
+        assert cross_covariance(params, xa, za, xb, zb) == cross_covariance(params, xb, zb, xa, za)
 
     # PSD check on 200 random (params, points <= 12) draws
     for _ in range(200):
@@ -55,9 +57,9 @@ def test_criterion_1_gp_property_suite():
         model = condition(params, data, space)
         span = float(np.ptp(y))
         for pt, target in zip(pts, y):
-            pred = cs.predict(model, pt)
-            assert abs(pred.mean - target) <= 1e-6 * span
-            assert pred.sd ** 2 <= 10.0 * model.jitter
+            means, sds = cs.predict_batch(model, *point_arrays([pt]))
+            assert abs(means[0] - target) <= 1e-6 * span
+            assert sds[0] ** 2 <= 10.0 * model.jitter
 
     # n <= 4 brute-force equivalence (likelihood and prediction)
     for _ in range(50):
@@ -66,7 +68,7 @@ def test_criterion_1_gp_property_suite():
         pts = random_points(space, n, rng)
         data = cs.Dataset(tuple(pts), rng.normal(size=n))
         jitter = 1e-8 * params.total_variance
-        phi = np.array([[cs.covariance(params, a, b) for b in pts] for a in pts]) + jitter * np.eye(n)
+        phi = np.array([[covariance(params, a, b) for b in pts] for a in pts]) + jitter * np.eye(n)
         inv = np.linalg.inv(phi)
         ones = np.ones(n)
         y = data.responses
@@ -77,14 +79,14 @@ def test_criterion_1_gp_property_suite():
 
         model = condition(params, data, space, jitter=jitter)
         w = random_points(space, 1, rng)[0]
-        r0 = np.array([cs.covariance(params, w, pt) for pt in pts])
+        r0 = np.array([covariance(params, w, pt) for pt in pts])
         mu_hat = (ones @ inv @ y) / (ones @ inv @ ones)
         mean = mu_hat + r0 @ inv @ (y - mu_hat * ones)
         var = max(params.total_variance - r0 @ inv @ r0
                   + (1 - ones @ inv @ r0) ** 2 / (ones @ inv @ ones), 0.0)
-        pred = cs.predict(model, w)
-        assert pred.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
-        assert pred.sd ** 2 == pytest.approx(var, rel=1e-9, abs=1e-9)
+        means, sds = cs.predict_batch(model, *point_arrays([w]))
+        assert means[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
+        assert sds[0] ** 2 == pytest.approx(var, rel=1e-9, abs=1e-9)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -110,7 +112,7 @@ def test_criterion_2_ei_monte_carlo_oracle():
         draws = eps ** 2 - np.minimum((y - level) ** 2, eps ** 2)
         se = float(draws.std() / math.sqrt(len(draws)))
         ctx = cs.AcquisitionContext(level, 9, 3, delta=0.05, ei_alpha=ei_alpha)
-        gap = abs(cs.ei_contour(mean, sd, ctx) - float(draws.mean()))
+        gap = abs(score("ei", mean, sd, ctx) - float(draws.mean()))
         worst = max(worst, gap / se if se > 0 else 0.0)
         # the 1e-10 floor covers pure float roundoff when the improvement is
         # identically zero on every draw (SE collapses to 0)
@@ -123,15 +125,18 @@ def test_criterion_2_ei_monte_carlo_oracle():
 def test_criterion_3_ecl_identities():
     """Maximum log 2 at the level (1e-12); reflection symmetry (1e-12);
     monotone decay in the standardized distance."""
-    assert cs.ecl(1.23, 0.8, 1.23) == pytest.approx(math.log(2.0), abs=1e-12)
+    def ecl(mean, sd, level):
+        return score("ecl", mean, sd, cs.AcquisitionContext(level, n=1, num_combos=1))
+
+    assert ecl(1.23, 0.8, 1.23) == pytest.approx(math.log(2.0), abs=1e-12)
     rng = np.random.default_rng(3003)
     for _ in range(300):
         c = float(rng.uniform(1e-4, 20.0))
         sd = float(rng.uniform(1e-3, 10.0))
         level = float(rng.normal())
-        assert abs(cs.ecl(level + c, sd, level) - cs.ecl(level - c, sd, level)) <= 1e-12
+        assert abs(ecl(level + c, sd, level) - ecl(level - c, sd, level)) <= 1e-12
     ts = np.linspace(0.0, 8.0, 200)
-    vals = [cs.ecl(t, 1.0, 0.0) for t in ts]
+    vals = [ecl(t, 1.0, 0.0) for t in ts]
     assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= math.log(2.0) + 1e-12 for v in vals)
     report(3, "max, symmetry, monotone decay verified")
@@ -143,7 +148,7 @@ def test_criterion_4_partition_invariants():
     rng = np.random.default_rng(4004)
     for _ in range(1000):
         n = int(rng.integers(1, 80))
-        preds = [cs.Prediction(float(rng.normal(scale=2.0)), float(rng.uniform(0, 2.0)))
+        preds = [Prediction(float(rng.normal(scale=2.0)), float(rng.uniform(0, 2.0)))
                  for _ in range(n)]
         means = np.array([p.mean for p in preds])
         sds = np.array([p.sd for p in preds])

@@ -9,9 +9,7 @@ from contour_seeker import acquisition
 from contour_seeker.acquisition import Finalist
 from contour_seeker.errors import SelectionError, ValidationError
 
-from conftest import arrays
-
-P = cs.Prediction
+from conftest import Prediction as P, arrays, score
 
 
 def ctx_for(level=0.0, n=9, num_combos=3, alpha=0.05, delta=0.05, rho=2.0, ei_alpha=1.96):
@@ -44,19 +42,19 @@ class TestBeta:
 
 class TestEiContour:
     def test_zero_sd(self):
-        assert cs.ei_contour(0.3, 0.0, ctx_for(level=0.0)) == 0.0
+        assert score("ei", 0.3, 0.0, ctx_for(level=0.0)) == 0.0
 
     def test_symmetric_in_distance(self):
         ctx = ctx_for(level=1.0)
         for c in (0.1, 0.7, 2.3):
-            assert cs.ei_contour(1.0 + c, 0.8, ctx) == pytest.approx(
-                cs.ei_contour(1.0 - c, 0.8, ctx), rel=1e-12)
+            assert score("ei", 1.0 + c, 0.8, ctx) == pytest.approx(
+                score("ei", 1.0 - c, 0.8, ctx), rel=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         ctx = ctx_for(level=0.5)
         for _ in range(200):
-            assert cs.ei_contour(float(rng.normal(scale=3)), float(rng.uniform(0, 2)), ctx) >= 0.0
+            assert score("ei", float(rng.normal(scale=3)), float(rng.uniform(0, 2)), ctx) >= 0.0
 
     def test_monte_carlo_oracle(self):
         # expectation of eps^2 - min{(y-a)^2, eps^2} over y ~ N(mean, sd^2)
@@ -67,45 +65,45 @@ class TestEiContour:
             eps = ei_alpha * sd
             draws = eps ** 2 - np.minimum((y - level) ** 2, eps ** 2)
             se = draws.std() / math.sqrt(len(draws))
-            closed = cs.ei_contour(mean, sd, ctx_for(level=level, ei_alpha=ei_alpha))
+            closed = score("ei", mean, sd, ctx_for(level=level, ei_alpha=ei_alpha))
             assert abs(closed - draws.mean()) <= 5 * se
 
 
 class TestEcl:
     def test_max_at_level(self):
-        assert cs.ecl(0.0, 1.0, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert score("ecl", 0.0, 1.0, ctx_for(level=0.0)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_vanishes_far_from_level(self):
         # the 1e-12 probability clip floors the tail entropy near 3e-11
-        assert cs.ecl(1e9, 1.0, 0.0) == pytest.approx(0.0, abs=1e-10)
-        assert cs.ecl(0.0, 0.0, 1.0) == 0.0
+        assert score("ecl", 1e9, 1.0, ctx_for(level=0.0)) == pytest.approx(0.0, abs=1e-10)
+        assert score("ecl", 0.0, 0.0, ctx_for(level=1.0)) == 0.0
 
     @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e3))
     def test_reflection_symmetry(self, c, sd):
-        level = 0.37
-        assert cs.ecl(level + c, sd, level) == pytest.approx(cs.ecl(level - c, sd, level), abs=1e-12)
+        ctx = ctx_for(level=0.37)
+        assert score("ecl", 0.37 + c, sd, ctx) == pytest.approx(score("ecl", 0.37 - c, sd, ctx), abs=1e-12)
 
     @given(st.floats(-1e6, 1e6), st.floats(0, 1e3))
     def test_bounds(self, mean, sd):
-        val = cs.ecl(mean, sd, 0.0)
+        val = score("ecl", mean, sd, ctx_for(level=0.0))
         assert 0.0 <= val <= math.log(2.0) + 1e-12
 
     def test_monotone_in_standardized_distance(self):
         ts = np.linspace(0.0, 6.0, 40)
-        vals = [cs.ecl(t, 1.0, 0.0) for t in ts]
+        vals = [score("ecl", t, 1.0, ctx_for(level=0.0)) for t in ts]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 class TestLcb:
     def test_rho_zero(self):
-        assert cs.lcb_contour(1.4, 2.0, ctx_for(level=1.0, rho=0.0)) == pytest.approx(0.4)
+        assert -score("lcb", 1.4, 2.0, ctx_for(level=1.0, rho=0.0)) == pytest.approx(0.4)
 
     def test_at_level(self):
-        assert cs.lcb_contour(1.0, 0.5, ctx_for(level=1.0, rho=2.0)) == pytest.approx(-1.0)
+        assert -score("lcb", 1.0, 0.5, ctx_for(level=1.0, rho=2.0)) == pytest.approx(-1.0)
 
     def test_shift_invariance(self):
-        a = cs.lcb_contour(1.7, 0.3, ctx_for(level=1.0))
-        b = cs.lcb_contour(11.7, 0.3, ctx_for(level=11.0))
+        a = -score("lcb", 1.7, 0.3, ctx_for(level=1.0))
+        b = -score("lcb", 11.7, 0.3, ctx_for(level=11.0))
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -176,30 +174,30 @@ class TestCriterionBits:
         for mean, sd in zip(means.tolist(), sds.tolist()):
             ctx = ctx_for(level=0.25, rho=1.5, ei_alpha=1.2)
             one = np.array([mean]), np.array([sd])
-            assert same_bits(cs.ecl(mean, sd, ctx.contour_level), norm_criterion("ecl", *one, ctx)[0])
-            assert same_bits(cs.ei_contour(mean, sd, ctx), norm_criterion("ei", *one, ctx)[0])
-            assert same_bits(cs.lcb_contour(mean, sd, ctx), -norm_criterion("lcb", *one, ctx)[0])
+            assert same_bits(score("ecl", mean, sd, ctx), norm_criterion("ecl", *one, ctx)[0])
+            assert same_bits(score("ei", mean, sd, ctx), norm_criterion("ei", *one, ctx)[0])
+            assert same_bits(score("lcb", mean, sd, ctx), norm_criterion("lcb", *one, ctx)[0])
 
 
 class TestBounds:
     def test_zero_sd_collapses(self):
-        lb, ub = cs.bounds(2.0, 0.0, ctx_for(level=1.5))
-        assert lb == ub == pytest.approx(0.5)
+        part = cs.partition(np.array([2.0]), np.array([0.0]), ctx_for(level=1.5))
+        assert part.lb[0] == part.ub[0] == pytest.approx(0.5)
 
     def test_beta_four_case(self):
         # alpha chosen so that beta_n(1, 1, alpha) = 4
         alpha = math.pi ** 2 * math.exp(-2.0) / 6.0
         ctx = ctx_for(level=0.0, n=1, num_combos=1, alpha=alpha)
         assert ctx.beta == pytest.approx(4.0, abs=1e-12)
-        lb, ub = cs.bounds(0.0, 1.0, ctx)
-        assert lb == pytest.approx(-2.0, abs=1e-12)
-        assert ub == pytest.approx(2.0, abs=1e-12)
+        part = cs.partition(np.array([0.0]), np.array([1.0]), ctx)
+        assert part.lb[0] == pytest.approx(-2.0, abs=1e-12)
+        assert part.ub[0] == pytest.approx(2.0, abs=1e-12)
 
     @given(st.floats(-10, 10), st.floats(0, 10))
     def test_width_identity(self, mean, sd):
         ctx = ctx_for(level=0.3)
-        lb, ub = cs.bounds(mean, sd, ctx)
-        assert ub - lb == pytest.approx(2.0 * math.sqrt(ctx.beta) * sd, rel=1e-9, abs=1e-9)
+        part = cs.partition(np.array([mean]), np.array([sd]), ctx)
+        assert part.ub[0] - part.lb[0] == pytest.approx(2.0 * math.sqrt(ctx.beta) * sd, rel=1e-9, abs=1e-9)
 
 
 def random_preds(rng, n):
@@ -299,34 +297,37 @@ class TestArbitrate:
     def test_close_means_larger_sd_wins(self):
         # both finalists within delta of the level: score reduces to sd/delta
         ctx = ctx_for(level=0.0, delta=0.5)
-        preds = [P(0.1, 0.4), P(-0.2, 1.1)]
-        report = cs.arbitrate(*arrays(preds), 0, 1, ctx)
+        means, sds = arrays([P(0.1, 0.4), P(-0.2, 1.1)])
+        report = cs.arbitrate(means, sds, 0, 1, ctx, cs.partition(means, sds, ctx))
         assert report.chosen_index == 1
 
     def test_single_finalist_is_fallback(self):
         ctx = ctx_for(level=0.0)
-        preds = [P(0.3, 0.2), P(5.0, 0.1)]
-        report = cs.arbitrate(*arrays(preds), None, 1, ctx)
+        means, sds = arrays([P(0.3, 0.2), P(5.0, 0.1)])
+        part = cs.partition(means, sds, ctx)
+        report = cs.arbitrate(means, sds, None, 1, ctx, part)
         assert report.chosen_index == 1 and report.region == "fallback"
-        report = cs.arbitrate(*arrays(preds), 0, None, ctx)
+        report = cs.arbitrate(means, sds, 0, None, ctx, part)
         assert report.chosen_index == 0 and report.region == "fallback"
 
     def test_no_finalists(self):
+        means, sds = arrays([P(0.0, 1.0)])
+        ctx = ctx_for()
         with pytest.raises(SelectionError):
-            cs.arbitrate(*arrays([P(0.0, 1.0)]), None, None, ctx_for())
+            cs.arbitrate(means, sds, None, None, ctx, cs.partition(means, sds, ctx))
 
     def test_score_shift_invariance(self):
-        preds_a = [P(1.3, 0.6), P(2.0, 0.9)]
-        preds_b = [P(11.3, 0.6), P(12.0, 0.9)]
-        ra = cs.arbitrate(*arrays(preds_a), 0, 1, ctx_for(level=1.0))
-        rb = cs.arbitrate(*arrays(preds_b), 0, 1, ctx_for(level=11.0))
+        (means_a, sds_a), ctx_a = arrays([P(1.3, 0.6), P(2.0, 0.9)]), ctx_for(level=1.0)
+        (means_b, sds_b), ctx_b = arrays([P(11.3, 0.6), P(12.0, 0.9)]), ctx_for(level=11.0)
+        ra = cs.arbitrate(means_a, sds_a, 0, 1, ctx_a, cs.partition(means_a, sds_a, ctx_a))
+        rb = cs.arbitrate(means_b, sds_b, 0, 1, ctx_b, cs.partition(means_b, sds_b, ctx_b))
         assert ra.chosen_index == rb.chosen_index
         assert ra.a1_finalist.score == pytest.approx(rb.a1_finalist.score, rel=1e-12)
 
     def test_tie_prefers_band_region(self):
         ctx = ctx_for(level=0.0, delta=1.0)
-        preds = [P(0.0, 0.7), P(0.0, 0.7)]
-        assert cs.arbitrate(*arrays(preds), 0, 1, ctx).region == "A2"
+        means, sds = arrays([P(0.0, 0.7), P(0.0, 0.7)])
+        assert cs.arbitrate(means, sds, 0, 1, ctx, cs.partition(means, sds, ctx)).region == "A2"
 
 
 class TestSelectArsd:

@@ -131,6 +131,15 @@ class TestReferenceContour:
         with pytest.raises(ValidationError):
             cs.reference_contour(ex1_sim, ex1_sim.space, 0.0, 0.0, 10, seed=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_eps_must_be_finite(self, ex1_sim, eps):
+        def fn(x, z):
+            pytest.fail("the simulator ran before eps was checked")
+
+        sim = cs.FunctionSimulator(ex1_sim.space, fn, "guard")
+        with pytest.raises(ValidationError, match="finite"):
+            cs.reference_contour(sim, sim.space, 0.0, eps, 10, seed=0)
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "raise"])
     def test_failed_truth_is_evaluation_error(self, ex1_sim, bad):
         # level 2 fails; a non-finite truth used to be dropped without a word
@@ -578,9 +587,8 @@ class TestWorkerCap:
             resolve_workers(4)
 
     def test_workers_run_blas_on_one_thread(self):
-        from contour_seeker.bench import _single_thread_blas
-
-        with ProcessPoolExecutor(max_workers=1, initializer=_single_thread_blas) as pool:
+        # the initializer replicate_benchmark gives its pool
+        with ProcessPoolExecutor(max_workers=1, initializer=ezgp._set_blas_threads, initargs=(1,)) as pool:
             counts = pool.submit(blas_thread_counts).result(timeout=60)
         assert all(count == 1 for count in counts.values())
 

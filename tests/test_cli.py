@@ -474,6 +474,10 @@ class TestBench:
         ({"levels": [-0.9, float("nan")]}, [], "level"),
         ({"levels": [float("inf")]}, [], "level"),
         ({"fit": {"maxfun": 40}}, [], "maxfun"),
+        # a NaN eps used to evaluate the whole reference grid and exit 3; an infinite one
+        # counted every grid point as near the contour
+        ({"eps": float("nan")}, [], "eps must be finite"),
+        ({"eps": float("inf")}, [], "eps must be finite"),
     ])
     def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                  match):
@@ -544,12 +548,14 @@ class TestVerify:
         assert 0.0 <= coverage <= 1.0
 
     @pytest.mark.parametrize("params", [{"sigma2": [float("inf"), 0.5]},
-                                        {"theta": [[[5.0, float("nan"), 5.0]]]}])
-    def test_nonfinite_params_exit_2(self, tmp_path, capsys, params):
-        # an infinite variance used to grow the jitter ladder without end
-        assert main(["verify", "--config", str(self.config(tmp_path, **params))]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValidationError" and "finite" in err["message"]
+                                        {"theta": [[[5.0, float("nan"), 5.0]]]},
+                                        {"mu": float("nan")}])
+    def test_nonfinite_params_exit_2(self, tmp_path, capsys, monkeypatch, params):
+        # an infinite variance used to grow the jitter ladder without end, and a NaN mu
+        # to exit 0 with coverage 0.0
+        monkeypatch.setattr(cli, "coverage_check", no_work)
+        path = self.config(tmp_path, **params)
+        assert_invalid(["verify", "--config", str(path)], path, capsys, "finite")
 
 
     @pytest.mark.parametrize("drop", ["quant_bounds", "theta0"])
@@ -763,6 +769,16 @@ class TestOutOfRangeNamesTheFile:
         model_path.write_text(json.dumps(doc))
         assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], model_path, capsys,
                        "variances and rates must be finite")
+
+    @pytest.mark.parametrize("where, value, match", [
+        (("params", "mu"), float("nan"), "mu, variances and rates must be finite"),
+        # used to fail only in suggest's selection, without the file's name
+        (("data", "transform"), "Log", "unknown response transform 'Log'")], ids=["mu", "transform"])
+    def test_bad_model_value(self, model_path, capsys, where, value, match):
+        doc = json.loads(model_path.read_text())
+        set_field(doc, where, value)
+        model_path.write_text(json.dumps(doc))
+        assert_invalid(["suggest", "--model", str(model_path), "--level", "-0.9"], model_path, capsys, match)
 
     def test_run_config_n0_below_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_adaptive", no_work)

@@ -42,31 +42,31 @@ class TestMakeSpace:
 class TestLatinHypercube:
     def test_four_point_strata(self):
         sp = cs.make_space([(0, 1)])
-        pts = cs.latin_hypercube(sp, 4, seed=0)
+        pts = cs.candidate_set(sp, 4, seed=0).x
         strata = sorted(int(v * 4) for v in pts[:, 0])
         assert strata == [0, 1, 2, 3]
 
     def test_single_point(self):
         sp = cs.make_space([(0, 1)] * 3)
-        pts = cs.latin_hypercube(sp, 1, seed=1)
+        pts = cs.candidate_set(sp, 1, seed=1).x
         assert pts.shape == (1, 3)
         assert np.all((pts >= 0) & (pts < 1))
 
     def test_zero_points_rejected(self):
         sp = cs.make_space([(0, 1)])
         with pytest.raises(ValidationError):
-            cs.latin_hypercube(sp, 0, seed=0)
+            cs.candidate_set(sp, 0, seed=0)
 
     def test_deterministic(self):
         sp = cs.make_space([(0, 1), (0, 1)])
-        a = cs.latin_hypercube(sp, 7, seed=9)
-        b = cs.latin_hypercube(sp, 7, seed=9)
+        a = cs.candidate_set(sp, 7, seed=9).x
+        b = cs.candidate_set(sp, 7, seed=9).x
         np.testing.assert_array_equal(a, b)
 
     @given(n=st.integers(1, 40), p=st.integers(1, 4), seed=st.integers(0, 2**31))
     def test_stratification_property(self, n, p, seed):
         sp = cs.make_space([(0, 1)] * p)
-        pts = cs.latin_hypercube(sp, n, seed)
+        pts = cs.candidate_set(sp, n, seed).x
         for j in range(p):
             assert sorted(np.floor(pts[:, j] * n).astype(int)) == list(range(n))
 

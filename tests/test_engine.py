@@ -12,9 +12,7 @@ from contour_seeker.errors import CampaignError, ValidationError
 from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition, params_from_dict
 from contour_seeker.traceio import read_csv, save_trace
 
-from conftest import arrays
-
-P = cs.Prediction
+from conftest import Prediction as P, arrays
 
 
 def quick_cfg(sim, strategy="rcc", total=12, seed=3, per_combo=50, **kw):

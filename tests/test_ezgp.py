@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from contour_seeker.design_space import point_arrays
 from contour_seeker.errors import IllConditionedModelError, ValidationError
 from contour_seeker.ezgp import condition, cross_covariance, neg_log_likelihood
 
-from conftest import random_params, random_points
+from conftest import covariance, random_params, random_points
 
 
 def simple_params(space, sigma=1.0, theta=1.0):
@@ -29,7 +30,7 @@ def simple_params(space, sigma=1.0, theta=1.0):
 def brute_nll(params, data, space, jitter):
     """Explicit-inverse oracle for the profiled objective."""
     n = len(data)
-    phi = np.array([[cs.covariance(params, a, b) for b in data.points] for a in data.points])
+    phi = np.array([[covariance(params, a, b) for b in data.points] for a in data.points])
     phi = phi + jitter * np.eye(n)
     inv = np.linalg.inv(phi)
     ones = np.ones(n)
@@ -42,17 +43,22 @@ def brute_nll(params, data, space, jitter):
 def brute_predict(params, data, space, w, jitter):
     """Explicit-inverse oracle for the predictive mean and variance."""
     n = len(data)
-    phi = np.array([[cs.covariance(params, a, b) for b in data.points] for a in data.points])
+    phi = np.array([[covariance(params, a, b) for b in data.points] for a in data.points])
     phi = phi + jitter * np.eye(n)
     inv = np.linalg.inv(phi)
     ones = np.ones(n)
     y = data.responses
     mu_hat = (ones @ inv @ y) / (ones @ inv @ ones)
-    r0 = np.array([cs.covariance(params, w, pt) for pt in data.points])
+    r0 = np.array([covariance(params, w, pt) for pt in data.points])
     mean = mu_hat + r0 @ inv @ (y - mu_hat * ones)
     var = (float(np.sum(params.sigma2)) - r0 @ inv @ r0
            + (1.0 - ones @ inv @ r0) ** 2 / (ones @ inv @ ones))
     return mean, max(var, 0.0)
+
+
+def kernel(params, a, b):
+    """``cross_covariance`` between two single points."""
+    return float(cross_covariance(params, *point_arrays([a]), *point_arrays([b]))[0, 0])
 
 
 class TestCovariance:
@@ -60,21 +66,21 @@ class TestCovariance:
         sp = cs.make_space([(0, 1)], [3, 2])
         params = simple_params(sp, sigma=0.7)
         pt = cs.MixedPoint((0.3,), (2, 1))
-        assert cs.covariance(params, pt, pt) == pytest.approx(0.7 * 3, abs=1e-14)
+        assert kernel(params, pt, pt) == pytest.approx(0.7 * 3, abs=1e-14)
 
     def test_no_shared_level_base_term_only(self):
         sp = cs.make_space([(0, 1)], [3])
         params = simple_params(sp, sigma=1.0, theta=2.0)
         a = cs.MixedPoint((0.2,), (1,))
         b = cs.MixedPoint((0.6,), (2,))
-        assert cs.covariance(params, a, b) == pytest.approx(math.exp(-2.0 * 0.16), rel=1e-12)
+        assert kernel(params, a, b) == pytest.approx(math.exp(-2.0 * 0.16), rel=1e-12)
 
     def test_unit_example(self):
         sp = cs.make_space([(0, 1)], [3])
         params = simple_params(sp)
         a = cs.MixedPoint((0.0,), (1,))
         b = cs.MixedPoint((1.0,), (1,))
-        assert cs.covariance(params, a, b) == pytest.approx(0.7357588823428847, abs=1e-12)
+        assert kernel(params, a, b) == pytest.approx(0.7357588823428847, abs=1e-12)
 
     def test_symmetry_exact(self):
         sp = cs.make_space([(0, 1), (0, 1)], [3, 2])
@@ -82,7 +88,7 @@ class TestCovariance:
         for _ in range(50):
             params = random_params(sp, rng)
             a, b = random_points(sp, 2, rng, min_dist=0.0)
-            assert cs.covariance(params, a, b) == cs.covariance(params, b, a)
+            assert kernel(params, a, b) == kernel(params, b, a)
 
     @pytest.mark.parametrize("levels", [(3, 3, 3), ()])
     def test_cross_covariance_matches_scalar_oracle(self, levels):
@@ -98,7 +104,7 @@ class TestCovariance:
             assert k.shape == (n1, n2)
             for i, u in enumerate(a):
                 for j, v in enumerate(b):
-                    assert k[i, j] == pytest.approx(cs.covariance(params, u, v), rel=1e-12, abs=0)
+                    assert k[i, j] == pytest.approx(covariance(params, u, v), rel=1e-12, abs=0)
 
     def test_cross_covariance_skips_one_sided_levels(self):
         # factor 1 level 3 occurs only on the left, factor 2 level 2 only on
@@ -109,15 +115,15 @@ class TestCovariance:
         a = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 1), (3, 1), (3, 1), (2, 1), (1, 1)]]
         b = [cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 2), (2, 2), (1, 1)]]
         (x1, z1), (x2, z2) = point_arrays(a), point_arrays(b)
-        # a pair table over every (i, j) pair of the two sets
-        all_pairs = tuple(np.indices((5, 3)).reshape(2, -1))
-        ws = ezgp._KernelWorkspace(x1, z1, x2, z2, sp.qual_levels, pairs=all_pairs)
-        assert ws.levels == ((0, 0), (0, 1), (1, 0))
         k = cross_covariance(params, x1, z1, x2, z2)
         assert k.shape == (5, 3)
         for i, u in enumerate(a):
             for j, v in enumerate(b):
-                assert k[i, j] == pytest.approx(cs.covariance(params, u, v), rel=1e-12, abs=0)
+                assert k[i, j] == pytest.approx(covariance(params, u, v), rel=1e-12, abs=0)
+        # a design without factor 1's level 3 and factor 2's level 2: its pair table
+        # drops exactly those levels
+        x, z = point_arrays([cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 1), (2, 1), (2, 1), (1, 1)]])
+        assert ezgp._KernelWorkspace(x, z, sp.qual_levels).levels == ((0, 0), (0, 1), (1, 0))
 
 
 class TestDataset:
@@ -247,11 +253,14 @@ class TestGram:
 
 class TestNonFiniteParams:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("field", ["sigma2", "theta0", "theta"])
+    @pytest.mark.parametrize("field", ["sigma2", "theta0", "theta", "mu"])
     def test_rejected(self, field, bad):
         sp = cs.make_space([(0, 1)], [2])
         params = simple_params(sp)
-        (params.theta[0] if field == "theta" else getattr(params, field)).flat[-1] = bad
+        if field == "mu":
+            params = replace(params, mu=bad)
+        else:
+            (params.theta[0] if field == "theta" else getattr(params, field)).flat[-1] = bad
         with pytest.raises(ValidationError, match="finite"):
             params.validate(sp)
         data = cs.Dataset((cs.MixedPoint((0.2,), (1,)), cs.MixedPoint((0.7,), (2,))), np.array([1.0, 0.0]))
@@ -622,9 +631,9 @@ class TestPredict:
     def test_interpolates_training_points(self, small_model):
         span = float(np.ptp(small_model.data.responses))
         for pt, y in zip(small_model.data.points, small_model.data.responses):
-            pred = cs.predict(small_model, pt)
-            assert abs(pred.mean - y) <= 1e-6 * span
-            assert pred.sd ** 2 <= 10.0 * small_model.jitter
+            means, sds = cs.predict_batch(small_model, *point_arrays([pt]))
+            assert abs(means[0] - y) <= 1e-6 * span
+            assert sds[0] ** 2 <= 10.0 * small_model.jitter
 
     def test_far_point_reverts_to_prior(self):
         sp = cs.make_space([(0, 1)], [3])
@@ -632,9 +641,9 @@ class TestPredict:
         pts = (cs.MixedPoint((0.0,), (1,)), cs.MixedPoint((0.15,), (1,)), cs.MixedPoint((0.3,), (2,)))
         data = cs.Dataset(pts, np.array([1.0, 2.0, 0.5]))
         model = condition(params, data, sp)
-        pred = cs.predict(model, cs.MixedPoint((1.0,), (3,)))
-        assert pred.mean == pytest.approx(model.mu_hat, abs=1e-8)
-        assert pred.sd ** 2 == pytest.approx(model.prior_variance, rel=1e-8)
+        means, sds = cs.predict_batch(model, *point_arrays([cs.MixedPoint((1.0,), (3,))]))
+        assert means[0] == pytest.approx(model.mu_hat, abs=1e-8)
+        assert sds[0] ** 2 == pytest.approx(model.prior_variance, rel=1e-8)
 
     def test_symmetric_two_point_brute_force(self):
         sp = cs.make_space([(0, 1)], [2])
@@ -644,9 +653,9 @@ class TestPredict:
         model = condition(params, data, sp, jitter=jitter)
         w = cs.MixedPoint((0.5,), (1,))
         mean, var = brute_predict(params, data, sp, w, jitter)
-        pred = cs.predict(model, w)
-        assert pred.mean == pytest.approx(mean, abs=1e-10)
-        assert pred.sd ** 2 == pytest.approx(var, abs=1e-10)
+        means, sds = cs.predict_batch(model, *point_arrays([w]))
+        assert means[0] == pytest.approx(mean, abs=1e-10)
+        assert sds[0] ** 2 == pytest.approx(var, abs=1e-10)
 
     def test_brute_force_small_n(self):
         rng = np.random.default_rng(23)
@@ -659,18 +668,12 @@ class TestPredict:
             model = condition(params, data, sp, jitter=jitter)
             w = random_points(sp, 1, rng)[0]
             mean, var = brute_predict(params, data, sp, w, jitter)
-            pred = cs.predict(model, w)
-            assert pred.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
-            assert pred.sd ** 2 == pytest.approx(var, rel=1e-9, abs=1e-9)
+            means, sds = cs.predict_batch(model, *point_arrays([w]))
+            assert means[0] == pytest.approx(mean, rel=1e-9, abs=1e-9)
+            assert sds[0] ** 2 == pytest.approx(var, rel=1e-9, abs=1e-9)
 
 
 class TestPredictBatch:
-    def test_singleton_matches_predict(self, small_model):
-        w = cs.MixedPoint((0.42,), (2,))
-        single = cs.predict(small_model, w)
-        means, sds = cs.predict_batch(small_model, *point_arrays([w]))
-        assert (means[0], sds[0]) == (single.mean, single.sd)
-
     def test_training_point_interpolates(self, small_model):
         pt = small_model.data.points[0]
         means, _ = cs.predict_batch(small_model, *point_arrays([cs.MixedPoint((0.5,), (1,)), pt]))
@@ -747,8 +750,8 @@ class TestFit:
         model = cs.fit(data, sp, cs.FitConfig(n_starts=2, max_fev=200))
         assert model.mu_hat == pytest.approx(3.7, abs=1e-9)
         for x in (0.05, 0.45, 0.95):
-            pred = cs.predict(model, cs.MixedPoint((x,), (1,)))
-            assert pred.sd ** 2 <= model.prior_variance * (1 + 1e-8) + 1e-12
+            _, sds = cs.predict_batch(model, *point_arrays([cs.MixedPoint((x,), (1,))]))
+            assert sds[0] ** 2 <= model.prior_variance * (1 + 1e-8) + 1e-12
 
     def test_simulate_and_refit_tracks_truth(self):
         # sample one path from a known surrogate, refit it, and require the
