@@ -92,8 +92,9 @@ class BenchConfig:
     def __post_init__(self):
         if not self.strategies or not self.levels or not self.budgets:
             raise ValidationError("benchmark grid must have strategies, levels, and budgets")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        for name in ("replicates", "per_combo", "ref_per_combo"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         for level in self.levels:

@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from functools import cache, partial
 
+from .acquisition import AcquisitionContext
 from .bench import BenchConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
 from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, suggest_next
@@ -200,11 +201,13 @@ def _decode_verify(args, doc: dict):
     doc = {**doc, **_given(seed=args.seed, out=args.out)}
     space, params = space_from_dict(doc["space"]), params_from_doc(doc["params"])
     params.validate(space)
+    level, alpha = real(doc["level"]), real(doc.get("alpha", 0.1))
+    AcquisitionContext(level, 1, space.num_combos, alpha=alpha)  # the level and alpha rules
     return space, params, {
         "space": doc["space"],
         "params": params_to_dict(params),
-        "level": real(doc["level"]),
-        "alpha": real(doc.get("alpha", 0.1)),
+        "level": level,
+        "alpha": alpha,
         "draws": integral(doc.get("draws", 500)),
         "per_combo": integral(doc.get("per_combo", 50)),
         "seed": seed_value(doc.get("seed", 0)),

@@ -2,12 +2,12 @@
 
 Quantitative coordinates are kept normalized to [0,1]^p everywhere inside
 the library; physical units appear only at the I/O boundary
-(``DesignSpace.denormalize`` / ``normalize``).  Qualitative factors are
-1-based level indices.  Point sets travel as an (n, p) float array of
-coordinates and an (n, q) int array of levels; a per-point ``MixedPoint``
-is built only where one input is handed out (a simulator call, the chosen
-point, a serializer).  All generators are pure functions of their inputs
-and a seed.
+(``DesignSpace.denormalize`` on output, ``simulators.read_table`` on
+input).  Qualitative factors are 1-based level indices.  Point sets
+travel as an (n, p) float array of coordinates and an (n, q) int array of
+levels; a per-point ``MixedPoint`` is built only where one input is
+handed out (a simulator call, the chosen point, a serializer).  All
+generators are pure functions of their inputs and a seed.
 """
 from __future__ import annotations
 
@@ -67,10 +67,6 @@ class DesignSpace:
     def denormalize(self, x) -> tuple[float, ...]:
         """Map normalized coordinates in [0,1]^p to physical units."""
         return tuple(lo + float(v) * (hi - lo) for v, (lo, hi) in zip(x, self.quant_bounds))
-
-    def normalize(self, x_phys) -> tuple[float, ...]:
-        """Map physical coordinates to [0,1]^p."""
-        return tuple((float(v) - lo) / (hi - lo) for v, (lo, hi) in zip(x_phys, self.quant_bounds))
 
     def validate_point(self, point: "MixedPoint") -> None:
         if len(point.x) != self.p:

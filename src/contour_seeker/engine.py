@@ -13,7 +13,6 @@ them), and its ``chosen_index`` is a row of the caller's candidate set.
 """
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -37,64 +36,42 @@ _DELTA_RANGE_FRACTION = 0.05
 
 # numpy's SeedSequence hash (O'Neill's seed_seq_fe): pool size, hash and mix constants.
 _POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
-
-
-@functools.cache
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before and after each of ``count`` hash calls, as a
-    read-only (count + 1, 1) uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    out = np.array(consts, dtype=np.uint32)[:, None]
-    out.flags.writeable = False
-    return out
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``hashmix`` of row k of ``values`` with the k-th
-    consecutive hash constant: xor with ``consts[k]``, multiply by ``consts[k + 1]``."""
-    h = (values ^ consts[:-1]) * consts[1:]
-    return h ^ (h >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    h = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return h ^ (h >> 16)
 
 
 def _is_array(value) -> bool:
     return isinstance(value, np.ndarray) and value.ndim > 0
 
 
-def _entropy_words(value) -> np.ndarray:
-    """The uint32 entropy rows SeedSequence makes of one entropy entry: an int
-    gives its 32-bit words, least significant first ({0} for 0), as a column
-    that broadcasts over draws; a 1-D integer array gives one row, so its
-    entries must each fit one word."""
+def _entropy_words(value) -> list:
+    """The uint32 entropy words SeedSequence makes of one entropy entry: an
+    int gives its 32-bit words as ``np.uint32`` scalars, least significant
+    first ([0] for 0); a 1-D integer array gives one word, a uint32 array
+    that broadcasts over draws, so its entries must each fit one word."""
     if not _is_array(value):
         n = int(value)
         if n < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {n}")
-        words = [n & _MASK32]
+        words = [np.uint32(n & _MASK32)]
         while n > _MASK32:
             n >>= 32
-            words.append(n & _MASK32)
-        return np.array(words, dtype=np.uint32)[:, None]
+            words.append(np.uint32(n & _MASK32))
+        return words
     if value.dtype.kind not in "iu":
         raise ValidationError(f"seed entropy must be integers, got {value.dtype}")
     if value.size and (value.min() < 0 or value.max() > _MASK32):
         raise ValidationError("seed entropy arrays must hold whole numbers in [0, 2**32)")
-    return value.astype(np.uint32).reshape(1, -1)
+    return [value.astype(np.uint32).ravel()]
 
 
 def seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
-    """``np.random.SeedSequence(entropy).generate_state(n_words, dtype)``,
-    computed with uint32 array arithmetic for many entropy lists at once.
+    """``np.random.SeedSequence(entropy).generate_state(n_words, dtype)``:
+    SeedSequence's ``mix_entropy`` and ``generate_state`` loops, run on
+    uint32 words that are scalars or arrays, so one pass serves many
+    entropy lists at once.
 
     Each entry of ``entropy`` is a non-negative int or a 1-D integer ndarray;
     arrays broadcast, and row j of the (draws, n_words) result is the state
@@ -105,32 +82,36 @@ def seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
     wide = np.dtype(dtype) == np.uint64
     if not wide and np.dtype(dtype) != np.uint32:
         raise ValueError(f"dtype must be uint32 or uint64, got {dtype}")
-    rows = [_entropy_words(e) for e in entropy]
-    columns = max(r.shape[1] for r in rows)
-    n_entropy = sum(len(r) for r in rows)
-    words = np.zeros((max(n_entropy, _POOL_WORDS), columns), np.uint32)  # zero words pad a short pool
-    pos = 0
-    for r in rows:
-        words[pos:pos + len(r)] = r
-        pos += len(r)
-    extra = max(n_entropy - _POOL_WORDS, 0)
-    # filling the pool, mixing it and adding each later entropy word take
-    # _POOL_WORDS, _POOL_WORDS * (_POOL_WORDS - 1) and _POOL_WORDS hash calls
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * (_POOL_WORDS + extra))
-    pool = _hashmix(words[:_POOL_WORDS], consts[:_POOL_WORDS + 1])
-    k = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        dst = [d for d in range(_POOL_WORDS) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
-        k += _POOL_WORDS - 1
-    for word in words[_POOL_WORDS:]:
-        pool = _mix(pool, _hashmix(word, consts[k:k + _POOL_WORDS + 1]))
-        k += _POOL_WORDS
-    n_out = 2 * n_words if wide else n_words
-    state = _hashmix(pool[np.arange(n_out) % _POOL_WORDS], _hash_constants(_INIT_B, _MULT_B, n_out))
+    words = [w for e in entropy for w in _entropy_words(e)]
+    hash_const = _INIT_A
+
+    def hashmix(value, mult):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ (result >> 16)
+
+    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as in C
+        # a pool longer than the entropy hashes zero words
+        pool = [hashmix(words[i] if i < len(words) else np.uint32(0), _MULT_A) for i in range(_POOL_WORDS)]
+        for i_src in range(_POOL_WORDS):  # so that late bits affect earlier ones
+            for i_dst in range(_POOL_WORDS):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
+        for word in words[_POOL_WORDS:]:
+            for i_dst in range(_POOL_WORDS):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word, _MULT_A))
+        hash_const = _INIT_B
+        n_out = 2 * n_words if wide else n_words
+        state = np.stack([hashmix(pool[i % _POOL_WORDS], _MULT_B) for i in range(n_out)], axis=-1)
     if wide:  # word pairs, low word first
-        state = state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << np.uint64(32)
-    return np.ascontiguousarray(state.T) if any(_is_array(e) for e in entropy) else state[:, 0]
+        state = state[..., 0::2].astype(np.uint64) | state[..., 1::2].astype(np.uint64) << np.uint64(32)
+    return state
 
 
 def derive_seed(seed: int, *tags):

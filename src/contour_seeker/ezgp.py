@@ -599,11 +599,6 @@ class FittedModel(_Posterior):
     space: DesignSpace
     start_objectives: tuple[tuple[float, float], ...] = ()
 
-    @property
-    def prior_variance(self) -> float:
-        """Far-field predictive variance: total variance plus mean uncertainty."""
-        return self.params.total_variance + 1.0 / self.ones_quad
-
 
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
     """The one conditioning path: training Grams phi (..., n, n) with

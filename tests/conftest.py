@@ -66,6 +66,11 @@ def random_points(space, n, rng, min_dist=0.02):
     return points
 
 
+def normalize(space, x_phys):
+    """Physical coordinates mapped to [0,1]^p: the inverse of ``DesignSpace.denormalize``."""
+    return tuple((float(v) - lo) / (hi - lo) for v, (lo, hi) in zip(x_phys, space.quant_bounds))
+
+
 def covariance(params, a, b):
     """Brute-force oracle of the kernel between two ``MixedPoint``s: the base
     term plus each shared level's term, one point pair at a time."""

@@ -15,7 +15,7 @@ from contour_seeker.design_space import point_arrays
 from contour_seeker.ezgp import condition, cross_covariance
 from contour_seeker.traceio import read_csv
 
-from conftest import Prediction, covariance, random_params, random_points, score
+from conftest import Prediction, covariance, normalize, random_params, random_points, score
 
 
 def report(criterion, detail):
@@ -302,14 +302,14 @@ def test_criterion_10_tabular_round_trip(tmp_path):
     sim = cs.tabular_simulator(path, space)
 
     for v1, v2, lev, y in rows:
-        got = sim.evaluate(cs.MixedPoint(space.normalize((v1, v2)), (lev,)))
+        got = sim.evaluate(cs.MixedPoint(normalize(space, (v1, v2)), (lev,)))
         assert got == y
 
-    x_norm = np.array([space.normalize((r[0], r[1])) for r in rows])
+    x_norm = np.array([normalize(space, (r[0], r[1])) for r in rows])
     for _ in range(200):
         q = (float(rng.uniform(0, 4)), float(rng.uniform(10, 20)))
         lev = int(rng.integers(1, 3))
-        q_norm = np.array(space.normalize(q))
+        q_norm = np.array(normalize(space, q))
         match = [i for i, r in enumerate(rows) if r[2] == lev]
         d2 = np.sum((x_norm[match] - q_norm) ** 2, axis=1)
         expected = rows[match[int(np.argmin(d2))]][3]

@@ -478,6 +478,9 @@ class TestBench:
         # counted every grid point as near the contour
         ({"eps": float("nan")}, [], "eps must be finite"),
         ({"eps": float("inf")}, [], "eps must be finite"),
+        # each used to fail only inside reference_contour, naming neither the setting nor the file
+        ({"ref_per_combo": 0}, [], "ref_per_combo must be >= 1, got 0"),
+        ({"candidates_per_combo": 0}, [], ": per_combo must be >= 1, got 0"),
     ])
     def test_bad_setting_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, flags,
                                                  match):
@@ -557,6 +560,15 @@ class TestVerify:
         path = self.config(tmp_path, **params)
         assert_invalid(["verify", "--config", str(path)], path, capsys, "finite")
 
+    @pytest.mark.parametrize("key, value, match", [("level", float("nan"), "contour_level must be finite"),
+                                                   ("alpha", 1.5, "alpha must be in (0, 1), got 1.5"),
+                                                   ("alpha", 0, "alpha must be in (0, 1), got 0")])
+    def test_bad_level_or_alpha_exits_2(self, tmp_path, capsys, monkeypatch, key, value, match):
+        # each used to fail only after the grid Gram was built and factored, without the file's name
+        monkeypatch.setattr(cli, "coverage_check", no_work)
+        path = self.config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        assert_invalid(["verify", "--config", str(path)], path, capsys, match)
 
     @pytest.mark.parametrize("drop", ["quant_bounds", "theta0"])
     def test_missing_field_exits_2(self, tmp_path, capsys, drop):

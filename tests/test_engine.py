@@ -12,7 +12,7 @@ from contour_seeker.errors import CampaignError, ValidationError
 from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition, params_from_dict
 from contour_seeker.traceio import read_csv, save_trace
 
-from conftest import Prediction as P, arrays
+from conftest import Prediction as P, arrays, normalize
 
 
 def quick_cfg(sim, strategy="rcc", total=12, seed=3, per_combo=50, **kw):
@@ -29,7 +29,8 @@ def quick_cfg(sim, strategy="rcc", total=12, seed=3, per_combo=50, **kw):
     )
 
 
-SEEDS = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 20261017]
+# 2 ** 100 + 3 has four words, so derive_seed's array tag lies past the pool
+SEEDS = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 100 + 3, 20261017]
 
 
 class TestDeriveSeed:
@@ -70,6 +71,10 @@ class TestDeriveSeed:
                 expected = np.random.SeedSequence(entropy).generate_state(n_words, dtype)
                 got = seed_sequence_state(entropy, n_words, dtype)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        two_arrays = seed_sequence_state([seed, np.arange(7), 3, 5 * np.arange(7)], 3, np.uint64)
+        assert two_arrays.shape == (7, 3) and two_arrays.flags.c_contiguous
+        for j, row in enumerate(two_arrays):
+            assert np.array_equal(row, np.random.SeedSequence([seed, j, 3, 5 * j]).generate_state(3, np.uint64))
 
     def test_no_overflow_warning(self):
         with warnings.catch_warnings():
@@ -516,7 +521,7 @@ class TestTracePersistence:
         col = {name: i for i, name in enumerate(theader)}
         dcol = {name: i for i, name in enumerate(dheader)}
 
-        points = [cs.MixedPoint(space.normalize((float(r[dcol["x_1"]]),)),
+        points = [cs.MixedPoint(normalize(space, (float(r[dcol["x_1"]]),)),
                                 (int(r[dcol["z_1"]]),)) for r in drows]
         y_model = [float(r[dcol["y_model"]]) for r in drows]
 

@@ -643,7 +643,8 @@ class TestPredict:
         model = condition(params, data, sp)
         means, sds = cs.predict_batch(model, *point_arrays([cs.MixedPoint((1.0,), (3,))]))
         assert means[0] == pytest.approx(model.mu_hat, abs=1e-8)
-        assert sds[0] ** 2 == pytest.approx(model.prior_variance, rel=1e-8)
+        # far-field variance: total variance plus mean uncertainty
+        assert sds[0] ** 2 == pytest.approx(params.total_variance + 1.0 / model.ones_quad, rel=1e-8)
 
     def test_symmetric_two_point_brute_force(self):
         sp = cs.make_space([(0, 1)], [2])
@@ -751,7 +752,7 @@ class TestFit:
         assert model.mu_hat == pytest.approx(3.7, abs=1e-9)
         for x in (0.05, 0.45, 0.95):
             _, sds = cs.predict_batch(model, *point_arrays([cs.MixedPoint((x,), (1,))]))
-            assert sds[0] ** 2 <= model.prior_variance * (1 + 1e-8) + 1e-12
+            assert sds[0] ** 2 <= (model.params.total_variance + 1.0 / model.ones_quad) * (1 + 1e-8) + 1e-12
 
     def test_simulate_and_refit_tracks_truth(self):
         # sample one path from a known surrogate, refit it, and require the

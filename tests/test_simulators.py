@@ -7,6 +7,8 @@ import contour_seeker as cs
 from contour_seeker.errors import EvaluationError, IngestionError, ValidationError
 from contour_seeker.simulators import read_table
 
+from conftest import normalize
+
 
 class TestBuiltins:
     def test_unknown_name(self):
@@ -78,23 +80,23 @@ class TestTabular:
         path = tmp_path / "grid.csv"
         write_table(path, ["0.0,0.5,1,1.5", "10.0,0.5,2,-2.0", "5.0,0.0,1,0.25"])
         sim = cs.tabular_simulator(path, grid_space)
-        assert sim.evaluate(cs.MixedPoint(grid_space.normalize((0.0, 0.5)), (1,))) == 1.5
-        assert sim.evaluate(cs.MixedPoint(grid_space.normalize((10.0, 0.5)), (2,))) == -2.0
-        assert sim.evaluate(cs.MixedPoint(grid_space.normalize((5.0, 0.0)), (1,))) == 0.25
+        assert sim.evaluate(cs.MixedPoint(normalize(grid_space, (0.0, 0.5)), (1,))) == 1.5
+        assert sim.evaluate(cs.MixedPoint(normalize(grid_space, (10.0, 0.5)), (2,))) == -2.0
+        assert sim.evaluate(cs.MixedPoint(normalize(grid_space, (5.0, 0.0)), (1,))) == 0.25
 
     def test_nearest_row_normalized_metric(self, tmp_path, grid_space):
         # after normalization row B is closer to the query than row A
         path = tmp_path / "grid.csv"
         write_table(path, ["0.0,0.0,1,10.0", "4.0,0.9,1,20.0"])
         sim = cs.tabular_simulator(path, grid_space)
-        query = cs.MixedPoint(grid_space.normalize((3.0, 0.8)), (1,))
+        query = cs.MixedPoint(normalize(grid_space, (3.0, 0.8)), (1,))
         assert sim.evaluate(query) == 20.0
 
     def test_tie_smaller_row_index(self, tmp_path, grid_space):
         path = tmp_path / "grid.csv"
         write_table(path, ["2.0,0.5,1,111.0", "4.0,0.5,1,222.0"])
         sim = cs.tabular_simulator(path, grid_space)
-        query = cs.MixedPoint(grid_space.normalize((3.0, 0.5)), (1,))
+        query = cs.MixedPoint(normalize(grid_space, (3.0, 0.5)), (1,))
         assert sim.evaluate(query) == 111.0
 
     def test_missing_level_combination(self, tmp_path, grid_space):
@@ -108,7 +110,7 @@ class TestTabular:
         path = tmp_path / "grid.csv"
         write_table(path, ["2.0,0.5,1,100.0"])
         sim = cs.TabularSimulator(grid_space, *read_table(path, grid_space, "y", "log"))
-        val = sim.evaluate(cs.MixedPoint(grid_space.normalize((2.0, 0.5)), (1,)))
+        val = sim.evaluate(cs.MixedPoint(normalize(grid_space, (2.0, 0.5)), (1,)))
         assert val == pytest.approx(4.605170185988092, rel=1e-12)
 
     def test_malformed_row_reports_line(self, tmp_path, grid_space):
