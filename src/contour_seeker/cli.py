@@ -125,14 +125,14 @@ def _read_points(path, space, response_column=None, transform="identity"):
 
 
 def cmd_suggest(args) -> int:
+    if args.level is None:
+        raise ValidationError("suggest: --level is required")
     model = load_model(args.model)
     strategy = _strategy(args.strategy or "rcc", _strategy_overrides(args))
     if args.candidates:
         cands = CandidateSet(*_read_points(args.candidates, model.space)[1])
     else:
         cands = candidate_set(model.space, args.per_combo, args.seed or 0)
-    if args.level is None:
-        raise ValidationError("suggest: --level is required")
     point, report = suggest_next(model, cands, strategy, args.level)
     out = {
         "point": {"x": list(model.space.denormalize(point.x)), "z": list(point.z)},
@@ -203,15 +203,23 @@ def _decode_verify(args, doc: dict):
     params.validate(space)
     level, alpha = real(doc["level"]), real(doc.get("alpha", 0.1))
     AcquisitionContext(level, 1, space.num_combos, alpha=alpha)  # the level and alpha rules
+    draws, per_combo = integral(doc.get("draws", 500)), integral(doc.get("per_combo", 50))
+    n_train = integral(doc.get("n_train", 10))
+    for key, value in (("draws", draws), ("per_combo", per_combo)):
+        if value < 1:
+            raise ValidationError(f"{key} must be >= 1, got {value}")
+    n_grid = per_combo * space.num_combos
+    if not 2 <= n_train <= n_grid:
+        raise ValidationError(f"n_train must be in [2, per_combo * combinations = {n_grid}], got {n_train}")
     return space, params, {
         "space": doc["space"],
         "params": params_to_dict(params),
         "level": level,
         "alpha": alpha,
-        "draws": integral(doc.get("draws", 500)),
-        "per_combo": integral(doc.get("per_combo", 50)),
+        "draws": draws,
+        "per_combo": per_combo,
         "seed": seed_value(doc.get("seed", 0)),
-        "n_train": integral(doc.get("n_train", 10)),
+        "n_train": n_train,
         "out": doc["out"],
     }
 

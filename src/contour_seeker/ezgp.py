@@ -34,8 +34,8 @@ LAPACK calls on one BLAS thread and restores the previous count
 afterwards.  The conditioning core, ``_posterior`` and ``_predictive``,
 takes one training Gram or a stack of them along leading axes; only the
 factorizations and solves loop over the stack.
-``params_to_dict``/``params_from_dict`` give the JSON form of the
-hyperparameters; files are read and written by ``traceio``.
+``params_to_dict`` gives the JSON form of the hyperparameters, which
+``traceio`` writes and reads back (``params_from_doc``).
 """
 from __future__ import annotations
 
@@ -270,25 +270,6 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     return k
 
 
-@cache
-def _term_tables(qual_levels: tuple[int, ...], p: int) -> tuple[np.ndarray, ...]:
-    """Where each term of a Gram build, the base's and then each level's in
-    factor order, takes its variance and its p rates in ``_pack``'s order,
-    and each level's factor and value (its column + 1), as read-only arrays.
-
-    The base's rates sit at q + 1 + k, and theta[h][k, col] at k * m_h + col
-    of the factor's block."""
-    m = np.array((1,) + qual_levels)
-    variance = np.repeat(np.arange(len(m)), m)
-    block = (np.cumsum(m) - m)[variance]  # the first term of the term's variance
-    first_rate = len(m) + (p - 1) * block + np.arange(len(variance))
-    rates = first_rate[:, None] + m[variance][:, None] * np.arange(p)
-    tables = variance, rates, variance[1:] - 1, (np.arange(len(variance)) - block + 1)[1:]
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 class _KernelWorkspace:
     """The pair table of one point set's training Gram: what the fit's
     repeated builds of it and ``condition``'s one share.  Grids against
@@ -297,59 +278,59 @@ class _KernelWorkspace:
 
     ``pairs`` lists the (i, j) pairs of the Gram's lower triangle,
     ``np.tril_indices(n)``, as two index arrays, and ``flat_pairs`` their
-    positions i + n * j in a column-major (n, n) matrix.  ``levels`` lists,
-    in factor order, the (factor, column) of each level that some point of
-    the set takes; levels no point takes are dropped.
+    positions i + n * j in a column-major (n, n) matrix.
 
     ``stacked`` is one zero-padded (rows, ``width``, p) stack of negated
     squared coordinate differences, one per term of a build: first each of
     the ``n_pairs`` pairs', in pair order, filling ``base_rows`` rows with
-    at least one spare slot after them, then each level's pairs'.  Each
-    level starts a new row and takes as many rows as its pairs need.
+    at least one spare slot after them, then the pairs of each level that
+    some pair shares, in factor order; levels no pair shares take no rows.
+    Each level starts a new row and takes as many rows as its pairs need.
     ``width`` is the largest level's count of pairs, capped at
     ``_STACK_ROWS`` so that a large design pads little.
     ``targets`` holds the pair of each level-part entry (the spare slot on
     padding), and ``rate_index`` and ``variance_index`` where each row's
-    rates and variance sit in ``_pack``'s order.  All of them are built
-    with array operations, without a loop over the levels.  ``design``,
-    for the likelihood gradient, is built on first use.
+    rates and variance sit in ``_pack``'s order.  One loop over the
+    factors' levels lists each shared level's pairs, variance and rates,
+    and each table follows from those lists.  ``design``, for the
+    likelihood gradient, is built on first use.
     """
 
     def __init__(self, x, z, qual_levels):
         self.size, self.qual_levels = (len(x), len(x)), tuple(qual_levels)
         self.pairs = i, j = np.tril_indices(len(x))
         self.flat_pairs = np.ravel_multi_index(self.pairs, self.size, order="F")
-        p = x.shape[1]
+        p, q = x.shape[1], len(self.qual_levels)
         self.n_pairs = n_pairs = len(i)
-        variance, rates, level_factor, level_value = _term_tables(self.qual_levels, p)
-        # each row of ``at_level`` marks the points at one level, and each row of ``sel``
-        # the pairs that share it; ``member`` lists the marked pairs in level order,
-        # ascending within a level
-        at_level = z.T[level_factor] == level_value[:, None]
-        sel = at_level[:, i] & at_level[:, j]
-        level_counts = sel.sum(axis=1)
-        member = np.flatnonzero(sel) - np.repeat(n_pairs * np.arange(len(sel)), level_counts)
-        kept = np.flatnonzero(level_counts)
-        self.levels = tuple(zip(level_factor[kept].tolist(), (level_value[kept] - 1).tolist()))
+        # per term that takes rows, the base's and then each shared level's in factor order:
+        # its variance and its p rates in ``_pack``'s order (theta[h][k, col] sits at
+        # k * m_h + col of the factor's block), and a level's pairs in ascending order
+        variances, rates, members = [0], [q + 1 + np.arange(p)], []
+        z_i, shared = z[i], z[i] == z[j]
+        block = q + 1 + p
+        for h, m in enumerate(self.qual_levels):
+            for col in range(m):
+                member = np.flatnonzero(shared[:, h] & (z_i[:, h] == col + 1))
+                if len(member):
+                    variances.append(h + 1)
+                    rates.append(block + m * np.arange(p) + col)
+                    members.append(member)
+            block += p * m
         # without levels the base alone sets the width; an empty set of pairs still takes one row
-        self.width = max(1, min(max(level_counts[kept].tolist(), default=n_pairs), _STACK_ROWS))
+        self.width = max(1, min(max(map(len, members), default=n_pairs), _STACK_ROWS))
         self.base_rows = n_pairs // self.width + 1
-        # rows per term; a level no pair shares takes none
-        term_rows = np.concatenate(([self.base_rows], -(-level_counts // self.width)))
+        term_rows = [self.base_rows] + [-(-len(member) // self.width) for member in members]
         # per stacked row: its rates, shaped as the product's right-hand side, and its variance
-        row_term = np.repeat(np.arange(len(variance)), term_rows)
-        self.rate_index = rates[row_term][:, :, None]
-        self.variance_index = variance[row_term][:, None]
-        # a level's pairs fill its rows in order: the first ``fill`` slots of a row hold pairs
-        level_row = row_term[self.base_rows:] - 1
-        level_end = level_counts + self.width * (np.cumsum(term_rows[1:]) - term_rows[1:])
-        fill = level_end[level_row] - self.width * np.arange(len(level_row))
-        targets = np.full((len(level_row), self.width), n_pairs, dtype=np.intp)
-        targets[np.arange(self.width) < fill[:, None]] = member
-        self.targets = targets.reshape(-1)
-        del at_level, sel, member  # freed before the stack is allocated
+        self.rate_index = np.repeat(rates, term_rows, axis=0)[:, :, None]
+        self.variance_index = np.repeat(variances, term_rows)[:, None]
+        # a level's pairs fill its rows in order; the rest of its last row pads to the spare slot
+        self.targets = np.full((len(self.variance_index) - self.base_rows) * self.width, n_pairs, dtype=np.intp)
+        start = 0
+        for member, n_rows in zip(members, term_rows[1:]):
+            self.targets[start:start + len(member)] = member
+            start += n_rows * self.width
 
-        self.stacked = np.empty((len(row_term), self.width, p))
+        self.stacked = np.empty((len(self.variance_index), self.width, p))
         rows = self.stacked.reshape(-1, p)
         cut = self.base_rows * self.width
         neg_d2 = rows[:n_pairs]
@@ -394,7 +375,7 @@ class _KernelWorkspace:
     @cached_property
     def term_positions(self) -> np.ndarray:
         """Where each of ``design``'s terms sits in a build's buffer: every
-        pair's base term, then each level's terms in ``levels`` order."""
+        pair's base term, then each shared level's terms in factor order."""
         level_slots = np.flatnonzero(self.targets < self.n_pairs)
         return np.concatenate([np.arange(self.n_pairs), self.base_rows * self.width + level_slots])
 
@@ -413,8 +394,7 @@ class _KernelWorkspace:
         i, j = self.pairs
         n_pairs, p = self.n_pairs, self.stacked.shape[2]
         positions = self.term_positions
-        level_entries = positions[n_pairs:] - self.base_rows * self.width
-        term_pair = np.concatenate([np.arange(n_pairs), self.targets[level_entries]])
+        term_pair = np.concatenate([np.arange(n_pairs), self.targets[self.targets < n_pairs]])
         w = np.where(i == j, 1.0, 2.0)[term_pair]
         row = positions // self.width
         cols = np.arange(len(positions))
@@ -988,12 +968,3 @@ def params_to_dict(params: EzGpParams) -> dict:
         "theta0": [float(v) for v in params.theta0],
         "theta": [[[float(v) for v in row] for row in mat] for mat in params.theta],
     }
-
-
-def params_from_dict(d: dict) -> EzGpParams:
-    return EzGpParams(
-        mu=float(d["mu"]),
-        sigma2=np.array(d["sigma2"], dtype=float),
-        theta0=np.array(d["theta0"], dtype=float),
-        theta=tuple(np.array(mat, dtype=float) for mat in d["theta"]),
-    )

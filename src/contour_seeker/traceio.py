@@ -24,7 +24,7 @@ import numpy as np
 from .design_space import DesignSpace, MixedPoint, make_space
 from .engine import CampaignTrace, Strategy
 from .errors import IngestionError, ValidationError
-from .ezgp import Dataset, EzGpParams, FitConfig, FittedModel, condition, params_from_dict, params_to_dict
+from .ezgp import Dataset, EzGpParams, FitConfig, FittedModel, condition, params_to_dict
 
 SCHEMA_LINE = "# schema=1"
 
@@ -153,10 +153,10 @@ def space_from_dict(d: dict) -> DesignSpace:
 
 
 def params_from_doc(d: dict) -> EzGpParams:
-    """``params_from_dict`` of a document's params block, each number read
-    by ``real``."""
-    return params_from_dict({"mu": real(d["mu"]), "sigma2": reals(d["sigma2"]), "theta0": reals(d["theta0"]),
-                             "theta": [[reals(row) for row in mat] for mat in d["theta"]]})
+    """The hyperparameters of a document's params block (``params_to_dict``'s
+    form), each number read by ``real``."""
+    return EzGpParams(real(d["mu"]), np.array(reals(d["sigma2"])), np.array(reals(d["theta0"])),
+                      tuple(np.array([reals(row) for row in mat]) for mat in d["theta"]))
 
 
 def _reject_unknown_keys(d: dict, keys, block: str) -> None:

@@ -21,7 +21,7 @@ from contour_seeker.acquisition import AcquisitionContext, partition
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed
 from contour_seeker.errors import IllConditionedModelError, MetricUndefinedError, ValidationError
-from contour_seeker.traceio import space_from_dict
+from contour_seeker.traceio import params_from_doc, space_from_dict
 
 QUICK_FIT = cs.FitConfig(n_starts=2, max_fev=300)
 
@@ -351,7 +351,7 @@ def per_draw_coverage(space, truth, level, alpha, draws, per_combo, seed, n_trai
 
 def verify_band_inputs():
     doc = json.loads(VERIFY_BAND.read_text())
-    return (space_from_dict(doc["space"]), ezgp.params_from_dict(doc["params"]),
+    return (space_from_dict(doc["space"]), params_from_doc(doc["params"]),
             {key: doc[key] for key in ("level", "alpha", "draws", "per_combo", "seed", "n_train")})
 
 

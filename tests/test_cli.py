@@ -297,6 +297,10 @@ class TestSuggest:
     def test_level_required(self, model_path, capsys):
         assert main(["suggest", "--model", str(model_path)]) == 2
 
+    def test_level_checked_before_the_model_is_read(self, tmp_path, capsys):
+        # the model and the candidates used to be read and built before --level was found missing
+        assert_invalid(["suggest", "--model", str(tmp_path / "missing.json")], None, capsys, "--level")
+
     @pytest.mark.parametrize("content, match", [
         (None, "cannot read"), ("{nope", "invalid JSON"), ('{"schema": 1}', "missing field 'space'"),
         ("[1, 2]", "malformed model")])
@@ -569,6 +573,15 @@ class TestVerify:
         path = self.config(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         assert_invalid(["verify", "--config", str(path)], path, capsys, match)
+
+    @pytest.mark.parametrize("key, value", [("draws", 0), ("per_combo", 0), ("n_train", 1), ("n_train", 100000)])
+    def test_bad_draws_grid_or_training_size_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        # each used to reach coverage_check, whose message named neither the file nor, for
+        # per_combo, the setting
+        monkeypatch.setattr(cli, "coverage_check", no_work)
+        path = self.config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        assert_invalid(["verify", "--config", str(path)], path, capsys, f"{key} must be")
 
     @pytest.mark.parametrize("drop", ["quant_bounds", "theta0"])
     def test_missing_field_exits_2(self, tmp_path, capsys, drop):

@@ -9,8 +9,8 @@ import contour_seeker as cs
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed, seed_sequence_state, select_point
 from contour_seeker.errors import CampaignError, ValidationError
-from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition, params_from_dict
-from contour_seeker.traceio import read_csv, save_trace
+from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition
+from contour_seeker.traceio import params_from_doc, read_csv, save_trace
 
 from conftest import Prediction as P, arrays, normalize
 
@@ -528,7 +528,7 @@ class TestTracePersistence:
         for row in trows:
             n_before = int(row[col["n_before"]])
             data = cs.Dataset(tuple(points[:n_before]), np.array(y_model[:n_before]))
-            params = params_from_dict(json.loads(row[col["params"]]))
+            params = params_from_doc(json.loads(row[col["params"]]))
             model = condition(params, data, space)
             cand = cs.candidate_set(space, cfg.per_combo, int(row[col["candidate_seed"]]))
             mask = coincident(cand.x, cand.z, data.x, data.z).any(axis=1)

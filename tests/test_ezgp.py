@@ -121,9 +121,13 @@ class TestCovariance:
             for j, v in enumerate(b):
                 assert k[i, j] == pytest.approx(covariance(params, u, v), rel=1e-12, abs=0)
         # a design without factor 1's level 3 and factor 2's level 2: its pair table
-        # drops exactly those levels
+        # gives rows to exactly the other levels, one row each (the widest level has all
+        # 10 pairs).  In _pack's order theta[0][k, col] sits at 5 + 3k + col and
+        # theta[1][k, col] at 11 + 2k + col
         x, z = point_arrays([cs.MixedPoint(tuple(rng.random(2)), z) for z in [(1, 1), (2, 1), (2, 1), (1, 1)]])
-        assert ezgp._KernelWorkspace(x, z, sp.qual_levels).levels == ((0, 0), (0, 1), (1, 0))
+        ws = ezgp._KernelWorkspace(x, z, sp.qual_levels)
+        assert ws.variance_index[ws.base_rows:, 0].tolist() == [1, 1, 2]
+        assert ws.rate_index[ws.base_rows:, :, 0].tolist() == [[5, 8], [6, 9], [11, 13]]
 
 
 class TestDataset:
@@ -485,10 +489,14 @@ WIDE_P = [4, 5, 6]
 class TestPairTable:
     """The fit's Gram is built on the pairs of its lower triangle only."""
 
-    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27)] + UNEQUAL_LEVEL_COUNTS)
+    @pytest.mark.parametrize("name, n", [("example1", 12), ("example2", 18), ("example3", 27), ("example1", 150)]
+                             + UNEQUAL_LEVEL_COUNTS)
     def test_lower_triangle_equals_cross_covariance(self, name, n, monkeypatch):
         space, data = design_data(name, n, seed=3)
         assert unequal_level_counts(data) == ((name, n) in UNEQUAL_LEVEL_COUNTS)
+        # at n = 150 each level's 1275 pairs pass the row cap and fill two stacked rows
+        width = ezgp._KernelWorkspace(data.x, data.z, space.qual_levels).width
+        assert (width == ezgp._STACK_ROWS) == (n == 150)
         self.assert_lower_triangle_equals_cross_covariance(space, data, monkeypatch)
 
     @pytest.mark.parametrize("p", WIDE_P + [pytest.param(8, marks=GEMV_ROW_BITS)])

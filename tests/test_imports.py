@@ -34,7 +34,7 @@ def loaded():
 steps = {}
 import contour_seeker as cs
 from contour_seeker import cli
-from contour_seeker.ezgp import params_from_dict
+from contour_seeker.traceio import params_from_doc
 steps["import"] = loaded()
 
 tmp = Path(sys.argv[1])
@@ -47,7 +47,7 @@ params = {"mu": 0.0, "sigma2": [1.0, 0.5], "theta0": [5.0], "theta": [[[5.0, 5.0
 sim = cs.builtin_simulator("example1")
 points = cs.initial_design(sim.space, 6, seed=1)
 data = cs.Dataset(tuple(points), [sim.evaluate(pt) for pt in points])
-cs.save_model(cs.condition(params_from_dict(params), data, sim.space), tmp / "model.json")
+cs.save_model(cs.condition(params_from_doc(params), data, sim.space), tmp / "model.json")
 (tmp / "space.json").write_text(json.dumps(space))
 (tmp / "data.csv").write_text("x_1,z_1,y\n0.1,1,1.191\n0.6,1,2.809\n0.3,2,1.809\n"
                               "0.85,2,1.309\n0.2,3,0.309\n0.7,3,-0.309\n")
