@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SelectionError, ValidationError
+from .errors import ValidationError
 from .ezgp import _scipy_extension
 
 ndtr, = _scipy_extension("special", "_special_ufuncs", "ndtr")
@@ -175,28 +175,6 @@ def partition(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> Re
     return RegionPartition(dist - half, dist + half)
 
 
-def _check_inner(inner: str) -> None:
-    """RCC's band-region criterion is the entropy or the expected improvement."""
-    if inner not in _RCC_INNER:
-        raise ValidationError(f"unknown inner criterion {inner!r}; choose from {_RCC_INNER}")
-
-
-def select_a1(sds: np.ndarray, part: RegionPartition) -> int | None:
-    """Largest predictive sd inside the restricted exploration region."""
-    if len(part.a1_min) == 0:
-        return None
-    return int(part.a1_min[np.argmax(sds[part.a1_min])])
-
-
-def select_a2(means: np.ndarray, sds: np.ndarray, part: RegionPartition, ctx: AcquisitionContext,
-              inner: str = "ecl") -> int | None:
-    """Best inner criterion (entropy or expected improvement) inside the band region."""
-    _check_inner(inner)
-    if len(part.a2) == 0:
-        return None
-    return int(part.a2[np.argmax(_criterion(inner, means[part.a2], sds[part.a2], ctx))])
-
-
 @dataclass(frozen=True)
 class Finalist:
     index: int
@@ -225,45 +203,44 @@ def _finalist(means, sds, i: int, ctx: AcquisitionContext, acq_value: float) -> 
     return Finalist(i, mean, sd, acq_value, float(sd / max(ctx.delta, abs(mean - ctx.contour_level))))
 
 
-def arbitrate(means: np.ndarray, sds: np.ndarray, i1: int | None, i2: int | None,
-              ctx: AcquisitionContext, part: RegionPartition, inner: str = "ecl") -> SelectionReport:
-    """Pick between the two region finalists by sd / max(delta, |mean - a|).
+def select_rcc(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
+               inner: str = "ecl") -> SelectionReport:
+    """The paper's region-based cooperative step.
 
-    Ties go to the band-region finalist; a single finalist is chosen with
-    region tag "fallback".  The report takes its region sizes and minimum
-    upper bound from ``part``, the candidates' partition.
+    The confidence bounds split the candidates into A1 (lb > 0) and the
+    band region A2.  The A1 finalist has the largest sd in A1's part of the
+    search region {lb <= min ub}; the A2 finalist is the best ``inner``
+    criterion (``ecl`` or ``ei``) over A2.  Of the two, the larger
+    sd / max(delta, |mean - a|) is chosen, ties going to A2; a lone
+    finalist is chosen with region tag "fallback".  One always exists: the
+    candidate with the least upper bound is in the search region, so A1's
+    part of it is empty only when A2 is not.
     """
-    _check_inner(inner)
-    if i1 is None and i2 is None:
-        raise SelectionError("arbitrate: no finalist from either region")
-    f1 = _finalist(means, sds, i1, ctx, float(sds[i1])) if i1 is not None else None
-    f2 = None
-    if i2 is not None:
-        acq2 = float(_criterion(inner, means[i2:i2 + 1], sds[i2:i2 + 1], ctx)[0])
-        f2 = _finalist(means, sds, i2, ctx, acq2)
-
+    part = partition(means, sds, ctx)
+    if inner not in _RCC_INNER:
+        raise ValidationError(f"unknown inner criterion {inner!r}; choose from {_RCC_INNER}")
+    f1 = f2 = None
+    if len(part.a1_min):
+        i1 = int(part.a1_min[np.argmax(sds[part.a1_min])])
+        f1 = _finalist(means, sds, i1, ctx, float(sds[i1]))
+    if len(part.a2):
+        acq = _criterion(inner, means[part.a2], sds[part.a2], ctx)
+        k = int(np.argmax(acq))
+        f2 = _finalist(means, sds, int(part.a2[k]), ctx, float(acq[k]))
     if f1 is not None and f2 is not None:
         chosen, region = (f1.index, "A1") if f1.score > f2.score else (f2.index, "A2")
     else:
         chosen, region = (f1 or f2).index, "fallback"
-
     return SelectionReport(chosen, region, f1, f2, len(part.a1), len(part.a2), len(part.a1_min), part.min_ub)
-
-
-def select_rcc(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext,
-               inner: str = "ecl") -> SelectionReport:
-    """Full region-based cooperative step: partition, per-region picks, arbitration."""
-    part = partition(means, sds, ctx)
-    i1 = select_a1(sds, part)
-    i2 = select_a2(means, sds, part, ctx, inner=inner)
-    return arbitrate(means, sds, i1, i2, ctx, part, inner=inner)
 
 
 def select_arsd(means: np.ndarray, sds: np.ndarray, ctx: AcquisitionContext) -> int:
     """LCB restricted to the adaptive region {lb <= min ub}.
 
     The restriction is never empty: the candidate attaining the minimum
-    upper bound has lb <= ub = min_ub.
+    upper bound has lb <= ub = min_ub.  When sqrt(beta) >= rho (at the
+    default rho = 2, for every alpha <= 0.22) it holds ``select_global``'s
+    LCB pick k: with d = |mean - a| - rho sd, lb_k <= d_k <= d_j <= ub_j.
     """
     region = partition(means, sds, ctx).restricted
     return int(region[np.argmax(_criterion("lcb", means[region], sds[region], ctx))])

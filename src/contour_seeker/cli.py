@@ -127,8 +127,8 @@ def _read_points(path, space, response_column=None, transform="identity"):
 def cmd_suggest(args) -> int:
     if args.level is None:
         raise ValidationError("suggest: --level is required")
-    model = load_model(args.model)
     strategy = _strategy(args.strategy or "rcc", _strategy_overrides(args))
+    model = load_model(args.model)
     if args.candidates:
         cands = CandidateSet(*_read_points(args.candidates, model.space)[1])
     else:
@@ -151,10 +151,10 @@ def cmd_suggest(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    config = FitConfig(**_given(n_starts=args.starts, seed=args.seed, max_fev=args.max_fev))
     space = load_document(args.space, space_from_dict, "space")
     points, (_, _, y) = _read_points(args.data, space, "y", args.transform)
     data = Dataset(points, y, transform=args.transform)
-    config = FitConfig(**_given(n_starts=args.starts, seed=args.seed, max_fev=args.max_fev))
     model = fit(data, space, config)
     save_model(model, args.out)
     print(json.dumps({"out": args.out, "nll": model.nll, "jitter": model.jitter,

@@ -38,10 +38,6 @@ class FitFailureError(ContourSeekerError):
     """No optimizer start produced a factorizable model."""
 
 
-class SelectionError(ContourSeekerError):
-    """No candidate could be selected (empty candidate set or finalists)."""
-
-
 class MetricUndefinedError(ContourSeekerError):
     """Reference contour is empty; the accuracy metric cannot be computed."""
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import contour_seeker as cs
 from contour_seeker import acquisition
 from contour_seeker.acquisition import Finalist
-from contour_seeker.errors import SelectionError, ValidationError
+from contour_seeker.errors import ValidationError
 
 from conftest import Prediction as P, arrays, score
 
@@ -248,12 +248,14 @@ class TestPartition:
 
 
 class TestSelectA1:
+    """The A1 finalist of ``select_rcc``: the largest sd in A1's part of the search region."""
+
     def test_singleton(self):
         preds = [P(10.0, 0.1), P(0.0, 5.0)]
         ctx = ctx_for(level=0.0, n=100)
         part = cs.partition(*arrays(preds), ctx)
         if len(part.a1_min) == 1:
-            assert cs.select_a1(arrays(preds)[1], part) == part.a1_min[0]
+            assert cs.select_rcc(*arrays(preds), ctx).a1_finalist.index == part.a1_min[0]
 
     def test_tie_smallest_index(self):
         # a wide A2 candidate keeps min_ub large enough to admit both A1 points
@@ -261,73 +263,68 @@ class TestSelectA1:
         part = cs.partition(*arrays(preds), ctx_for(level=0.0))
         assert sorted(part.a1) == [0, 1]
         assert sorted(part.a1_min) == [0, 1]
-        assert cs.select_a1(arrays(preds)[1], part) == 0
+        assert cs.select_rcc(*arrays(preds), ctx_for(level=0.0)).a1_finalist.index == 0
 
     def test_empty_region(self):
         preds = [P(0.0, 10.0)]
-        part = cs.partition(*arrays(preds), ctx_for())
-        assert cs.select_a1(arrays(preds)[1], part) is None
+        assert cs.select_rcc(*arrays(preds), ctx_for()).a1_finalist is None
 
 
 class TestSelectA2:
+    """The A2 finalist of ``select_rcc``: the best inner criterion over the band region."""
+
     def test_singleton(self):
         preds = [P(100.0, 0.01), P(0.0, 1.0)]
         part = cs.partition(*arrays(preds), ctx_for(level=0.0))
         assert list(part.a2) == [1]
-        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) == 1
+        assert cs.select_rcc(*arrays(preds), ctx_for(level=0.0)).a2_finalist.index == 1
 
     def test_entropy_peak_wins(self):
         preds = [P(0.0, 1.0), P(0.9, 1.0), P(-2.0, 1.5)]
-        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
-        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) == 0
+        assert cs.select_rcc(*arrays(preds), ctx_for(level=0.0)).a2_finalist.index == 0
 
     def test_empty_region(self):
         preds = [P(50.0, 0.001)]
-        part = cs.partition(*arrays(preds), ctx_for(level=0.0))
-        assert cs.select_a2(*arrays(preds), part, ctx_for(level=0.0)) is None
+        assert cs.select_rcc(*arrays(preds), ctx_for(level=0.0)).a2_finalist is None
 
     def test_ei_inner(self):
         preds = [P(10.0, 4.0), P(0.0, 4.0)]
-        ctx = ctx_for(level=0.0)
-        part = cs.partition(*arrays(preds), ctx)
-        assert cs.select_a2(*arrays(preds), part, ctx, inner="ei") == 1
+        assert cs.select_rcc(*arrays(preds), ctx_for(level=0.0), inner="ei").a2_finalist.index == 1
 
 
 class TestArbitrate:
+    """``select_rcc``'s choice between its two finalists by sd / max(delta, |mean - a|)."""
+
     def test_close_means_larger_sd_wins(self):
         # both finalists within delta of the level: score reduces to sd/delta
         ctx = ctx_for(level=0.0, delta=0.5)
-        means, sds = arrays([P(0.1, 0.4), P(-0.2, 1.1)])
-        report = cs.arbitrate(means, sds, 0, 1, ctx, cs.partition(means, sds, ctx))
+        report = cs.select_rcc(*arrays([P(0.1, 0.02), P(-0.2, 1.1)]), ctx)
+        assert (report.a1_finalist.index, report.a2_finalist.index) == (0, 1)
+        assert report.a1_finalist.score == 0.02 / 0.5 and report.a2_finalist.score == 1.1 / 0.5
         assert report.chosen_index == 1
 
     def test_single_finalist_is_fallback(self):
         ctx = ctx_for(level=0.0)
-        means, sds = arrays([P(0.3, 0.2), P(5.0, 0.1)])
-        part = cs.partition(means, sds, ctx)
-        report = cs.arbitrate(means, sds, None, 1, ctx, part)
-        assert report.chosen_index == 1 and report.region == "fallback"
-        report = cs.arbitrate(means, sds, 0, None, ctx, part)
+        report = cs.select_rcc(*arrays([P(0.3, 0.2), P(5.0, 0.1)]), ctx)
+        assert report.a1_finalist is None
         assert report.chosen_index == 0 and report.region == "fallback"
-
-    def test_no_finalists(self):
-        means, sds = arrays([P(0.0, 1.0)])
-        ctx = ctx_for()
-        with pytest.raises(SelectionError):
-            cs.arbitrate(means, sds, None, None, ctx, cs.partition(means, sds, ctx))
+        report = cs.select_rcc(*arrays([P(5.0, 0.1), P(0.3, 0.02)]), ctx)
+        assert report.a2_finalist is None
+        assert report.chosen_index == 1 and report.region == "fallback"
 
     def test_score_shift_invariance(self):
-        (means_a, sds_a), ctx_a = arrays([P(1.3, 0.6), P(2.0, 0.9)]), ctx_for(level=1.0)
-        (means_b, sds_b), ctx_b = arrays([P(11.3, 0.6), P(12.0, 0.9)]), ctx_for(level=11.0)
-        ra = cs.arbitrate(means_a, sds_a, 0, 1, ctx_a, cs.partition(means_a, sds_a, ctx_a))
-        rb = cs.arbitrate(means_b, sds_b, 0, 1, ctx_b, cs.partition(means_b, sds_b, ctx_b))
+        (means_a, sds_a), ctx_a = arrays([P(1.3, 0.05), P(2.0, 0.9)]), ctx_for(level=1.0)
+        (means_b, sds_b), ctx_b = arrays([P(11.3, 0.05), P(12.0, 0.9)]), ctx_for(level=11.0)
+        ra, rb = cs.select_rcc(means_a, sds_a, ctx_a), cs.select_rcc(means_b, sds_b, ctx_b)
         assert ra.chosen_index == rb.chosen_index
         assert ra.a1_finalist.score == pytest.approx(rb.a1_finalist.score, rel=1e-12)
 
     def test_tie_prefers_band_region(self):
+        # equal scores 0.1 / max(1, |mean|) from an A1 and an A2 candidate
         ctx = ctx_for(level=0.0, delta=1.0)
-        means, sds = arrays([P(0.0, 0.7), P(0.0, 0.7)])
-        assert cs.arbitrate(means, sds, 0, 1, ctx, cs.partition(means, sds, ctx)).region == "A2"
+        report = cs.select_rcc(*arrays([P(0.5, 0.1), P(0.0, 0.1)]), ctx)
+        assert report.a1_finalist.score == report.a2_finalist.score
+        assert report.region == "A2" and report.chosen_index == 1
 
 
 class TestSelectArsd:
@@ -389,12 +386,12 @@ class TestSelectionCoreOracle:
         ctx = ctx_for(level=0.0)
         part = cs.partition(*arrays(preds), ctx)
         assert len(part.a2) > 0
-        with pytest.raises(ValidationError):
-            cs.select_a2(*arrays(preds), part, ctx, inner="lcb")
-        with pytest.raises(ValidationError):
-            cs.arbitrate(*arrays(preds), None, 0, ctx, part, inner="lcb")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown inner criterion 'lcb'"):
             cs.select_rcc(*arrays(preds), ctx, inner="lcb")
+        # also with no band region, where no inner criterion is scored
+        assert len(cs.partition(*arrays([P(3.0, 0.1)]), ctx).a2) == 0
+        with pytest.raises(ValidationError, match="unknown inner criterion 'lcb'"):
+            cs.select_rcc(*arrays([P(3.0, 0.1)]), ctx, inner="lcb")
 
 
 class TestSelectGlobal:
@@ -430,6 +427,20 @@ class TestSelectGlobal:
             cs.select_global(*arrays([P(0.0, 1.0)]), ctx_for(), "nope")
 
 
+def candidate_arrays(rng, n, level, root, kind):
+    """(means, sds) of a seeded candidate set with sd = 0 entries: spread out,
+    with few distinct values so that bounds and scores tie, or clustered at
+    the a1/a2 boundary |mean - level| / sd = root."""
+    if kind == "coarse":
+        return level + rng.choice([-1.0, 0.0, 0.5, 2.0], n), rng.choice([0.0, 0.25, 1.0], n)
+    sds = rng.uniform(0.0, 1.5, n)
+    sds[rng.random(n) < 0.2] = 0.0
+    if kind == "boundary":
+        shift = rng.choice([-1e-3, -1e-6, 0.0, 1e-6, 1e-3, rng.uniform(-0.2, 0.2)], n)
+        return level + rng.choice([-1.0, 1.0], n) * root * (1.0 + shift) * sds, sds
+    return level + rng.normal(0.0, 3.0, n), sds
+
+
 class TestSelectRcc:
     def test_band_only_candidates_fall_back(self):
         preds = [P(0.0, 10.0), P(1.0, 10.0)]
@@ -437,17 +448,98 @@ class TestSelectRcc:
         report = cs.select_rcc(*arrays(preds), ctx)
         part = cs.partition(*arrays(preds), ctx)
         assert len(part.a1) == 0
-        assert report.region == "fallback"
-        assert report.chosen_index == cs.select_a2(*arrays(preds), part, ctx)
+        assert report.region == "fallback" and report.a1_finalist is None
+        assert report.chosen_index == report.a2_finalist.index == 0
 
     def test_report_records_both_finalists(self):
         ctx = ctx_for(level=0.0, n=30, delta=0.1)
-        preds = [P(8.0, 0.3), P(0.2, 0.5), P(-4.0, 0.2)]
+        # candidate 2 is in A1 and inside the search region, so both finalists exist
+        preds = [P(8.0, 0.3), P(0.2, 0.5), P(-1.5, 0.2)]
         report = cs.select_rcc(*arrays(preds), ctx)
         assert report.a1_size + report.a2_size == 3
-        if report.a1_finalist and report.a2_finalist:
-            assert isinstance(report.a1_finalist, Finalist)
-            assert report.chosen_index in (report.a1_finalist.index, report.a2_finalist.index)
+        assert isinstance(report.a1_finalist, Finalist) and isinstance(report.a2_finalist, Finalist)
+        assert (report.a1_finalist.index, report.a2_finalist.index) == (2, 1)
+        assert report.chosen_index in (report.a1_finalist.index, report.a2_finalist.index)
+
+    @given(st.integers(1, 40), st.integers(0, 10_000), st.sampled_from(["spread", "coarse", "boundary"]),
+           st.sampled_from(["ecl", "ei"]))
+    def test_finalist_fields(self, n, seed, kind, inner):
+        # the A2 value is read from the criterion over all of A2; it has the bits of a one-element call
+        rng = np.random.default_rng(seed)
+        ctx = ctx_for(level=float(rng.normal()), n=int(rng.integers(1, 50)), delta=float(rng.uniform(0.01, 1.0)))
+        means, sds = candidate_arrays(rng, n, ctx.contour_level, math.sqrt(ctx.beta), kind)
+        report = cs.select_rcc(means, sds, ctx, inner=inner)
+        for f in (report.a1_finalist, report.a2_finalist):
+            if f is None:
+                continue
+            i = f.index
+            one = means[i:i + 1], sds[i:i + 1]
+            acq = sds[i] if f is report.a1_finalist else acquisition._criterion(inner, *one, ctx)[0]
+            assert same_bits([f.mean, f.sd, f.acq_value], [means[i], sds[i], acq])
+            assert f.score == sds[i] / max(ctx.delta, abs(means[i] - ctx.contour_level))
+
+
+class TestStrategiesCoincide:
+    """Where ARSD is LCB and where RCC's band finalist is the global ECL pick."""
+
+    @given(st.integers(1, 40), st.integers(0, 10_000), st.sampled_from(["spread", "coarse", "boundary"]),
+           st.floats(0.01, 0.99), st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_arsd_is_lcb_when_root_beta_covers_rho(self, n, seed, kind, alpha, share):
+        rng = np.random.default_rng(seed)
+        level, n_train, combos = float(rng.normal()), int(rng.integers(1, 50)), int(rng.integers(1, 10))
+        root = math.sqrt(cs.beta_n(n_train, combos, alpha))
+        # share 1 is rho = sqrt(beta) exactly
+        ctx = ctx_for(level=level, n=n_train, num_combos=combos, alpha=alpha, rho=root * share)
+        assert math.sqrt(ctx.beta) >= ctx.rho
+        means, sds = candidate_arrays(rng, n, level, root, kind)
+        assert cs.select_arsd(means, sds, ctx) == cs.select_global(means, sds, ctx, "lcb")
+
+    @given(st.integers(1, 40), st.integers(0, 10_000), st.sampled_from(["spread", "coarse", "boundary"]),
+           st.floats(0.01, 0.99))
+    def test_band_finalist_is_global_ecl_pick(self, n, seed, kind, alpha):
+        rng = np.random.default_rng(seed)
+        level, n_train, combos = float(rng.normal()), int(rng.integers(1, 50)), int(rng.integers(1, 10))
+        ctx = ctx_for(level=level, n=n_train, num_combos=combos, alpha=alpha)
+        root = math.sqrt(ctx.beta)
+        means, sds = candidate_arrays(rng, n, level, root, kind)
+        report = cs.select_rcc(means, sds, ctx, inner="ecl")
+        # every non-empty set has a finalist, and the chosen candidate is one
+        finalists = [f.index for f in (report.a1_finalist, report.a2_finalist) if f is not None]
+        assert report.chosen_index in finalists
+        part = cs.partition(means, sds, ctx)
+        pos = sds > 0
+        near = np.abs(np.abs(means[pos] - level) / sds[pos] - root) <= 1e-6 * root
+        assume(np.any(sds[part.a2] > 0) and not near.any())
+        assert report.a2_finalist.index == cs.select_global(means, sds, ctx, "ecl")
+
+    def test_arsd_differs_when_rho_exceeds_root_beta(self):
+        # rho = 1000 makes the wide, far candidate 0 the LCB pick, outside the search region
+        ctx = ctx_for(level=0.0, rho=1000.0)
+        means, sds = np.array([10.0, 0.5]), np.array([1.0, 0.01])
+        assert cs.partition(means, sds, ctx).restricted.tolist() == [1]
+        assert cs.select_arsd(means, sds, ctx) == 1
+        assert cs.select_global(means, sds, ctx, "lcb") == 0
+
+    def test_band_of_zero_sd_only(self):
+        # A2 = {0} scores ECL 0, below candidate 1's positive ECL outside A2
+        ctx = ctx_for(level=0.0, n=10, num_combos=3)
+        means, sds = np.array([0.0, 5.0]), np.array([0.0, 1.0])
+        assert cs.partition(means, sds, ctx).a2.tolist() == [0]
+        assert cs.select_rcc(means, sds, ctx).a2_finalist.index == 0
+        assert cs.select_global(means, sds, ctx, "ecl") == 1
+
+    def test_standardized_distance_at_root_beta(self):
+        # 1 - p of ndtr near 1 loses its last digits, so the two ECLs tie
+        # across the boundary and the global pick is the A1 candidate 0
+        ctx = ctx_for(level=0.0, n=10, num_combos=3)
+        root = math.sqrt(ctx.beta)
+        means, sds = np.array([root * (1 + 1e-15), root * (1 - 1e-15)]), np.ones(2)
+        part = cs.partition(means, sds, ctx)
+        assert (part.a1.tolist(), part.a2.tolist()) == ([0], [1])
+        ecl = acquisition._criterion("ecl", means, sds, ctx)
+        assert ecl[1] >= ecl[0] * (1 - 2.5e-9)
+        assert cs.select_rcc(means, sds, ctx).a2_finalist.index == 1
+        assert cs.select_global(means, sds, ctx, "ecl") == 0
 
 
 class TestContextValidation:

@@ -301,6 +301,10 @@ class TestSuggest:
         # the model and the candidates used to be read and built before --level was found missing
         assert_invalid(["suggest", "--model", str(tmp_path / "missing.json")], None, capsys, "--level")
 
+    def test_strategy_checked_before_the_model_is_read(self, tmp_path, capsys):
+        assert_invalid(["suggest", "--model", str(tmp_path / "missing.json"), "--level", "0", "--rho", "-1"],
+                       None, capsys, "rho")
+
     @pytest.mark.parametrize("content, match", [
         (None, "cannot read"), ("{nope", "invalid JSON"), ('{"schema": 1}', "missing field 'space'"),
         ("[1, 2]", "malformed model")])
@@ -343,6 +347,10 @@ class TestSuggest:
 
 
 class TestFit:
+    def test_flags_checked_before_the_files_are_read(self, tmp_path, capsys):
+        assert_invalid(["fit", "--data", str(tmp_path / "nope.csv"), "--space", str(tmp_path / "nope.json"),
+                        "--starts", "0"], None, capsys, "n_starts")
+
     def make_space_file(self, tmp_path):
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"quant_bounds": [[0.0, 1.0]], "qual_levels": [2]}))

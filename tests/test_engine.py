@@ -426,7 +426,8 @@ class TestSelectPointDispatch:
         report = select_point(*arrays(preds), ctx, cs.Strategy("rcc"))
         part = cs.partition(*arrays(preds), ctx)
         assert len(part.a1) == 0
-        assert report.chosen_index == cs.select_a2(*arrays(preds), part, ctx)
+        assert report == cs.select_rcc(*arrays(preds), ctx)
+        assert report.chosen_index == report.a2_finalist.index == 1
 
     def test_unknown_strategy_kind(self):
         with pytest.raises(ValidationError):
