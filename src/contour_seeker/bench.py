@@ -14,11 +14,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .acquisition import AcquisitionContext, partition
 from .design_space import DesignSpace, candidate_set
-from .engine import CampaignConfig, Strategy, _evaluate, derive_seed, run_adaptive, run_one_shot, seed_sequence_state
+from .engine import CampaignConfig, Strategy, _evaluate, derive_seed, run_adaptive, run_one_shot
 from .errors import ContourSeekerError, MetricUndefinedError, ValidationError
 # condition is not called here; it stays bound because perfbench/tracing.py rebinds bench.condition
 from .ezgp import (_STACK_ELEMENTS, Dataset, EzGpParams, FitConfig, FittedModel, _factor_gram, _posterior,
@@ -29,11 +28,6 @@ from .simulators import Simulator, get_transform
 _TAG_REFERENCE = 90
 _TAG_REPLICATE = 100
 _TAG_ONESHOT = 7
-
-# Draws whose generator states one seed-derivation pass computes: a pass costs
-# about a hundred numpy calls whatever its length, and its arrays peak near
-# 170 bytes a draw, so a chunk bounds memory at under 1 MB whatever ``draws`` is.
-_SEED_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -287,29 +281,6 @@ def _draws_per_block(n_train: int, n_grid: int) -> int:
     return max(_STACK_ELEMENTS // (n_train * n_grid), 1)
 
 
-class _StateWords(ISeedSequence):
-    """Precomputed PCG64 seeding words, handed to ``np.random.PCG64`` in place of
-    the SeedSequence that would compute them."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, np.dtype(dtype)) != (len(self.words), self.words.dtype):
-            raise ValueError(f"holds {len(self.words)} {self.words.dtype} words, not {n_words} {np.dtype(dtype)}")
-        return self.words
-
-
-def _draw_generators(seed: int, draws: int):
-    """Each draw's generator in draw order: ``default_rng(derive_seed(seed, 1, i))``
-    with the same stream, its seed and PCG64 state derived for up to
-    ``_SEED_CHUNK`` draws in one ``seed_sequence_state`` pass each."""
-    for first in range(0, draws, _SEED_CHUNK):
-        seeds = derive_seed(seed, 1, np.arange(first, min(first + _SEED_CHUNK, draws)))
-        for words in seed_sequence_state([seeds], 4, np.uint64):
-            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
-
-
 def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, alpha: float,
                    draws: int, per_combo: int, seed: int, n_train: int = 10) -> CoverageResult:
     """Sample GP paths on a finite grid, condition on a small random subset
@@ -318,10 +289,13 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
 
     Each draw conditions on rows of the grid Gram that samples the paths;
     a draw whose training Gram cannot be factorized counts as skipped.
-    Draws run in blocks (``_draws_per_block``): each draw's random stream
-    is ``default_rng(derive_seed(seed, 1, i))``'s, made in draw order as one
-    draw at a time would make it (``_draw_generators``), and a block
-    samples its paths with one stacked product and is conditioned and
+    Paths come from one stream, ``default_rng(derive_seed(seed, 1))``, and
+    training subsets from another, ``default_rng(derive_seed(seed, 2))``:
+    draw i takes row i of the standard normals and, as its subset, the
+    ``n_train`` smallest of row i of the uniforms (a uniform subset).  Both
+    streams fill rows in draw order, so a draw does not depend on the block
+    size or on ``draws``.  Draws run in blocks (``_draws_per_block``): a
+    block samples its paths with one stacked product and is conditioned and
     predicted in one ``_posterior`` and one ``_predictive`` call, with the
     bits of one draw at a time.
 
@@ -347,14 +321,11 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
 
     hits = skipped = violations = 0
     block = _draws_per_block(n_train, n_grid)
-    generators = _draw_generators(seed, draws)
+    path_rng, train_rng = (np.random.default_rng(derive_seed(seed, tag)) for tag in (1, 2))
     for first in range(0, draws, block):
         size = min(block, draws - first)
-        normals, train = np.empty((size, n_grid)), np.empty((size, n_train), dtype=np.intp)
-        for k, rng in zip(range(size), generators):
-            normals[k] = rng.standard_normal(n_grid)
-            train[k] = rng.choice(n_grid, size=n_train, replace=False)
-        paths = true_params.mu + np.matmul(chol, normals[:, :, None])[:, :, 0]
+        paths = true_params.mu + np.matmul(chol, path_rng.standard_normal((size, n_grid))[:, :, None])[:, :, 0]
+        train = np.argpartition(train_rng.random((size, n_grid)), n_train - 1, axis=1)[:, :n_train]
         post = _posterior(gram[train[:, :, None], train[:, None, :]], np.take_along_axis(paths, train, axis=1))
         factored = ~np.isnan(post.jitter)
         skipped += size - int(np.count_nonzero(factored))

@@ -128,6 +128,8 @@ def cmd_suggest(args) -> int:
     if args.level is None:
         raise ValidationError("suggest: --level is required")
     strategy = _strategy(args.strategy or "rcc", _strategy_overrides(args))
+    if not args.candidates and args.per_combo < 1:
+        raise ValidationError(f"suggest: per_combo must be >= 1, got {args.per_combo}")
     model = load_model(args.model)
     if args.candidates:
         cands = CandidateSet(*_read_points(args.candidates, model.space)[1])

@@ -5,7 +5,8 @@ surrogate, draw a fresh per-combination candidate LHD, score candidates
 with the configured strategy, evaluate the chosen input, append.  All
 randomness is derived from the campaign seed with fixed tags, so two
 strategies sharing a seed see identical initial designs and candidate
-streams and differ only at the selection step.
+streams and differ only at the selection step.  ``derive_seed`` makes each
+tagged seed with numpy's SeedSequence.
 
 ``run_adaptive`` and ``suggest_next`` share one selection step.  It skips
 candidates that coincide with a design point (the next fit would reject
@@ -34,97 +35,18 @@ _TAG_CAND = 2
 
 _DELTA_RANGE_FRACTION = 0.05
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe): pool size, hash and mix constants.
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
-_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
 
-
-def _is_array(value) -> bool:
-    return isinstance(value, np.ndarray) and value.ndim > 0
-
-
-def _entropy_words(value) -> list:
-    """The uint32 entropy words SeedSequence makes of one entropy entry: an
-    int gives its 32-bit words as ``np.uint32`` scalars, least significant
-    first ([0] for 0); a 1-D integer array gives one word, a uint32 array
-    that broadcasts over draws, so its entries must each fit one word."""
-    if not _is_array(value):
-        n = int(value)
-        if n < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {n}")
-        words = [np.uint32(n & _MASK32)]
-        while n > _MASK32:
-            n >>= 32
-            words.append(np.uint32(n & _MASK32))
-        return words
-    if value.dtype.kind not in "iu":
-        raise ValidationError(f"seed entropy must be integers, got {value.dtype}")
-    if value.size and (value.min() < 0 or value.max() > _MASK32):
-        raise ValidationError("seed entropy arrays must hold whole numbers in [0, 2**32)")
-    return [value.astype(np.uint32).ravel()]
-
-
-def seed_sequence_state(entropy, n_words: int, dtype=np.uint32) -> np.ndarray:
-    """``np.random.SeedSequence(entropy).generate_state(n_words, dtype)``:
-    SeedSequence's ``mix_entropy`` and ``generate_state`` loops, run on
-    uint32 words that are scalars or arrays, so one pass serves many
-    entropy lists at once.
-
-    Each entry of ``entropy`` is a non-negative int or a 1-D integer ndarray;
-    arrays broadcast, and row j of the (draws, n_words) result is the state
-    of the entropy list that takes entry j of each array.  With no array the
-    result is the (n_words,) state itself.  A negative entry is a
-    ValidationError.
-    """
-    wide = np.dtype(dtype) == np.uint64
-    if not wide and np.dtype(dtype) != np.uint32:
-        raise ValueError(f"dtype must be uint32 or uint64, got {dtype}")
-    words = [w for e in entropy for w in _entropy_words(e)]
-    hash_const = _INIT_A
-
-    def hashmix(value, mult):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * mult
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
-        return result ^ (result >> 16)
-
-    with np.errstate(over="ignore"):  # uint32 arithmetic wraps, as in C
-        # a pool longer than the entropy hashes zero words
-        pool = [hashmix(words[i] if i < len(words) else np.uint32(0), _MULT_A) for i in range(_POOL_WORDS)]
-        for i_src in range(_POOL_WORDS):  # so that late bits affect earlier ones
-            for i_dst in range(_POOL_WORDS):
-                if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src], _MULT_A))
-        for word in words[_POOL_WORDS:]:
-            for i_dst in range(_POOL_WORDS):
-                pool[i_dst] = mix(pool[i_dst], hashmix(word, _MULT_A))
-        hash_const = _INIT_B
-        n_out = 2 * n_words if wide else n_words
-        state = np.stack([hashmix(pool[i % _POOL_WORDS], _MULT_B) for i in range(n_out)], axis=-1)
-    if wide:  # word pairs, low word first
-        state = state[..., 0::2].astype(np.uint64) | state[..., 1::2].astype(np.uint64) << np.uint64(32)
-    return state
-
-
-def derive_seed(seed: int, *tags):
+def derive_seed(seed: int, *tags: int) -> int:
     """Deterministic child seed for a tagged sub-stream of a campaign:
-    SeedSequence([seed, tag + 1 ..., number of tags]).generate_state(1)[0].
+    ``np.random.SeedSequence([seed, tag + 1 ..., number of tags]).generate_state(1)[0]``.
 
     Tags are offset and length-suffixed because SeedSequence ignores
-    trailing zero entropy words.  With an array tag, such as draw indices,
-    returns the uint32 array of each entry's seed, all from one hash pass.
+    trailing zero entropy words.  ``seed`` and each tag are non-negative
+    ints; a negative seed is a ValidationError.
     """
-    offset = [np.add(t, 1, dtype=np.int64) if _is_array(t) else int(t) + 1 for t in tags]
-    state = seed_sequence_state([seed, *offset, len(tags)], 1)
-    return int(state[0]) if state.ndim == 1 else state[:, 0]
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return int(np.random.SeedSequence([seed, *(t + 1 for t in tags), len(tags)]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)

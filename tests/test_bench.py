@@ -318,19 +318,20 @@ VERIFY_BAND = Path(__file__).resolve().parent.parent / "configs" / "verify_band.
 
 def per_draw_coverage(space, truth, level, alpha, draws, per_combo, seed, n_train, record=None):
     """``coverage_check`` one draw at a time through ``_posterior`` and
-    ``_predictive`` with no leading axis, as it ran before draws were
-    blocked: (hits, skipped, violations).  Appends each conditioned draw's
-    (means, sds) to ``record`` when given."""
+    ``_predictive`` with no leading axis, each draw's normals and uniforms
+    taken from the two streams one row at a time: (hits, skipped,
+    violations).  Appends each conditioned draw's (means, sds) to
+    ``record`` when given."""
     grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
     n_grid = len(grid.x)
     gram = ezgp.cross_covariance(truth, grid.x, grid.z, grid.x, grid.z)
     chol = np.tril(ezgp._factor_gram(gram)[0])
     ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos, alpha=alpha, delta=1.0)
     hits = skipped = violations = 0
-    for d in range(draws):
-        rng = np.random.default_rng(derive_seed(seed, 1, d))
-        path = truth.mu + chol @ rng.standard_normal(n_grid)
-        train = rng.choice(n_grid, size=n_train, replace=False)
+    path_rng, train_rng = np.random.default_rng(derive_seed(seed, 1)), np.random.default_rng(derive_seed(seed, 2))
+    for _ in range(draws):
+        path = truth.mu + chol @ path_rng.standard_normal(n_grid)
+        train = np.argpartition(train_rng.random(n_grid), n_train - 1)[:n_train]
         try:
             post = ezgp._posterior(gram[np.ix_(train, train)], path[train])
         except IllConditionedModelError:
@@ -419,6 +420,33 @@ class TestBlockedDraws:
         assert 0 < res.skipped < res.draws
         assert_equals_per_draw(res, record, space, truth, settings)
 
+    def test_draws_do_not_depend_on_blocking(self, monkeypatch):
+        # rough_inputs' default block holds every draw, and 31 draws fill no block of 3
+        space, truth, settings = rough_inputs()
+
+        def run(block, draws):
+            with monkeypatch.context() as patch:
+                if block is not None:
+                    patch.setattr(bench, "_draws_per_block", lambda n_train, n_grid: block)
+                res, record = blocked_coverage(patch, space, truth, {**settings, "draws": draws})
+            return (res.hits, res.skipped, res.theorem1_violations), record
+
+        def assert_same_draws(record, ref):
+            assert len(record) == len(ref)
+            for (means, sds), (ref_means, ref_sds) in zip(record, ref):
+                assert np.array_equal(means, ref_means) and np.array_equal(sds, ref_sds)
+
+        counts, record = run(None, 31)
+        assert 0 < counts[0] < 31 and counts[1] == 0
+        for block in (1, 3):
+            blocked_counts, blocked = run(block, 31)
+            assert blocked_counts == counts
+            assert_same_draws(blocked, record)
+        for block in (None, 3):
+            longer_counts, longer = run(block, 38)
+            assert counts[0] <= longer_counts[0] <= counts[0] + 7
+            assert_same_draws(longer[:31], record)
+
     def test_block_size_follows_the_input(self):
         cap = ezgp._STACK_ELEMENTS
         assert bench._draws_per_block(10, 150) == cap // 1500
@@ -439,42 +467,6 @@ class TestBlockedDraws:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 1_000_000
-
-
-class TestDrawGenerators:
-    """Each draw's generator, derived for a chunk of draws at once, gives the stream
-    of ``default_rng(derive_seed(seed, 1, i))``."""
-
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32, 20261017])
-    def test_streams_equal_default_rng(self, seed):
-        draws = bench._SEED_CHUNK + 3
-        for i, rng in enumerate(bench._draw_generators(seed, draws)):
-            if i % 257 and i < bench._SEED_CHUNK - 2:
-                continue  # every 257th draw, and every draw from two before the chunk boundary on
-            ref = np.random.default_rng(derive_seed(seed, 1, i))
-            assert np.array_equal(rng.standard_normal(150), ref.standard_normal(150))
-            assert np.array_equal(rng.choice(150, size=10, replace=False), ref.choice(150, size=10, replace=False))
-        assert i == draws - 1
-
-    def test_chunk_boundary_equals_per_draw(self, monkeypatch):
-        space, truth, settings = verify_band_inputs()
-        settings.update(draws=bench._SEED_CHUNK + 3, per_combo=10)
-        res, record = blocked_coverage(monkeypatch, space, truth, settings)
-        assert_equals_per_draw(res, record, space, truth, settings)
-
-    def test_peak_memory_does_not_grow_with_draws(self):
-        # a pass holds its chunk's arrays, and the last generator's words keep the
-        # previous chunk's alive into the next pass: two chunks' worth at most
-        peaks = []
-        for draws in (2 * bench._SEED_CHUNK, 8 * bench._SEED_CHUNK):
-            tracemalloc.start()
-            try:
-                for _ in bench._draw_generators(3, draws):
-                    pass
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 50_000 and peaks[0] <= 400 * bench._SEED_CHUNK
 
 
 class TestCoverage:
@@ -552,10 +544,9 @@ class TestCoverage:
                                 per_combo=per_combo, seed=seed, n_train=n_train)
         assert res.skipped == 0 and len(predictions) == draws
         grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
-        for d, (y, (means, sds)) in enumerate(zip(responses, predictions)):
-            rng = np.random.default_rng(derive_seed(seed, 1, d))
-            rng.standard_normal(len(grid.x))
-            train = rng.choice(len(grid.x), size=n_train, replace=False)
+        train_rng = np.random.default_rng(derive_seed(seed, 2))
+        for y, (means, sds) in zip(responses, predictions):
+            train = np.argpartition(train_rng.random(len(grid.x)), n_train - 1)[:n_train]
             model = cs.condition(truth, cs.Dataset(tuple(grid.point(i) for i in train), y), space)
             ref_means, ref_sds = cs.predict_batch(model, grid.x, grid.z)
             assert np.array_equal(means, ref_means) and np.array_equal(sds, ref_sds)

@@ -305,6 +305,11 @@ class TestSuggest:
         assert_invalid(["suggest", "--model", str(tmp_path / "missing.json"), "--level", "0", "--rho", "-1"],
                        None, capsys, "rho")
 
+    def test_per_combo_checked_before_the_model_is_read(self, tmp_path, capsys):
+        # a candidate grid of no points used to be found only after the model was read
+        assert_invalid(["suggest", "--model", str(tmp_path / "missing.json"), "--level", "0", "--per-combo", "0"],
+                       None, capsys, "per_combo")
+
     @pytest.mark.parametrize("content, match", [
         (None, "cannot read"), ("{nope", "invalid JSON"), ('{"schema": 1}', "missing field 'space'"),
         ("[1, 2]", "malformed model")])

@@ -1,5 +1,4 @@
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 import contour_seeker as cs
 from contour_seeker.design_space import point_arrays
-from contour_seeker.engine import derive_seed, seed_sequence_state, select_point
+from contour_seeker.engine import derive_seed, select_point
 from contour_seeker.errors import CampaignError, ValidationError
 from contour_seeker.ezgp import DUPLICATE_TOL, coincident, coincident_rows, condition
 from contour_seeker.traceio import params_from_doc, read_csv, save_trace
@@ -29,7 +28,6 @@ def quick_cfg(sim, strategy="rcc", total=12, seed=3, per_combo=50, **kw):
     )
 
 
-# 2 ** 100 + 3 has four words, so derive_seed's array tag lies past the pool
 SEEDS = [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 100 + 3, 20261017]
 
 
@@ -51,47 +49,16 @@ class TestDeriveSeed:
     def test_equals_seed_sequence(self, seed, tags):
         assert derive_seed(seed, *tags) == self.oracle(seed, *tags)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("length", [1, 10, 5000])
-    def test_index_array_equals_one_seed_at_a_time(self, seed, length):
-        indices = np.arange(length) * 3  # tag 0 among them
-        seeds = derive_seed(seed, 1, indices)
-        assert seeds.dtype == np.uint32 and seeds.shape == (length,)
-        assert seeds.tolist() == [self.oracle(seed, 1, i) for i in indices.tolist()]
+    @pytest.mark.parametrize("seed, tags, expected", [(0, (), 2968811710), (20261017, (1, 3), 515443411),
+                                                      (2 ** 100 + 3, (100, 7, 2), 1233270238)])
+    def test_pinned_values(self, seed, tags, expected):
+        # a numpy whose SeedSequence gave other values would move every campaign, bench and verify stream
+        assert derive_seed(seed, *tags) == expected
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_state_words_equal_seed_sequence(self, seed):
-        seeds = derive_seed(seed, 1, np.arange(40))
-        words = seed_sequence_state([seeds], 4, np.uint64)
-        assert words.shape == (40, 4) and words.flags.c_contiguous
-        for s, row in zip(seeds.tolist(), words):
-            assert np.array_equal(row, np.random.SeedSequence(s).generate_state(4, np.uint64))
-        for entropy in ([seed], [seed, 5, 2 ** 40], list(range(9))):
-            for n_words, dtype in ((1, np.uint32), (8, np.uint32), (3, np.uint64)):
-                expected = np.random.SeedSequence(entropy).generate_state(n_words, dtype)
-                got = seed_sequence_state(entropy, n_words, dtype)
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        two_arrays = seed_sequence_state([seed, np.arange(7), 3, 5 * np.arange(7)], 3, np.uint64)
-        assert two_arrays.shape == (7, 3) and two_arrays.flags.c_contiguous
-        for j, row in enumerate(two_arrays):
-            assert np.array_equal(row, np.random.SeedSequence([seed, j, 3, 5 * j]).generate_state(3, np.uint64))
-
-    def test_no_overflow_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            derive_seed(2 ** 63 + 5, 1, np.arange(1000))
-            derive_seed(2 ** 32 - 1, 2 ** 40)
-            seed_sequence_state([derive_seed(3, 1, np.arange(1000))], 4, np.uint64)
-
-    @pytest.mark.parametrize("seed, tags", [(-1, ()), (-3, (1, 2)), (5, (1, np.array([3, -2]))),
-                                            (5, (1, np.array([2 ** 32])))])
+    @pytest.mark.parametrize("seed, tags", [(-1, ()), (-3, (1, 2))])
     def test_rejects_negative_or_out_of_range_entropy(self, seed, tags):
         with pytest.raises(ValidationError):
             derive_seed(seed, *tags)
-
-    def test_rejects_a_non_integer_array(self):
-        with pytest.raises(ValidationError):
-            seed_sequence_state([np.array([0.5])], 1)
 
 
 class TestRunAdaptive:
