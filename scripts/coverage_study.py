@@ -38,8 +38,8 @@ def main():
 
     rows = []
     for alpha in args.alphas:
-        res = cs.coverage_check(space, truth, args.level, alpha,
-                                args.draws, args.per_combo, args.seed, args.n_train)
+        res = cs.coverage_check(cs.VerifyConfig(space, truth, args.level, alpha, draws=args.draws,
+                                                per_combo=args.per_combo, n_train=args.n_train, seed=args.seed))
         rows.append([alpha, res.draws, res.hits, res.skipped, res.coverage,
                      res.target, res.theorem1_checked, res.theorem1_violations])
         print(f"alpha={alpha:<5} coverage={res.coverage:.3f} (target > {res.target:.2f}) "

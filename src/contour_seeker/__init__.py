@@ -8,7 +8,7 @@ Monte-Carlo verifier for the confidence-band guarantees.
 
 from .acquisition import (AcquisitionContext, RegionPartition, SelectionReport, beta_n, partition, select_arsd,
                           select_global, select_rcc)
-from .bench import (BenchConfig, BenchResult, CoverageResult, ReferenceContour, coverage_check,
+from .bench import (BenchConfig, BenchResult, CoverageResult, ReferenceContour, VerifyConfig, coverage_check,
                     m_c0, reference_contour, replicate_benchmark)
 from .design_space import CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design, make_space
 from .engine import (CampaignConfig, CampaignTrace, Strategy, derive_seed, run_adaptive,

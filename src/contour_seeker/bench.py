@@ -281,8 +281,37 @@ def _draws_per_block(n_train: int, n_grid: int) -> int:
     return max(_STACK_ELEMENTS // (n_train * n_grid), 1)
 
 
-def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, alpha: float,
-                   draws: int, per_combo: int, seed: int, n_train: int = 10) -> CoverageResult:
+@dataclass(frozen=True)
+class VerifyConfig:
+    """The settings of ``coverage_check``, checked on construction: ``params``
+    pass ``EzGpParams.validate`` against ``space``; ``level`` finite and
+    ``alpha`` in (0, 1) (``AcquisitionContext``'s rule); ``draws`` and
+    ``per_combo`` >= 1; ``n_train`` in [2, ``per_combo`` * combinations];
+    ``seed`` >= 0."""
+
+    space: DesignSpace
+    params: EzGpParams
+    level: float
+    alpha: float = 0.1
+    draws: int = 500
+    per_combo: int = 50
+    n_train: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        self.params.validate(self.space)
+        AcquisitionContext(self.level, 1, self.space.num_combos, alpha=self.alpha)
+        for name in ("draws", "per_combo"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        n_grid = self.per_combo * self.space.num_combos
+        if not 2 <= self.n_train <= n_grid:
+            raise ValidationError(f"n_train must be in [2, per_combo * combinations = {n_grid}], got {self.n_train}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+
+def coverage_check(cfg: VerifyConfig) -> CoverageResult:
     """Sample GP paths on a finite grid, condition on a small random subset
     with the true hyperparameters, and count how often the minimum of
     |Y - level| falls inside [min lb, min ub].
@@ -303,25 +332,19 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
     |min |mean - level| - min |Y - level|| <= sqrt(beta) * sup sd over the
     adaptive search region {lb <= min ub} (``RegionPartition.region``).
     """
-    true_params.validate(space)
-    if draws < 1:
-        raise ValidationError("coverage_check: draws must be >= 1")
-    if n_train < 2:
-        raise ValidationError("coverage_check: n_train must be >= 2")
-    grid = candidate_set(space, per_combo, derive_seed(seed, 0))
+    true_params, level, draws, n_train = cfg.params, cfg.level, cfg.draws, cfg.n_train
+    grid = candidate_set(cfg.space, cfg.per_combo, derive_seed(cfg.seed, 0))
     n_grid = len(grid.x)
-    if n_train > n_grid:
-        raise ValidationError(f"n_train={n_train} exceeds grid size {n_grid}")
 
     gram = cross_covariance(true_params, grid.x, grid.z, grid.x, grid.z)
     chol = np.tril(_factor_gram(gram)[0])
-    ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=space.num_combos,
-                             alpha=alpha, delta=1.0)
+    ctx = AcquisitionContext(contour_level=level, n=n_train, num_combos=cfg.space.num_combos,
+                             alpha=cfg.alpha, delta=1.0)
     root_beta = math.sqrt(ctx.beta)
 
     hits = skipped = violations = 0
     block = _draws_per_block(n_train, n_grid)
-    path_rng, train_rng = (np.random.default_rng(derive_seed(seed, tag)) for tag in (1, 2))
+    path_rng, train_rng = (np.random.default_rng(derive_seed(cfg.seed, tag)) for tag in (1, 2))
     for first in range(0, draws, block):
         size = min(block, draws - first)
         paths = true_params.mu + np.matmul(chol, path_rng.standard_normal((size, n_grid))[:, :, None])[:, :, 0]
@@ -346,7 +369,7 @@ def coverage_check(space: DesignSpace, true_params: EzGpParams, level: float, al
         hits=hits,
         skipped=skipped,
         coverage=hits / draws,
-        target=1.0 - alpha,
+        target=1.0 - cfg.alpha,
         theorem1_checked=hits,
         theorem1_violations=violations,
     )

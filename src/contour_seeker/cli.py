@@ -18,8 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from functools import cache, partial
 
-from .acquisition import AcquisitionContext
-from .bench import BenchConfig, coverage_check, replicate_benchmark
+from .bench import BenchConfig, VerifyConfig, coverage_check, replicate_benchmark
 from .design_space import CandidateSet, MixedPoint, candidate_set
 from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, suggest_next
 from .errors import CampaignError, ContourSeekerError, ValidationError
@@ -68,7 +67,7 @@ def _strategy_overrides(args) -> dict:
     return _given(kind=args.strategy, delta=args.delta, rho=args.rho, alpha=args.alpha, ei_alpha=args.ei_alpha)
 
 
-# The optional keys of run and bench configs, each with its conversion.
+# The optional keys of run, bench and verify configs, each with its conversion.
 _SHARED = {"candidates_per_combo": integral, "seed": seed_value, "fit": fit_config_from_dict, "transform": str}
 _RUN_OPTIONAL = {**_SHARED, "checkpoint_sizes": integrals}
 _BENCH_OPTIONAL = {**_SHARED, "replicates": integral, "ref_per_combo": integral, "eps": real}
@@ -79,7 +78,8 @@ _FIELD_NAMES = {key: name for name, key in CONFIG_KEYS.items()}
 _RUN_KEYS = {"simulator", "space", "strategy", "level", "n0", "N", "out", *_RUN_OPTIONAL, "aborted", "error"}
 _BENCH_KEYS = {"simulator", "space", "strategies", "levels", "budgets", "n0", "out", *_BENCH_OPTIONAL,
                "fairness_checked", "fairness_violations"}
-_VERIFY_KEYS = {"space", "params", "level", "alpha", "draws", "per_combo", "seed", "n_train", "out"}
+_VERIFY_OPTIONAL = {"alpha": real, "draws": integral, "per_combo": integral, "n_train": integral, "seed": integral}
+_VERIFY_KEYS = {"space", "params", "level", "out", *_VERIFY_OPTIONAL}
 
 
 def _decode_run(args, doc: dict):
@@ -177,6 +177,8 @@ def _decode_bench(args, doc: dict):
 
 
 def cmd_bench(args) -> int:
+    if args.parallel < 1:
+        raise ValidationError(f"bench: parallel must be >= 1, got {args.parallel}")
     sim, cfg, extra = load_document(args.config, partial(_decode_bench, args), "bench config")
     outdir = extra["out"]
     result = replicate_benchmark(sim, cfg, workers=args.parallel)
@@ -198,55 +200,27 @@ def cmd_bench(args) -> int:
 
 
 def _decode_verify(args, doc: dict):
-    """(space, true parameters, resolved config) of a verify config."""
+    """(verify config, config extras) of a verify config."""
     _reject_unknown_keys(doc, _VERIFY_KEYS, "verify config")
     doc = {**doc, **_given(seed=args.seed, out=args.out)}
-    space, params = space_from_dict(doc["space"]), params_from_doc(doc["params"])
-    params.validate(space)
-    level, alpha = real(doc["level"]), real(doc.get("alpha", 0.1))
-    AcquisitionContext(level, 1, space.num_combos, alpha=alpha)  # the level and alpha rules
-    draws, per_combo = integral(doc.get("draws", 500)), integral(doc.get("per_combo", 50))
-    n_train = integral(doc.get("n_train", 10))
-    for key, value in (("draws", draws), ("per_combo", per_combo)):
-        if value < 1:
-            raise ValidationError(f"{key} must be >= 1, got {value}")
-    n_grid = per_combo * space.num_combos
-    if not 2 <= n_train <= n_grid:
-        raise ValidationError(f"n_train must be in [2, per_combo * combinations = {n_grid}], got {n_train}")
-    return space, params, {
-        "space": doc["space"],
-        "params": params_to_dict(params),
-        "level": level,
-        "alpha": alpha,
-        "draws": draws,
-        "per_combo": per_combo,
-        "seed": seed_value(doc.get("seed", 0)),
-        "n_train": n_train,
-        "out": doc["out"],
-    }
+    cfg = VerifyConfig(space_from_dict(doc["space"]), params_from_doc(doc["params"]), real(doc["level"]),
+                       **given_fields(doc, _VERIFY_OPTIONAL))
+    return cfg, {"space": doc["space"], "out": doc["out"]}
 
 
 def cmd_verify(args) -> int:
-    space, params, resolved = load_document(args.config, partial(_decode_verify, args), "verify config")
-    result = coverage_check(
-        space=space,
-        true_params=params,
-        level=resolved["level"],
-        alpha=resolved["alpha"],
-        draws=resolved["draws"],
-        per_combo=resolved["per_combo"],
-        seed=resolved["seed"],
-        n_train=resolved["n_train"],
-    )
-    outdir = resolved["out"]
+    cfg, extra = load_document(args.config, partial(_decode_verify, args), "verify config")
+    result = coverage_check(cfg)
+    outdir = extra["out"]
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, "coverage.csv"),
               ["alpha", "draws", "hits", "skipped", "coverage", "target",
                "theorem1_checked", "theorem1_violations"],
-              [[resolved["alpha"], result.draws, result.hits, result.skipped,
+              [[cfg.alpha, result.draws, result.hits, result.skipped,
                 result.coverage, result.target, result.theorem1_checked,
                 result.theorem1_violations]])
-    write_json(os.path.join(outdir, "config.json"), resolved, sort_keys=True)
+    write_json(os.path.join(outdir, "config.json"), {**vars(cfg), **extra, "params": params_to_dict(cfg.params)},
+               sort_keys=True)
     print(json.dumps({"coverage": result.coverage, "target": result.target,
                       "theorem1_violations": result.theorem1_violations}))
     return EXIT_OK

@@ -178,8 +178,8 @@ def test_criterion_5_coverage_and_theorem_bound():
         theta0=np.array([5.0]),
         theta=(np.array([[4.0, 6.0, 8.0]]),),
     )
-    result = cs.coverage_check(space, truth, level=0.0, alpha=0.1,
-                               draws=500, per_combo=50, seed=5005, n_train=10)
+    result = cs.coverage_check(cs.VerifyConfig(space, truth, level=0.0, alpha=0.1,
+                                               draws=500, per_combo=50, seed=5005, n_train=10))
     elapsed = time.perf_counter() - t0
     assert result.coverage >= 0.88
     assert result.theorem1_violations == 0

@@ -375,7 +375,7 @@ def blocked_coverage(monkeypatch, space, truth, settings):
         return real(means, sds, ctx)
 
     monkeypatch.setattr(bench, "partition", recording)
-    return cs.coverage_check(space, truth, **settings), record
+    return cs.coverage_check(cs.VerifyConfig(space, truth, **settings)), record
 
 
 def assert_equals_per_draw(res, record, space, truth, settings):
@@ -457,12 +457,13 @@ class TestBlockedDraws:
         # a block holds a few (draws, n_train, n_grid) stacks; one block of
         # every draw would hold 500 of each
         space, truth, settings = verify_band_inputs()
-        peaks = []
-        for run in (per_draw_coverage, cs.coverage_check):
-            run(space, truth, **settings)  # caches and lazy imports before tracing
+        peaks, cfg = [], cs.VerifyConfig(space, truth, **settings)
+        for run in (functools.partial(per_draw_coverage, space, truth, **settings),
+                    functools.partial(cs.coverage_check, cfg)):
+            run()  # caches and lazy imports before tracing
             tracemalloc.start()
             try:
-                run(space, truth, **settings)
+                run()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -480,15 +481,15 @@ class TestCoverage:
 
     def test_full_grid_conditioning_always_hits(self):
         space = cs.make_space([(0, 1)], [3])
-        res = cs.coverage_check(space, self.truth(space), level=0.0, alpha=0.1,
-                                draws=5, per_combo=8, seed=2, n_train=24)
+        res = cs.coverage_check(cs.VerifyConfig(space, self.truth(space), level=0.0, alpha=0.1,
+                                                draws=5, per_combo=8, seed=2, n_train=24))
         assert res.hits == res.draws
         assert res.theorem1_violations == 0
 
     def test_moderate_alpha_coverage(self):
         space = cs.make_space([(0, 1)], [3])
-        res = cs.coverage_check(space, self.truth(space), level=0.0, alpha=0.5,
-                                draws=40, per_combo=15, seed=7, n_train=8)
+        res = cs.coverage_check(cs.VerifyConfig(space, self.truth(space), level=0.0, alpha=0.5,
+                                                draws=40, per_combo=15, seed=7, n_train=8))
         assert res.coverage >= 0.5
         assert res.theorem1_violations == 0
         assert res.target == pytest.approx(0.5)
@@ -496,8 +497,8 @@ class TestCoverage:
     def test_level_below_path_minimum_still_valid(self):
         # the guarantee holds for any level, even an unattainable one
         space = cs.make_space([(0, 1)], [3])
-        res = cs.coverage_check(space, self.truth(space), level=-1e6, alpha=0.5,
-                                draws=30, per_combo=10, seed=11, n_train=6)
+        res = cs.coverage_check(cs.VerifyConfig(space, self.truth(space), level=-1e6, alpha=0.5,
+                                                draws=30, per_combo=10, seed=11, n_train=6))
         assert res.coverage >= 0.8
         assert res.theorem1_violations == 0
 
@@ -514,8 +515,8 @@ class TestCoverage:
 
         monkeypatch.setattr(ezgp, "_try_cholesky", try_cholesky)
         space = cs.make_space([(0, 1)], [3])
-        res = cs.coverage_check(space, self.truth(space), level=0.0, alpha=0.5,
-                                draws=20, per_combo=10, seed=11, n_train=6)
+        res = cs.coverage_check(cs.VerifyConfig(space, self.truth(space), level=0.0, alpha=0.5,
+                                                draws=20, per_combo=10, seed=11, n_train=6))
         assert 0 < len(failed) < res.draws
         assert res.skipped == len(failed)
         assert 0 < res.hits <= res.draws - res.skipped
@@ -540,8 +541,8 @@ class TestCoverage:
 
         monkeypatch.setattr(bench, "_posterior", posterior)
         monkeypatch.setattr(bench, "partition", partition)
-        res = cs.coverage_check(space, truth, level=0.0, alpha=0.1, draws=draws,
-                                per_combo=per_combo, seed=seed, n_train=n_train)
+        res = cs.coverage_check(cs.VerifyConfig(space, truth, level=0.0, alpha=0.1, draws=draws,
+                                                per_combo=per_combo, seed=seed, n_train=n_train))
         assert res.skipped == 0 and len(predictions) == draws
         grid = cs.candidate_set(space, per_combo, derive_seed(seed, 0))
         train_rng = np.random.default_rng(derive_seed(seed, 2))
@@ -552,15 +553,19 @@ class TestCoverage:
             assert np.array_equal(means, ref_means) and np.array_equal(sds, ref_sds)
 
     def test_validation(self):
+        # VerifyConfig holds every check; coverage_check holds none of its own
         space = cs.make_space([(0, 1)], [3])
         with pytest.raises(ValidationError):
-            cs.coverage_check(space, self.truth(space), 0.0, 0.1, draws=0, per_combo=5, seed=0)
+            cs.VerifyConfig(space, self.truth(space), 0.0, 0.1, draws=0, per_combo=5, seed=0)
         with pytest.raises(ValidationError):
-            cs.coverage_check(space, self.truth(space), 0.0, 0.1, draws=5, per_combo=5,
-                              seed=0, n_train=1)
+            cs.VerifyConfig(space, self.truth(space), 0.0, 0.1, draws=5, per_combo=5, seed=0, n_train=1)
         with pytest.raises(ValidationError):
-            cs.coverage_check(space, self.truth(space), 0.0, 0.1, draws=5, per_combo=2,
-                              seed=0, n_train=100)
+            cs.VerifyConfig(space, self.truth(space), 0.0, 0.1, draws=5, per_combo=2, seed=0, n_train=100)
+        for bad, match in (({"level": float("nan")}, "contour_level must be finite"),
+                           ({"alpha": 1.5}, "alpha must be in"), ({"per_combo": 0}, "per_combo must be >= 1"),
+                           ({"seed": -1}, "seed must be >= 0")):
+            with pytest.raises(ValidationError, match=match):
+                cs.VerifyConfig(space, self.truth(space), **{"level": 0.0, **bad})
 
 
 class TestWorkerCap:

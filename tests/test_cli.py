@@ -523,6 +523,11 @@ class TestBench:
         assert_invalid(["bench", "--config", str(cfg)], None, capsys, match)
         assert not (tmp_path / "bench").exists()
 
+    def test_parallel_checked_before_the_config_is_read(self, tmp_path, capsys):
+        # a count below 1 used to run serially, as --parallel 1 does
+        assert_invalid(["bench", "--config", str(tmp_path / "nope.json"), "--parallel", "-4", "--replicates", "1"],
+                       None, capsys, "parallel must be >= 1")
+
     def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         from contour_seeker import bench
 
@@ -615,7 +620,7 @@ class TestVerify:
         assert_invalid(["verify", "--config", str(path)], None, capsys, match)
 
     def test_missing_out_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        def no_draws(**kwargs):
+        def no_draws(cfg):
             pytest.fail("coverage_check ran before the config was fully decoded")
 
         monkeypatch.setattr(cli, "coverage_check", no_draws)
@@ -837,8 +842,7 @@ def test_shipped_config_decodes(path):
     args = cli.build_parser().parse_args([command, *argv])
     decoded = load_document(path, partial(decode, args), f"{command} config")
     if command == "verify":
-        space, params, _ = decoded
-        params.validate(space)
+        assert isinstance(decoded[0], cs.VerifyConfig)
     else:
         assert isinstance(decoded[1], cs.CampaignConfig if command == "run" else cs.BenchConfig)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import contour_seeker as cs
+from contour_seeker import ezgp
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed, select_point
 from contour_seeker.errors import CampaignError, ValidationError
@@ -55,7 +56,10 @@ class TestDeriveSeed:
         # a numpy whose SeedSequence gave other values would move every campaign, bench and verify stream
         assert derive_seed(seed, *tags) == expected
 
-    @pytest.mark.parametrize("seed, tags", [(-1, ()), (-3, (1, 2))])
+    # an array tag used to give one seed for all its entries, a negative tag numpy's bare
+    # ValueError, and True or 5.5 no error or a TypeError
+    @pytest.mark.parametrize("seed, tags", [(-1, ()), (-3, (1, 2)), (5, (1, np.array([3, 4]))), (5, (-3,)),
+                                            (5, (-1,)), (5, (True,)), (5.5, (1,))])
     def test_rejects_negative_or_out_of_range_entropy(self, seed, tags):
         with pytest.raises(ValidationError):
             derive_seed(seed, *tags)
@@ -73,6 +77,31 @@ class TestRunAdaptive:
     def test_budget_rule(self, ex1_sim, strategy, total):
         with pytest.raises(ValidationError, match=f"strategy '{strategy}' needs N"):
             quick_cfg(ex1_sim, strategy=strategy, total=total)
+
+    def test_campaign_runs_blas_on_one_thread(self, ex1_sim):
+        # the OpenBLAS threads predict_batch woke used to spin through the next one-thread fit
+        controls = ezgp._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count symbols found")
+        seen = []
+
+        def reading(x, z):
+            seen.append([get() for _, get in controls])
+            if len(seen) > 11:
+                raise RuntimeError("simulator down")
+            return ex1_sim.fn(x, z)
+
+        sim = cs.FunctionSimulator(ex1_sim.space, reading, "reading")
+        restore = ezgp._set_blas_threads(2)
+        try:
+            assert len(cs.run_adaptive(sim, quick_cfg(sim, total=11)).dataset) == 11
+            assert [get() for _, get in controls] == [2] * len(controls)
+            with pytest.raises(CampaignError):
+                cs.run_adaptive(sim, quick_cfg(sim, total=11))
+            assert [get() for _, get in controls] == [2] * len(controls)
+        finally:
+            ezgp._set_blas_threads(restore)
+        assert len(seen) == 12 and all(counts == [1] * len(controls) for counts in seen)
 
     def test_structural_rcc_run(self, ex1_sim):
         trace = cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
