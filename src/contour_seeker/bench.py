@@ -184,14 +184,17 @@ def _run_replicate(sim: Simulator, cfg: BenchConfig, replicate: int, refs: dict)
 
 
 def resolve_workers(requested: int) -> int:
-    """Apply the CONTOUR_SEEKER_THREADS cap to a requested worker count."""
+    """Check a requested worker count (>= 1) and apply the
+    CONTOUR_SEEKER_THREADS cap to it."""
+    if requested < 1:
+        raise ValidationError(f"parallel workers must be >= 1, got {requested}")
     cap = os.environ.get("CONTOUR_SEEKER_THREADS")
     if cap:
         try:
             requested = min(requested, max(int(cap), 1))
         except ValueError:
             raise ValidationError(f"CONTOUR_SEEKER_THREADS must be an integer, got {cap!r}")
-    return max(requested, 1)
+    return requested
 
 
 def replicate_benchmark(sim: Simulator, cfg: BenchConfig, workers: int = 1) -> BenchResult:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from functools import cache, partial
 
-from .bench import BenchConfig, VerifyConfig, coverage_check, replicate_benchmark
+from .bench import BenchConfig, VerifyConfig, coverage_check, replicate_benchmark, resolve_workers
 from .design_space import CandidateSet, MixedPoint, candidate_set
 from .engine import STRATEGY_KINDS, CampaignConfig, Strategy, run_adaptive, suggest_next
 from .errors import CampaignError, ContourSeekerError, ValidationError
@@ -177,11 +177,10 @@ def _decode_bench(args, doc: dict):
 
 
 def cmd_bench(args) -> int:
-    if args.parallel < 1:
-        raise ValidationError(f"bench: parallel must be >= 1, got {args.parallel}")
+    workers = resolve_workers(args.parallel)  # before the config is read
     sim, cfg, extra = load_document(args.config, partial(_decode_bench, args), "bench config")
     outdir = extra["out"]
-    result = replicate_benchmark(sim, cfg, workers=args.parallel)
+    result = replicate_benchmark(sim, cfg, workers=workers)
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, "results.csv"),
               ["strategy", "a", "N", "replicate", "m_c0", "wall_time_s", "failed", "error"],

@@ -23,8 +23,7 @@ import numpy as np
 from .acquisition import AcquisitionContext, SelectionReport, select_arsd, select_global, select_rcc
 from .design_space import CandidateSet, DesignSpace, MixedPoint, candidate_set, initial_design
 from .errors import CampaignError, ContourSeekerError, EvaluationError, ValidationError
-from .ezgp import (Dataset, FitConfig, FittedModel, _one_blas_thread, coincident_rows, fit, params_to_dict,
-                   predict_batch)
+from .ezgp import Dataset, FitConfig, FittedModel, coincident_rows, fit, params_to_dict, predict_batch
 from .simulators import ResponseTransform, Simulator, get_transform
 
 STRATEGY_KINDS = ("rcc", "rcc_ei", "arsd", "ecl", "ei", "lcb", "one_shot")
@@ -228,12 +227,10 @@ def _fit_with_retry(data: Dataset, space: DesignSpace, cfg: FitConfig, warm) -> 
         return fit(data, space, retry, warm_start=warm)
 
 
-@_one_blas_thread()
 def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
     """Execute one adaptive campaign; raises CampaignError with the partial
     trace attached if the simulator or a retried fit fails (no trace when
-    the starting design fails).  The campaign runs on one BLAS thread, as
-    its fits do, and restores the caller's thread count on return or raise."""
+    the starting design fails)."""
     tr = get_transform(cfg.transform)
     # only a selection step needs the level on the modeling scale
     level_eff = tr.apply(cfg.level) if cfg.n0 < cfg.total_runs else None

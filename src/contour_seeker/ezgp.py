@@ -954,8 +954,9 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
 def predict_batch(model: FittedModel, x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive (means, sds) arrays at the (m, p) coordinates and (m, q)
-    levels of a point set, order preserved.  A candidate's mean and sd can
-    differ in their last bits depending on which candidates share the call."""
+    levels of a point set, order preserved.  A candidate's sd can differ in its
+    last bits depending on which candidates share the call (its mean was
+    seen to agree)."""
     if len(x) == 0:
         return np.empty(0), np.empty(0)
     r = cross_covariance(model.params, model.data.x, model.data.z, x, z)  # (n, m)

@@ -582,6 +582,13 @@ class TestWorkerCap:
         with pytest.raises(ValidationError):
             resolve_workers(4)
 
+    @pytest.mark.parametrize("requested", [0, -4])
+    def test_below_one_is_invalid(self, requested):
+        # a count below 1 used to run serially, as one worker does
+        from contour_seeker.bench import resolve_workers
+        with pytest.raises(ValidationError, match="parallel workers must be >= 1"):
+            resolve_workers(requested)
+
     def test_workers_run_blas_on_one_thread(self):
         # the initializer replicate_benchmark gives its pool
         with ProcessPoolExecutor(max_workers=1, initializer=ezgp._set_blas_threads, initargs=(1,)) as pool:

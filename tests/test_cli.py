@@ -526,7 +526,7 @@ class TestBench:
     def test_parallel_checked_before_the_config_is_read(self, tmp_path, capsys):
         # a count below 1 used to run serially, as --parallel 1 does
         assert_invalid(["bench", "--config", str(tmp_path / "nope.json"), "--parallel", "-4", "--replicates", "1"],
-                       None, capsys, "parallel must be >= 1")
+                       None, capsys, "parallel workers must be >= 1")
 
     def test_bad_thread_cap_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
         from contour_seeker import bench

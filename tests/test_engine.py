@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import contour_seeker as cs
-from contour_seeker import ezgp
 from contour_seeker.design_space import point_arrays
 from contour_seeker.engine import derive_seed, select_point
 from contour_seeker.errors import CampaignError, ValidationError
@@ -77,31 +76,6 @@ class TestRunAdaptive:
     def test_budget_rule(self, ex1_sim, strategy, total):
         with pytest.raises(ValidationError, match=f"strategy '{strategy}' needs N"):
             quick_cfg(ex1_sim, strategy=strategy, total=total)
-
-    def test_campaign_runs_blas_on_one_thread(self, ex1_sim):
-        # the OpenBLAS threads predict_batch woke used to spin through the next one-thread fit
-        controls = ezgp._blas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS thread-count symbols found")
-        seen = []
-
-        def reading(x, z):
-            seen.append([get() for _, get in controls])
-            if len(seen) > 11:
-                raise RuntimeError("simulator down")
-            return ex1_sim.fn(x, z)
-
-        sim = cs.FunctionSimulator(ex1_sim.space, reading, "reading")
-        restore = ezgp._set_blas_threads(2)
-        try:
-            assert len(cs.run_adaptive(sim, quick_cfg(sim, total=11)).dataset) == 11
-            assert [get() for _, get in controls] == [2] * len(controls)
-            with pytest.raises(CampaignError):
-                cs.run_adaptive(sim, quick_cfg(sim, total=11))
-            assert [get() for _, get in controls] == [2] * len(controls)
-        finally:
-            ezgp._set_blas_threads(restore)
-        assert len(seen) == 12 and all(counts == [1] * len(controls) for counts in seen)
 
     def test_structural_rcc_run(self, ex1_sim):
         trace = cs.run_adaptive(ex1_sim, quick_cfg(ex1_sim))
