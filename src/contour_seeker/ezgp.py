@@ -9,11 +9,22 @@ form given the rest), with its analytic gradient (Rasmussen & Williams
 2006, sec. 5.4.1).  ``minimize`` takes scipy's call form and runs
 L-BFGS-B in this module's own loop over scipy's ``setulb`` kernel: the
 iterates of scipy's ``minimize`` without its per-evaluation wrappers.
+A fit runs all of its starts in lockstep (``_lockstep``): each start keeps
+its own ``setulb`` state, and each round scores the points that every live
+start asks for in one stacked objective call (``_Objective.stack``), each
+point with the bits of a call at that point alone.  So every start's
+iterates and result are those of the start run alone.  ``fit`` still calls
+``minimize`` once per start, in start order, with the start's handle
+(``_StartHandle``): the first call runs every start, and each call returns
+its own start's result.  The benchmark's tracer and probe, and tests, count
+and time the starts by rebinding ``minimize``, which is why it keeps
+scipy's call form.
 The compiled modules that hold ``setulb`` (``scipy.optimize._lbfgsb``)
 and LAPACK's ``dpotrf``, ``dpotrs`` and ``dpotri``
 (``scipy.linalg._flapack``) are loaded by themselves with
 ``_scipy_extension``, so no process runs the package import of
-``scipy.optimize`` or ``scipy.linalg``.
+``scipy.optimize`` or ``scipy.linalg``; a later import of those packages
+finds them as its own.
 The fit builds its Gram on a pair table, ``_KernelWorkspace``, over the
 pairs of its lower triangle, where the gradient is one product of a
 design matrix, built at the first gradient, with the pair terms.
@@ -27,9 +38,11 @@ variances and rates in ``_pack``'s order, computes the rates of every
 term, base and level, in one stacked product, exponentiates and scales
 them in one buffer once, and adds the level terms to their pairs in
 factor order with one ``np.add.at``; each step keeps the bits of a build
-one level at a time.  The fit writes each evaluation's Gram into one
-column-major buffer, which ``_try_cholesky`` factors in place.  The
-profiled likelihood solves for y and 1 with one two-column ``dpotrs``.  ``fit`` runs its
+one level at a time; a stack of builds takes each step once for the
+stack.  The fit writes each evaluation's Gram into one column-major
+buffer, or a stack's into one column-major block each, which
+``_try_cholesky`` factors in place.  The profiled likelihood solves for y
+and 1 with one two-column ``dpotrs``.  ``fit`` runs its
 LAPACK calls on one BLAS thread and restores the previous count
 afterwards.  The conditioning core, ``_posterior`` and ``_predictive``,
 takes one training Gram or a stack of them along leading axes; only the
@@ -66,11 +79,15 @@ def _scipy_extension(subpackage: str, name: str, *attributes: str) -> tuple:
 
     The module is taken from ``sys.modules`` when scipy has loaded it, and
     otherwise loaded by itself from the installed scipy's ``subpackage``
-    directory and registered under its own name, so the subpackage's
-    ``__init__.py`` does not run (its import takes far longer than the calls
-    the library makes) and a later import of the subpackage reuses the
-    module: the same function objects run either way.  A scipy without the
-    module or one of the attributes raises ``ImportError``.
+    directory, so the subpackage's ``__init__.py`` does not run (its import
+    takes far longer than the calls the library makes).  Such a module is
+    left out of ``sys.modules``: a later import of the subpackage then loads
+    it as its own and sets it as the package's attribute, and the
+    interpreter hands that import the extension it has already initialised,
+    so the same function objects run either way.  Each call without the
+    package loads the module again, so callers fetch an attribute once.  A
+    scipy without the module or one of the attributes raises
+    ``ImportError``.
     """
     full = f"scipy.{subpackage}.{name}"
     module = sys.modules.get(full)
@@ -79,9 +96,9 @@ def _scipy_extension(subpackage: str, name: str, *attributes: str) -> tuple:
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(full)
         if spec is not None:
-            module = importlib.util.module_from_spec(spec)
-            sys.modules[full] = module
+            module = importlib.util.module_from_spec(spec)  # registers a single-phase module
             spec.loader.exec_module(module)
+            sys.modules.pop(full, None)
     if module is None or not all(hasattr(module, attr) for attr in attributes):
         raise ImportError(f"scipy {scipy.__version__} has no compiled module {full} with "
                           f"{', '.join(attributes)}; contour-seeker needs scipy{_SCIPY_SUPPORTED}")
@@ -106,6 +123,9 @@ _GRID_COLUMNS = 1024
 # Most elements of a stack of cross-covariances conditioned in one call: a
 # Monte-Carlo block of (draws, n_train, n_grid) takes as many draws as fit.
 _STACK_ELEMENTS = 1 << 14
+# Most elements of one stacked objective call of the fit: the starts sharing
+# a call each take an (n, n) Gram and a Gram-build buffer of about that size.
+_LOCKSTEP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -341,27 +361,44 @@ class _KernelWorkspace:
         # each level entry copies its pair's row, padding the zero row of the spare slot;
         # mode="clip" writes straight into out (the indices are in range)
         np.take(rows[:n_pairs + 1], self.targets, axis=0, out=rows[cut:], mode="clip")
+        self.n_params = q + 1 + p + p * sum(self.qual_levels)
+        self._per_build = {}
+
+    def per_build(self, key: str, index: np.ndarray, step: int, count: int) -> np.ndarray:
+        """``index`` for each of ``count`` builds of a stack, (count, *index.shape):
+        build s's copy is offset by s x ``step``, so that one gather or
+        scatter on a 1-D view of the stack's buffer serves every build.
+        Cached under ``key`` and ``count``."""
+        out = self._per_build.get((key, count))
+        if out is None:
+            out = index + step * np.arange(count).reshape((count,) + (1,) * index.ndim)
+            self._per_build[key, count] = out
+        return out
 
     def gram(self, e: np.ndarray, with_terms: bool = False):
         """Kernel values on the pairs at ``e``, the variances and rates in
-        ``_pack``'s order (not logged).
+        ``_pack``'s order (not logged): one build at e (D,), or one per row
+        of a stack e (S, D), each with the bits of its build alone.
 
         Each value is the base term plus one level term per factor, added in
         factor order.  Every step keeps the bits of a build over each
         level's own rows:
         - all rates are one stacked ``matmul`` of ``stacked`` with each
-          row's rates, and numpy runs one gemv per stacked matrix, which
-          gives each row the bits of any other gemv over it; the rows hold
-          -d2, and (-d2) @ theta is -(d2 @ theta) bit for bit;
+          row's rates, and numpy runs one gemv per (build, stacked matrix),
+          which gives each row the bits of any other gemv over it; the rows
+          hold -d2, and (-d2) @ theta is -(d2 @ theta) bit for bit;
         - one ``exp`` covers the whole buffer, and one product scales each
           row by its variance;
-        - ``np.add.at`` adds in index order, so each pair gets its level
-          terms in factor order (padding goes to the spare slot).
+        - one ``np.add.at`` on the buffer's 1-D view adds in index order, so
+          each pair gets its level terms in factor order (padding goes to
+          the spare slot), each build at its own offset.
         With ``with_terms``, ``(values, terms)``: also the term values
         stacked as ``design``'s columns, a fresh array.  The values are a
         view of the build's own buffer.
         """
         n_pairs, cut = self.n_pairs, self.base_rows * self.width
+        if e.ndim == 2:
+            return self._stacked_gram(e, with_terms)
         buf = np.empty(self.stacked.shape[:2])
         np.matmul(self.stacked, e[self.rate_index], out=buf[:, :, None])
         np.exp(buf, out=buf)
@@ -370,6 +407,26 @@ class _KernelWorkspace:
         terms = flat[self.term_positions] if with_terms else None
         np.add.at(flat[:cut], self.targets, flat[cut:])
         k = flat[:n_pairs]
+        return (k, terms) if with_terms else k
+
+    def _stacked_gram(self, e: np.ndarray, with_terms: bool):
+        """``gram`` at a stack e (S, D): the one-build steps on an (S, rows,
+        width) buffer, each index offset by ``per_build`` (one 1-D gather or
+        ``np.add.at`` for the stack)."""
+        n_pairs, cut = self.n_pairs, self.base_rows * self.width
+        count, size = len(e), self.stacked.shape[0] * self.width
+        flat_e = e.reshape(-1)
+        buf = np.empty((count,) + self.stacked.shape[:2])
+        np.matmul(self.stacked, flat_e[self.per_build("rates", self.rate_index, self.n_params, count)],
+                  out=buf[..., None])
+        np.exp(buf, out=buf)
+        buf *= flat_e[self.per_build("variances", self.variance_index, self.n_params, count)]
+        builds = buf.reshape(count, size)
+        flat = builds.reshape(-1)
+        terms = flat[self.per_build("terms", self.term_positions, size, count)] if with_terms else None
+        np.add.at(flat, self.per_build("targets", self.targets, size, count).reshape(-1),
+                  builds[:, cut:].reshape(-1))
+        k = builds[:, :n_pairs]
         return (k, terms) if with_terms else k
 
     @cached_property
@@ -398,7 +455,7 @@ class _KernelWorkspace:
         w = np.where(i == j, 1.0, 2.0)[term_pair]
         row = positions // self.width
         cols = np.arange(len(positions))
-        design = np.zeros((len(self.qual_levels) + 1 + p + p * sum(self.qual_levels), len(positions)))
+        design = np.zeros((self.n_params, len(positions)))
         design[self.variance_index[row, 0], cols] = w
         design[self.rate_index[row, :, 0], cols[:, None]] = w[:, None] * self.stacked.reshape(-1, p)[positions]
         return design, self.flat_pairs[term_pair]
@@ -406,36 +463,56 @@ class _KernelWorkspace:
     def nll_gradient(self, e: np.ndarray, factor: np.ndarray, resid: np.ndarray, terms: np.ndarray,
                      jitter_rate: float) -> np.ndarray:
         """Gradient of the profiled objective in the log-parameters of ``_pack``,
-        at ``e`` = exp(log-parameters).
+        at ``e`` = exp(log-parameters): one (D,), or one per row of a stack
+        e (S, D), each with the bits of its gradient alone.
 
-        ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I,
-        ``resid`` is y - mu_hat 1 and ``terms`` the stacked term values.  With
+        ``factor`` factors Phi = gram + jitter_rate * (mean diagonal) I, one
+        column-major (n, n) matrix per build (``_try_cholesky``'s), ``resid``
+        is y - mu_hat 1 and ``terms`` the stacked term values.  With
         W = Phi^{-1} - alpha alpha' and alpha = Phi^{-1} resid, each component
         is sum(W * dPhi), which is ``D @ (W[term_index] * terms)`` before the
         rates' chain-rule factor e; the jitter moves with every variance,
-        since the mean diagonal is sum(sigma2).  Overwrites ``factor``.
+        since the mean diagonal is sum(sigma2).  Overwrites ``factor`` with
+        the lower triangle of Phi^{-1}: ``dpotri`` runs in place per matrix.
         """
         design, term_index = self.design
         alpha = _solve(factor, resid)
-        inv = dpotri(factor, lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
-        w = (inv.T - alpha[:, None] * alpha).reshape(-1)[term_index]
-        g = design @ (w * terms)
         n_sigma = len(self.qual_levels) + 1
-        g[:n_sigma] += e[:n_sigma] * (jitter_rate * (inv.trace() - alpha @ alpha))
-        g[n_sigma:] *= e[n_sigma:]
+        if e.ndim == 1:
+            inv = dpotri(factor, lower=1, overwrite_c=1)[0]  # lower triangle of Phi^{-1}, column-major
+            w = (inv.T - alpha[:, None] * alpha).reshape(-1)[term_index]
+            g = design @ (w * terms)
+            g[:n_sigma] += e[:n_sigma] * (jitter_rate * (inv.trace() - alpha @ alpha))
+            g[n_sigma:] *= e[n_sigma:]
+            return g
+        count, n = len(e), self.size[0]
+        for c in factor:
+            dpotri(c, lower=1, overwrite_c=1)
+        inv_t = factor.swapaxes(-1, -2)  # each inverse's lower triangle, read row-major
+        w = (inv_t - alpha[:, :, None] * alpha[:, None, :]).reshape(-1)[
+            self.per_build("term_index", term_index, n * n, count)]
+        g = np.matmul(design, (w * terms)[..., None])[..., 0]
+        trace = np.add.reduce(inv_t.reshape(count, -1)[:, ::n + 1], axis=-1)
+        g[:, :n_sigma] += e[:, :n_sigma] * (jitter_rate * (trace - np.vecdot(alpha, alpha)))[:, None]
+        g[:, n_sigma:] *= e[:, n_sigma:]
         return g
 
 
 def _lower_gram(ws: _KernelWorkspace, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The column-major Gram with ``ws.gram``'s values over a lower
-    triangle's pairs, written into ``out`` when given, else into a new zero
-    matrix: potrf reads the lower triangle only, and the diagonal gives the
-    jitter.  potrf and potri with ``lower=1`` never write the upper
-    triangle, so a buffer that they factor and invert in place keeps it
-    zero, and the next values overwrite every entry they wrote."""
+    triangle's pairs, or one such (n, n) matrix per row of a stack of values
+    (S, n_pairs), written into ``out`` when given, else into new zero
+    matrices: potrf reads the lower triangle only, and the diagonal gives
+    the jitter.  A stack's ``out`` is (S, n, n) with each matrix
+    column-major, one after another in memory.  potrf and potri with
+    ``lower=1`` never write the upper triangle, so a buffer that they factor
+    and invert in place keeps it zero, and the next values overwrite every
+    entry they wrote."""
     if out is None:
-        out = np.zeros(ws.size, order="F")
-    out.reshape(-1, order="F")[ws.flat_pairs] = values
+        out = np.zeros(values.shape[:-1] + ws.size).swapaxes(-1, -2)
+    n = ws.size[0]
+    positions = ws.flat_pairs if values.ndim == 1 else ws.per_build("pairs", ws.flat_pairs, n * n, len(values))
+    out.swapaxes(-1, -2).reshape(-1)[positions] = values
     return out
 
 
@@ -457,7 +534,8 @@ def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Phi^{-1} b from the factor c of ``_try_cholesky``.  A stack of factors
     c (..., n, n) solves the stack b (..., n) or (..., n, k) one ``dpotrs``
     call per matrix, each result laid out as that call returns it
-    (column-major)."""
+    (column-major): b is copied into the result once, and each call solves
+    its matrix there in place."""
     if c.ndim == 2:
         return dpotrs(c, b, lower=1)[0]
     n = c.shape[-1]
@@ -467,8 +545,9 @@ def _solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.empty(bs.shape)
     else:
         out = np.empty((len(cs), bs.shape[-1], n)).swapaxes(-1, -2)
-    for i in range(len(cs)):
-        out[i] = dpotrs(cs[i], bs[i], lower=1)[0]
+    out[...] = bs
+    for c_i, b_i in zip(cs, out):
+        dpotrs(c_i, b_i, lower=1, overwrite_b=1)
     return out.reshape(b.shape)
 
 
@@ -734,10 +813,14 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     """scipy's ``minimize``, with bounded L-BFGS-B run by this module's own
     loop over scipy's ``setulb`` kernel (Byrd, Lu, Nocedal & Zhu 1995).
 
-    ``fit`` calls it once per start as ``minimize(fun, x0, jac=True,
-    method="L-BFGS-B", bounds=<(low, high) pairs>, options={"maxfun":
-    max_fev})``, where ``fun`` returns ``(value, gradient)`` and a
-    ``maxfun`` of None is scipy's default, 15000.  That call is scipy's
+    ``fit`` calls it once per start, in start order, as ``minimize(handle,
+    x0, jac=True, method="L-BFGS-B", bounds=<(low, high) pairs>,
+    options={"maxfun": max_fev})``, where a ``maxfun`` of None is scipy's
+    default, 15000.  ``handle`` is the start's ``_StartHandle``: the first
+    such call runs every start of the fit in lockstep (``_lockstep``) and
+    returns its own start's result, and each later call returns its
+    start's.  Any other ``fun`` returns ``(value, gradient)`` at one point
+    and runs through the same loop as a stack of one.  That loop is scipy's
     without the wrappers it puts around each evaluation: the same calls of
     ``setulb`` with the same defaults, in the same order (``x0`` clipped to
     the bounds, ``fun`` evaluated there first, a trial point evaluated only
@@ -749,10 +832,13 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     another option, infinite bounds or a ``fun`` without its gradient raise
     ``ValueError``, so no call reaches scipy's own L-BFGS-B driver.
 
-    The name and the call form are scipy's because callers that count or
-    time the starts rebind this module attribute and call it as scipy's
+    The name and the one call per start in scipy's call form stay because
+    callers that count or time the starts (the benchmark's tracer and
+    probe, and tests) rebind this module attribute and call it as scipy's
     ``minimize``; any other ``method`` is scipy's ``minimize`` itself, the
-    one path that imports ``scipy.optimize``.  L-BFGS-B needs only the
+    one path that imports ``scipy.optimize``.  The call form and that
+    hand-off can go once the benchmark reads the fit's counts from the fit
+    rather than by wrapping this function.  L-BFGS-B needs only the
     kernel's module, ``scipy.optimize._lbfgsb``, which ``_scipy_extension``
     loads, so a process that fits never runs ``scipy.optimize``'s package
     import.
@@ -762,7 +848,6 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
 
         return scipy.optimize.minimize(fun, x0, method=method, jac=jac, bounds=bounds,
                                        options=options, **kwargs)
-    setulb, = _scipy_extension("optimize", "_lbfgsb", "setulb")
     options = dict(options or {})
     maxfun = options.pop("maxfun", None)
     if jac is not True or options or kwargs:
@@ -775,6 +860,26 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     lo, hi = np.ascontiguousarray(box.T)
     if maxfun is None:
         maxfun = _MAX_FUN
+    if isinstance(fun, _StartHandle):
+        return fun.run.result(fun.index, x0, lo, hi, maxfun)
+    results, _ = _lockstep(lambda points: [fun(points[0])], [x0], lo, hi, maxfun, 1)
+    return results[0]
+
+
+@cache
+def _setulb():
+    """scipy's L-BFGS-B kernel, fetched once, at the first L-BFGS-B run."""
+    return _scipy_extension("optimize", "_lbfgsb", "setulb")[0]
+
+
+def _lbfgsb(x0, lo, hi, maxfun: int):
+    """One start of bounded L-BFGS-B as a generator: it yields each point it
+    needs scored, is sent back that point's ``(value, gradient)``, and
+    returns the start's ``LbfgsbResult``.  The first point is ``x0`` clipped
+    to the bounds; a trial point is yielded only when it differs from the
+    last one.  Its ``setulb`` state is its own, so its iterates depend only
+    on the values sent to it."""
+    setulb = _setulb()
     x = np.clip(x0, lo, hi)
     n = len(x)
     m = _CORRECTIONS
@@ -785,7 +890,7 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     lsave, isave, dsave = np.zeros(4, dtype=np.int32), np.zeros(44, dtype=np.int32), np.zeros(29)
 
     x_eval = x.copy()
-    f_eval, g_eval = fun(x_eval)
+    f_eval, g_eval = yield x_eval
     nfev, nit = 1, 0
     f, g = 0.0, np.zeros(n)  # what scipy passes to the kernel's first call
     while True:
@@ -794,7 +899,7 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
         if task[0] == _FG:
             if (x != x_eval).any():
                 x_eval = x.copy()
-                f_eval, g_eval = fun(x_eval)
+                f_eval, g_eval = yield x_eval
                 nfev += 1
             f = f_eval
             g[:] = g_eval
@@ -811,6 +916,91 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     else:
         status = 1 if nfev > maxfun or nit >= _MAX_ITER else 2
     return LbfgsbResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
+
+
+def _lockstep(evaluate, x0s, lo, hi, maxfun: int, per_call: int) -> tuple[list, list]:
+    """Bounded L-BFGS-B from each of ``x0s`` in lockstep: ``(results,
+    first values)``, one of each per start.
+
+    Each start (``_lbfgsb``) keeps its own ``setulb`` state and runs until it
+    asks for a point.  A round scores every asked point with ``evaluate``,
+    which takes a list of at most ``per_call`` points and returns one
+    ``(value, gradient)`` per point, and sends each start its own.  A start
+    sees only the values at its own points, so its iterates and result are
+    those of the start run alone; the first value each start is sent is
+    the one at its clipped ``x0``."""
+    runs = [_lbfgsb(x0, lo, hi, maxfun) for x0 in x0s]
+    results, first = [None] * len(runs), [None] * len(runs)
+    asked = [(k, next(run)) for k, run in enumerate(runs)]
+    while len(asked) > 1:
+        scored = []
+        for i in range(0, len(asked), per_call):
+            scored += evaluate([x for _, x in asked[i:i + per_call]])
+        pending = []
+        for (k, _), out in zip(asked, scored):
+            if first[k] is None:
+                first[k] = out[0]
+            try:
+                pending.append((k, runs[k].send(out)))
+            except StopIteration as stop:
+                results[k] = stop.value
+        asked = pending
+    if asked:
+        # the last live start runs alone, without a round's bookkeeping
+        (k, x), = asked
+        run = runs[k]
+        try:
+            while True:
+                out, = evaluate([x])
+                if first[k] is None:
+                    first[k] = out[0]
+                x = run.send(out)
+        except StopIteration as stop:
+            results[k] = stop.value
+    return results, first
+
+
+class _Lockstep:
+    """The starts of one fit, run in lockstep on the fit's ``_Objective``
+    when ``minimize`` first asks for one of their results.  ``first``
+    holds each start's initial value.  It holds no handle, so a fit's
+    handles, run and objective form no reference cycle and are freed when
+    the fit returns."""
+
+    def __init__(self, objective, x0s, lo, hi, maxfun: int):
+        self.objective, self.x0s, self.lo, self.hi, self.maxfun = objective, x0s, lo, hi, maxfun
+        self.first = [None] * len(x0s)
+        self.results = None
+
+    def result(self, k: int, x0, lo, hi, maxfun: int) -> LbfgsbResult:
+        """Start k's result; ``x0``, the bounds and ``maxfun`` must be its own."""
+        if not (np.array_equal(x0, self.x0s[k]) and np.array_equal(lo, self.lo) and np.array_equal(hi, self.hi)
+                and maxfun == self.maxfun):
+            raise ValueError("a start handle runs only its own start, with its fit's bounds and maxfun")
+        if self.results is None:
+            self.results, self.first = _lockstep(self.objective.stack, self.x0s, self.lo, self.hi, self.maxfun,
+                                                 self.objective.per_call)
+        return self.results[k]
+
+
+class _StartHandle:
+    """Start ``index`` of a ``_Lockstep``, the ``fun`` that ``fit`` passes
+    ``minimize``.  Called at one point, it is the start's objective there,
+    and the first value it returns is kept as the start's initial value
+    unless the run has set it: so a ``minimize`` rebound to wrap ``fun`` in a
+    plain function, which runs each start alone, still gives ``fit`` every
+    start's f0."""
+
+    __slots__ = ("run", "index")
+
+    def __init__(self, run: _Lockstep, index: int):
+        self.run, self.index = run, index
+
+    def __call__(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
+        out = self.run.objective(vec)
+        if self.run.first[self.index] is None:
+            self.run.first[self.index] = out[0]
+        return out
 
 
 # numpy's OpenBLAS has 64-bit integers and suffixes its symbols with "64_"
@@ -865,49 +1055,104 @@ def _one_blas_thread():
         _set_blas_threads(previous)
 
 
+class _Objective:
+    """The fit's profiled objective with its gradient: ``(value, gradient)``
+    at one point when called, and one such pair per point of a list with
+    ``stack``, each with the bits of a call at that point alone.
+
+    It works on the pair table of the Gram's lower triangle, which is all
+    LAPACK's lower Cholesky factor reads, and hands the exponentiated
+    log-parameters to the Gram build as they are; the gradient's design
+    matrix is built at the first gradient.  A call writes its Gram into
+    the lower triangle of one column-major buffer, which ``_try_cholesky``
+    factors and the gradient's ``dpotri`` inverts in place, so no
+    evaluation copies its Gram or keeps state from the last one.  A stack
+    of S points does the same in one (S, n, n) buffer, each Gram
+    column-major in its own block: one Gram build for the stack, the
+    factorisations, solves and inverses one matrix at a time, and every
+    other step once for the stack.  A point whose Gram does not factor
+    scores inf with a zero gradient and leaves the rest of its stack as it
+    is.  A stack takes at most ``per_call`` points, so that its buffers hold
+    about ``_LOCKSTEP_ELEMENTS`` floats; a stack of one point goes through
+    the call, the cheaper path.  No ``EzGpParams`` is built per evaluation.
+    """
+
+    def __init__(self, ws: _KernelWorkspace, y: np.ndarray, jitter_rate: float):
+        self.ws, self.y, self.jitter_rate = ws, y, jitter_rate
+        self.rhs = _with_ones(y)
+        n = ws.size[0]
+        self.per_call = max(1, _LOCKSTEP_ELEMENTS // (n * n + ws.stacked.shape[0] * ws.width))
+        self.phi = np.zeros(ws.size, order="F")
+        self.blocks = None  # a stack's Grams, one block of n * n floats each, made at the first stack
+
+    def jitter(self, phi: np.ndarray):
+        """The jitter of a Gram, or of each of a stack of Grams."""
+        return self.jitter_rate * _diag_mean(phi)
+
+    def __call__(self, vec: np.ndarray) -> tuple[float, np.ndarray]:
+        e = np.exp(vec)
+        values, terms = self.ws.gram(e, with_terms=True)
+        phi = _lower_gram(self.ws, values, out=self.phi)
+        factor = _try_cholesky(phi, self.jitter(phi))
+        if factor is None:
+            return np.inf, np.zeros(len(vec))
+        obj, mu_hat = _profiled_nll(factor, self.rhs)[:2]
+        return float(obj), self.ws.nll_gradient(e, factor, self.y - mu_hat, terms, self.jitter_rate)
+
+    def stack(self, points: list[np.ndarray]) -> list[tuple[float, np.ndarray]]:
+        if len(points) == 1:
+            return [self(points[0])]
+        count, n = len(points), self.ws.size[0]
+        e = np.exp(np.array(points))
+        values, terms = self.ws.gram(e, with_terms=True)
+        if self.blocks is None:
+            self.blocks = np.zeros((self.per_call, n * n))
+            self.rhs_stack = np.broadcast_to(self.rhs, (self.per_call,) + self.rhs.shape)
+        blocks = self.blocks[:count]
+        grams = _lower_gram(self.ws, values, out=blocks.reshape(count, n, n).swapaxes(-1, -2))
+        # each Gram's diagonal sum over its block's row: the bits of _diag_mean
+        jitters = (self.jitter_rate * (np.add.reduce(blocks[:, ::n + 1], axis=-1) / n)).tolist()
+        live = [s for s in range(count) if _try_cholesky(grams[s], jitters[s]) is not None]
+        out = [(np.inf, np.zeros(len(points[0])))] * count
+        if not live:
+            return out
+        if len(live) < count:
+            # the factored Grams move to the front of the buffer, in order
+            for j, s in enumerate(live):
+                grams[j] = grams[s]
+            grams, e, terms = grams[:len(live)], e[live], terms[live]
+        obj, mu_hat = _profiled_nll(grams, self.rhs_stack[:len(live)])[:2]
+        g = self.ws.nll_gradient(e, grams, self.y - mu_hat[:, None], terms, self.jitter_rate)
+        for s, value, grad in zip(live, obj.tolist(), g):
+            out[s] = value, grad
+        return out
+
+
 @_one_blas_thread()
 def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         warm_start: EzGpParams | None = None) -> FittedModel:
     """Maximum likelihood fit by multi-start bounded L-BFGS-B in log space,
-    with the analytic gradient of the profiled objective.
+    with the analytic gradient of the profiled objective (``_Objective``).
 
-    Each start is one call of ``minimize``, scipy's L-BFGS-B kernel with
-    scipy's defaults and ``max_fev`` as ``maxfun``.  The objective works
-    on the pair table of the Gram's lower triangle, which is all LAPACK's
-    lower Cholesky factor reads, and hands the exponentiated log-parameters
-    to the Gram build as they are; the gradient's design matrix is built at
-    the first gradient.  Every evaluation writes its Gram into the lower
-    triangle of one column-major buffer, which ``_try_cholesky`` factors
-    and the gradient's ``dpotri`` inverts in place, so no evaluation copies
-    its Gram or keeps state from the last one.  No ``EzGpParams`` is built
-    per evaluation.  The fit runs on one BLAS thread and restores the
-    previous count on return or raise.  A trial point whose Gram does not
-    factor scores inf, which ends that start at its last finite point.
-    Returns the best factorizable local optimum over all starts; the
-    achieved objective never exceeds any start's initial objective, taken
-    from the start's first evaluation.
+    Every start runs scipy's L-BFGS-B kernel with scipy's defaults and
+    ``max_fev`` as ``maxfun``, in one lockstep run (``_Lockstep``): each
+    start keeps its own ``setulb`` state, and each round scores the points
+    that all live starts ask for in one stacked objective call.  A start
+    gets exactly the values and gradients it would get run alone, so its
+    iterates and result are those of the start run alone.  ``fit`` still
+    calls ``minimize`` once per start, in start order, passing the start's
+    handle (``_StartHandle``); the first call runs every start and each call
+    returns its own start's result.  The fit runs on one BLAS thread and
+    restores the previous count on return or raise.  A trial point whose
+    Gram does not factor scores inf, which ends that start at its last
+    finite point.  Returns the best factorizable local optimum over all
+    starts; the achieved objective never exceeds any start's initial
+    objective, taken from the start's first evaluation.
     """
     y = data.responses
     ws = _KernelWorkspace(data.x, data.z, space.qual_levels)
-    rhs = _with_ones(y)
     lo, hi = _log_bounds(space, config, y)
-    dim = len(lo)
-    jitter_rate = _JITTER_START * config.jitter_scale
-
-    def jitter_of(phi: np.ndarray) -> float:
-        return jitter_rate * _diag_mean(phi)
-
-    phi = np.zeros(ws.size, order="F")  # every evaluation's Gram, factored in place
-
-    def objective(vec: np.ndarray) -> tuple[float, np.ndarray]:
-        e = np.exp(vec)
-        values, terms = ws.gram(e, with_terms=True)
-        _lower_gram(ws, values, out=phi)
-        factor = _try_cholesky(phi, jitter_of(phi))
-        if factor is None:
-            return np.inf, np.zeros(dim)
-        obj, mu_hat = _profiled_nll(factor, rhs)[:2]
-        return float(obj), ws.nll_gradient(e, factor, y - mu_hat, terms, jitter_rate)
+    objective = _Objective(ws, y, _JITTER_START * config.jitter_scale)
 
     starts = []
     if warm_start is not None:
@@ -916,21 +1161,15 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     n_lhd = max(config.n_starts - len(starts), 0)
     if n_lhd:
         rng = np.random.default_rng(config.seed)
-        starts.extend(lo + u * (hi - lo) for u in _unit_lhd(n_lhd, dim, rng))
+        starts.extend(lo + u * (hi - lo) for u in _unit_lhd(n_lhd, len(lo), rng))
 
+    run = _Lockstep(objective, starts, lo, hi, _MAX_FUN if config.max_fev is None else config.max_fev)
+    bounds = list(zip(lo, hi))
     results = []
     for idx, x0 in enumerate(starts):
-        first = []
-
-        def start_objective(vec, first=first):
-            out = objective(vec)
-            if not first:
-                first.append(out[0])  # L-BFGS-B evaluates x0 first
-            return out
-
-        res = minimize(start_objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+        res = minimize(_StartHandle(run, idx), x0, jac=True, method="L-BFGS-B", bounds=bounds,
                        options={"maxfun": config.max_fev})
-        f0 = first[0]
+        f0 = run.first[idx]
         xb, fb = (res.x, float(res.fun)) if res.fun <= f0 else (x0, f0)
         results.append((fb, idx, xb, f0))
 
@@ -943,7 +1182,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
         try:
             # condition at the objective's jitter, so the stored nll is the
             # likelihood of the returned factor
-            jitter = jitter_of(_lower_gram(ws, ws.gram(np.exp(xb))))
+            jitter = objective.jitter(_lower_gram(ws, ws.gram(np.exp(xb))))
             model = condition(params, data, space, jitter=jitter)
         except IllConditionedModelError:
             continue

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -837,7 +839,9 @@ class TestOptimizer:
             assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_each_start_evaluates_x0_once(self, monkeypatch):
-        # the never-worse guard takes f0 from L-BFGS-B's first evaluation
+        # the never-worse guard takes f0 from L-BFGS-B's first evaluation; the
+        # starts run in lockstep, so the first minimize call makes every
+        # start's evaluations, and each evaluation factors its Gram once
         space, data = design_data("example1", 12)
         calls, counts = [0], []
         cholesky, minimize = ezgp._try_cholesky, ezgp.minimize
@@ -854,8 +858,8 @@ class TestOptimizer:
         monkeypatch.setattr(ezgp, "_try_cholesky", counting)
         monkeypatch.setattr(ezgp, "minimize", recording)
         model = cs.fit(data, space, cs.FitConfig(n_starts=4, max_fev=60))
-        ends = [0] + [end for end, _ in counts]
-        assert [b - a for a, b in zip(ends, ends[1:])] == [nfev for _, nfev in counts]
+        assert len(counts) == 4
+        assert counts[-1][0] == sum(nfev for _, nfev in counts)
         for initial, final in model.start_objectives:
             assert final <= initial
 
@@ -894,6 +898,142 @@ class TestOptimizer:
         cs.fit(data, space, cs.FitConfig(n_starts=5, max_fev=60))
         assert len(nfev) == 5
         assert sum(nfev) == calls[0]
+
+
+# (simulator or "wide", n or p); at jitter_scale=1e-8 only example1 n=30 has
+# trial points whose Grams do not factor
+LOCKSTEP_DESIGNS = ([pytest.param(name, n, id=f"{name}-{n}") for name, n in
+                     [("example1", 9), ("example1", 20), ("example1", 30), ("example2", 18), ("example3", 27)]]
+                    + [pytest.param("wide", p, id=f"wide-p{p}") for p in WIDE_P]
+                    + [pytest.param("wide", 8, id="wide-p8", marks=GEMV_ROW_BITS)])
+
+
+class TestLockstep:
+    """``fit`` runs its starts in lockstep on one stacked objective; each
+    start's result is that of the start run alone."""
+
+    @pytest.mark.parametrize("config, warm", [(cs.FitConfig(), False), (cs.FitConfig(max_fev=7), False),
+                                              (cs.FitConfig(jitter_scale=1e-8), False), (cs.FitConfig(), True)],
+                             ids=["default", "max_fev=7", "jitter_scale=1e-8", "warm"])
+    @pytest.mark.parametrize("name, size", LOCKSTEP_DESIGNS)
+    def test_each_start_equals_the_start_run_alone(self, name, size, config, warm, monkeypatch):
+        space, data = wide_design(size) if name == "wide" else design_data(name, size)
+        warm_start = cs.fit(data, space, cs.FitConfig(n_starts=2, max_fev=30)).params if warm else None
+        lbfgsb, starts, stacks = ezgp.minimize, [], []
+        stack = ezgp._Objective.stack
+
+        def recording(fun, x0, **kwargs):
+            res = lbfgsb(fun, x0, **kwargs)
+            starts.append((fun, x0, kwargs, res))
+            return res
+
+        def recording_stack(objective, points):
+            out = stack(objective, points)
+            stacks.append([value for value, _ in out])
+            return out
+
+        monkeypatch.setattr(ezgp, "minimize", recording)
+        monkeypatch.setattr(ezgp._Objective, "stack", recording_stack)
+        cs.fit(data, space, config, warm_start=warm_start)
+        # the live starts shared their rounds: the first round scored every x0 in one call
+        assert len(stacks[0]) == len(starts) == config.n_starts
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        options = {} if config.max_fev is None else {"maxfun": config.max_fev}
+        for handle, x0, kwargs, ours in starts:
+            with ezgp._one_blas_thread():
+                ref = scipy.optimize.minimize(handle, x0.copy(), jac=True, method="L-BFGS-B",
+                                              bounds=list(zip(lo, hi)), options=options)
+                alone = lbfgsb(lambda vec: handle(vec), x0.copy(), **kwargs)
+            for other in (ref, alone):
+                assert np.array_equal(ours.x, other.x)
+                assert ours.fun == other.fun
+                assert np.array_equal(ours.jac, other.jac)
+                assert ((ours.nfev, ours.njev, ours.nit, ours.status)
+                        == (other.nfev, other.njev, other.nit, other.status))
+        if config.max_fev == 7:
+            # a capped start stops while siblings of its first round go on
+            assert any(len(values) < len(stacks[0]) for values in stacks[1:])
+        if config.jitter_scale == 1e-8 and (name, size) == ("example1", 30):
+            # trial points whose Grams do not factor score inf inside a stack of live ones
+            assert any(np.isinf(values).any() and np.isfinite(values).any() for values in stacks)
+
+    def test_stack_equals_one_point_at_a_time(self, monkeypatch):
+        # a jitter of 1e-24 of the diagonal leaves some Grams unfactored: a
+        # stack with such points, and one of them only, gives each point the
+        # value and gradient of its own call
+        space, data = design_data("example1", 30)
+        config = cs.FitConfig(jitter_scale=1e-16)
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        objective = captured_objective(data, space, config, monkeypatch).run.objective
+        rng = np.random.default_rng(20261021)
+        points = [lo + rng.random(len(lo)) * (hi - lo) for _ in range(24)]
+        alone = [objective(vec) for vec in points]
+        failed = [vec for vec, (value, _) in zip(points, alone) if not np.isfinite(value)]
+        assert 2 <= len(failed) < len(points)
+        for group in (points[:9], points[9:], failed, points[:1]):
+            expected = [objective(vec) for vec in group]
+            for (value, grad), (other_value, other_grad) in zip(objective.stack(group), expected):
+                assert value == other_value and np.array_equal(grad, other_grad)
+        assert all(value == np.inf and not grad.any() for value, grad in objective.stack(failed))
+
+    def test_stacks_share_at_most_per_call_points(self, monkeypatch):
+        # the cap on a stacked call bounds its buffers; the starts beyond it
+        # are scored in further calls of the same round
+        space, data = design_data("example1", 12)
+        sizes, stack = [], ezgp._Objective.stack
+        ws = ezgp._KernelWorkspace(data.x, data.z, space.qual_levels)
+        per_start = 12 * 12 + ws.stacked.shape[0] * ws.width  # a Gram and a build buffer
+
+        def recording_stack(objective, points):
+            sizes.append(len(points))
+            return stack(objective, points)
+
+        monkeypatch.setattr(ezgp, "_LOCKSTEP_ELEMENTS", 3 * per_start + 1)
+        monkeypatch.setattr(ezgp._Objective, "stack", recording_stack)
+        capped = cs.fit(data, space, cs.FitConfig(n_starts=8))
+        monkeypatch.undo()
+        model = cs.fit(data, space, cs.FitConfig(n_starts=8))
+        assert max(sizes) <= 3 and sizes[:3] == [3, 3, 2]
+        assert capped.nll == model.nll and capped.start_objectives == model.start_objectives
+
+    def test_handle_runs_only_its_own_start(self, monkeypatch):
+        # a handle's result is its own start's: another x0, other bounds or
+        # another maxfun would silently not apply
+        space, data = design_data("example1", 9)
+        calls, original = [], ezgp.minimize
+
+        def recording(fun, x0, **kwargs):
+            res = original(fun, x0, **kwargs)
+            calls.append((fun, x0, kwargs, res))
+            return res
+
+        monkeypatch.setattr(ezgp, "minimize", recording)
+        cs.fit(data, space, cs.FitConfig(n_starts=2, max_fev=20))
+        handle, x0, kwargs, res = calls[0]
+        assert original(handle, x0, **kwargs) is res
+        lo, hi = np.array(kwargs["bounds"]).T
+        for other_x0, other in [(x0 + 0.1, kwargs), (x0, {**kwargs, "bounds": list(zip(lo, hi + 1))}),
+                                (x0, {**kwargs, "options": {"maxfun": 21}})]:
+            with pytest.raises(ValueError, match="its own start"):
+                original(handle, other_x0, **other)
+
+    def test_no_reference_cycle(self, monkeypatch):
+        # a cycle through a start handle kept each fit's stack buffers alive
+        # until a full garbage collection
+        space, data = design_data("example1", 12)
+        refs, original = [], ezgp.minimize
+
+        def recording(fun, x0, **kwargs):
+            refs.append(weakref.ref(fun.run.objective))
+            return original(fun, x0, **kwargs)
+
+        monkeypatch.setattr(ezgp, "minimize", recording)
+        gc.disable()
+        try:
+            cs.fit(data, space, cs.FitConfig(n_starts=4, max_fev=60))
+            assert len(refs) == 4 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 def captured_objective(data, space, config, monkeypatch):

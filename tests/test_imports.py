@@ -208,6 +208,35 @@ def test_ndtr_edge_bits_equal_scipy_special():
     assert ours["hex"] == ours["scalars_hex"]
 
 
+ATTRIBUTES_SCRIPT = r"""
+import json
+
+import numpy as np
+
+import contour_seeker as cs
+from contour_seeker import acquisition, ezgp
+
+sim = cs.builtin_simulator("example1")
+points = cs.initial_design(sim.space, 9, seed=5)
+cs.fit(cs.Dataset(tuple(points), [sim.evaluate(pt) for pt in points]), sim.space, cs.FitConfig(n_starts=2))
+import scipy.linalg, scipy.optimize, scipy.special
+
+print(json.dumps({
+    "attributes": [hasattr(scipy.linalg, "_flapack"), hasattr(scipy.special, "_special_ufuncs"),
+                   hasattr(scipy.optimize, "_lbfgsb")],
+    "same": [scipy.linalg._flapack.dpotrf is ezgp.dpotrf, scipy.special._special_ufuncs.ndtr is acquisition.ndtr,
+             scipy.optimize._lbfgsb.setulb is ezgp._setulb()],
+}))
+"""
+
+
+def test_packages_imported_later_keep_their_compiled_modules():
+    # the library loads the compiled modules it calls without registering them, so a
+    # later package import sets each as its attribute, with the very functions the library calls
+    doc = run_fresh(ATTRIBUTES_SCRIPT)
+    assert doc == {"attributes": [True, True, True], "same": [True, True, True]}
+
+
 def test_loader_names_what_is_missing():
     supported = "contour-seeker needs scipy>=1.17,<1.18"
     with pytest.raises(ImportError, match=r"no compiled module scipy\.linalg\._no_such_module with dpotrf; "
