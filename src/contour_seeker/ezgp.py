@@ -32,8 +32,8 @@ One-shot cross-covariances between two point sets (``predict_batch``,
 ``coverage_check``) build no table: ``cross_covariance``
 computes them in column blocks, with the table's bits.  A block writes
 its differences one coordinate at a time, so that numpy's inner loops run
-over the block's columns rather than over p, and adds each level term
-times its mask of matching levels.  A table's Gram build takes the
+over the block's columns rather than over p, and computes and adds each
+level term only where the levels match.  A table's Gram build takes the
 variances and rates in ``_pack``'s order, computes the rates of every
 term, base and level, in one stacked product, exponentiates and scales
 them in one buffer once, and adds the level terms to their pairs in
@@ -247,15 +247,15 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     buffer, one coordinate at a time (so numpy's loops run over the block's
     columns, not over p); takes the base term as one product with
     ``theta0``, its ``exp`` and its variance; then, factor by factor, every
-    pair's term at the first point's level rates (one product per row), its
-    ``exp`` and its variance, multiplied by the mask of matching levels and
-    added.  That is exactly the add where the levels match: a term of valid
-    parameters is finite and >= 0, so off the mask it becomes +0.0, and the
-    values (>= +0) plus +0.0 are unchanged.  So each pair gets its base term
-    and then its level terms in factor order.  Every product is a gemv over
-    rows of negated squared differences, with the bits of the fit's pair
-    table; a product of one row would be a dot, so a single column is
-    computed as two.
+    pair's term at the first point's level rates (one product per row), and,
+    only where the two levels match, its ``exp``, its variance and its add,
+    as the pair table adds a level's terms to that level's pairs only.  The
+    mask of matching levels is written into one bool buffer from contiguous
+    copies of both sets' level columns, made once per call.  So each pair
+    gets its base term and then its level terms in factor order.  Every
+    product is a gemv over rows of negated squared differences, with the
+    bits of the fit's pair table; a product of one row would be a dot, so a
+    single column is computed as two.
     """
     n1, n2, p = len(x1), len(x2), x1.shape[1]
     if n2 == 1:
@@ -263,16 +263,20 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
     k = np.empty((n1, n2))
     # each first-set point's rates at its level of each factor, shaped as a product's right-hand side
     level_rates = [mat.T[z1[:, h] - 1][:, :, None] for h, mat in enumerate(params.theta)]
+    # each factor's levels as one contiguous row per set
+    levels1, levels2 = np.ascontiguousarray(z1.T), np.ascontiguousarray(z2.T)
     # equal blocks, so that none is a single column
     n_blocks = max(1, -(-n2 // _GRID_COLUMNS))
     width = max(1, -(-n2 // n_blocks))
     # one block's buffers, each contiguous; a narrower last block takes their front
     neg_d2_buf, values_buf = np.empty(n1 * width * p), np.empty(2 * n1 * width)
+    mask_buf = np.empty(n1 * width, dtype=bool)
     for start in range(0, n2, width):
-        x_block, z_block = x2[start:start + width], z2[start:start + width]
+        x_block = x2[start:start + width]
         cols = len(x_block)
         neg_d2 = neg_d2_buf[:n1 * cols * p].reshape(n1, cols, p)
         block, term = values_buf[:2 * n1 * cols].reshape(2, n1, cols)
+        mask = mask_buf[:n1 * cols].reshape(n1, cols)
         for a in range(p):
             np.subtract(x1[:, a, None], x_block[:, a], out=neg_d2[:, :, a])
         np.square(neg_d2, out=neg_d2)
@@ -281,11 +285,11 @@ def cross_covariance(params: EzGpParams, x1, z1, x2, z2) -> np.ndarray:
         np.exp(block, out=block)
         block *= params.sigma2[0]
         for h, rates in enumerate(level_rates):
+            np.equal(levels1[h, :, None], levels2[h, start:start + cols], out=mask)
             np.matmul(neg_d2, rates, out=term[:, :, None])
-            np.exp(term, out=term)
-            term *= params.sigma2[h + 1]
-            np.multiply(term, z1[:, h, None] == z_block[:, h], out=term)
-            block += term
+            np.exp(term, out=term, where=mask)
+            np.multiply(term, params.sigma2[h + 1], out=term, where=mask)
+            np.add(block, term, out=block, where=mask)
         k[:, start:start + cols] = block
     return k
 
@@ -368,12 +372,13 @@ class _KernelWorkspace:
         """``index`` for each of ``count`` builds of a stack, (count, *index.shape):
         build s's copy is offset by s x ``step``, so that one gather or
         scatter on a 1-D view of the stack's buffer serves every build.
-        Cached under ``key`` and ``count``."""
-        out = self._per_build.get((key, count))
-        if out is None:
+        Cached under ``key`` at the largest count asked for; a smaller count
+        takes the front of it."""
+        out = self._per_build.get(key)
+        if out is None or len(out) < count:
             out = index + step * np.arange(count).reshape((count,) + (1,) * index.ndim)
-            self._per_build[key, count] = out
-        return out
+            self._per_build[key] = out
+        return out[:count]
 
     def gram(self, e: np.ndarray, with_terms: bool = False):
         """Kernel values on the pairs at ``e``, the variances and rates in
@@ -1083,7 +1088,9 @@ class _Objective:
         n = ws.size[0]
         self.per_call = max(1, _LOCKSTEP_ELEMENTS // (n * n + ws.stacked.shape[0] * ws.width))
         self.phi = np.zeros(ws.size, order="F")
-        self.blocks = None  # a stack's Grams, one block of n * n floats each, made at the first stack
+        # a stack's Grams, one block of n * n floats each, sized by the first stack: a lockstep run's
+        # first round has the most live starts
+        self.blocks = None
 
     def jitter(self, phi: np.ndarray):
         """The jitter of a Gram, or of each of a stack of Grams."""
@@ -1105,9 +1112,9 @@ class _Objective:
         count, n = len(points), self.ws.size[0]
         e = np.exp(np.array(points))
         values, terms = self.ws.gram(e, with_terms=True)
-        if self.blocks is None:
-            self.blocks = np.zeros((self.per_call, n * n))
-            self.rhs_stack = np.broadcast_to(self.rhs, (self.per_call,) + self.rhs.shape)
+        if self.blocks is None or len(self.blocks) < count:
+            self.blocks = np.zeros((count, n * n))
+            self.rhs_stack = np.broadcast_to(self.rhs, (count,) + self.rhs.shape)
         blocks = self.blocks[:count]
         grams = _lower_gram(self.ws, values, out=blocks.reshape(count, n, n).swapaxes(-1, -2))
         # each Gram's diagonal sum over its block's row: the bits of _diag_mean

@@ -259,6 +259,54 @@ class TestRunAdaptive:
         assert sim.calls == 0
 
 
+class TestRefitSchedule:
+    """A full fit at every third step from n0, at checkpoints and at N; a warm
+    refit (one LHD-free start beside the warm one) at every other step."""
+
+    @staticmethod
+    def spied_campaign(sim, monkeypatch, fit_config):
+        """(fit calls as (n, config, warm start), trace notes) of an example1
+        campaign from 9 to 21 with checkpoint 14, where every candidate set
+        also holds the first design point, so each step skips one candidate."""
+        from contour_seeker import engine
+
+        calls = []
+        real_fit, real_candidates = engine.fit, engine.candidate_set
+
+        def spy(data, space, config, warm_start=None):
+            calls.append((len(data), config, warm_start, data))
+            return real_fit(data, space, config, warm_start=warm_start)
+
+        def with_design_point(space, per_combo, seed):
+            cand = real_candidates(space, per_combo, seed)
+            data = calls[-1][3]
+            return replace(cand, x=np.vstack([cand.x, data.x[:1]]), z=np.vstack([cand.z, data.z[:1]]))
+
+        monkeypatch.setattr(engine, "fit", spy)
+        monkeypatch.setattr(engine, "candidate_set", with_design_point)
+        cfg = cs.CampaignConfig(space=sim.space, strategy=cs.Strategy("rcc", delta=0.05), level=-0.9, n0=9,
+                                total_runs=21, per_combo=20, seed=3, fit=fit_config, checkpoint_sizes=(14,))
+        trace = cs.run_adaptive(sim, cfg)
+        return cfg, [(n, config, warm) for n, config, warm, _ in calls], [r.note for r in trace.records]
+
+    def test_full_fit_every_third_step_checkpoints_and_end(self, ex1_sim, monkeypatch):
+        cfg, calls, notes = self.spied_campaign(ex1_sim, monkeypatch, cs.FitConfig(max_fev=30))
+        assert [n for n, _, _ in calls] == list(range(9, 22))
+        full = {9, 12, 14, 15, 18, 21}
+        for n, config, warm in calls:
+            seeded = replace(cfg.fit, seed=derive_seed(cfg.seed, 1, n))
+            assert config == (seeded if n in full else replace(seeded, n_starts=1)), n
+            assert (warm is None) == (n == 9), n
+        assert notes == [("skipped 1 duplicate candidates" if n in full
+                          else "warm refit; skipped 1 duplicate candidates") for n in range(9, 21)]
+
+    def test_two_starts_fit_every_step_in_full(self, ex1_sim, monkeypatch):
+        cfg, calls, notes = self.spied_campaign(ex1_sim, monkeypatch, cs.FitConfig(n_starts=2, max_fev=30))
+        assert [config for _, config, _ in calls] == [replace(cfg.fit, seed=derive_seed(cfg.seed, 1, n))
+                                                      for n in range(9, 22)]
+        assert notes == ["skipped 1 duplicate candidates"] * 12
+
+
 class TestDuplicateGuard:
     @pytest.mark.parametrize("existing,cands,expected", [
         # q=0: quantitative coordinates alone decide
