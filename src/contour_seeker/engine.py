@@ -37,7 +37,7 @@ _DELTA_RANGE_FRACTION = 0.05
 
 # A campaign runs the full multistart fit at one step in this many (counted
 # from n0), at each checkpoint size and at N; the steps between refit from the
-# last step's hyperparameters and the centre start only.  Against a full fit
+# last step's hyperparameters only.  Against a full fit
 # at every step this about halves the fit's evaluations (4,916 -> 2,413 on the
 # example1 RCC campaign, N 9 -> 21, seed 1), and the paired contour errors of
 # examples 1-3 stay within their replicate noise (BENCH_quality_warm_refit.json).
@@ -227,12 +227,22 @@ def _abort(trace: CampaignTrace, error: str) -> CampaignError:
     return CampaignError(error, trace)
 
 
-def _fit_with_retry(data: Dataset, space: DesignSpace, cfg: FitConfig, warm) -> FittedModel:
+def _fit_with_retry(data: Dataset, space: DesignSpace, cfg: FitConfig, starts: tuple,
+                    warm_refit: bool) -> tuple[FittedModel, bool]:
+    """A step's model and whether a warm refit gave it.  A warm refit fits
+    from the warm start ``starts[0]`` alone (``n_starts=1``); if that fit
+    raises, or for a full fit, the full fit ``cfg`` runs from ``starts``, and
+    if that raises, once more with the next seed and 100 times the jitter."""
+    if warm_refit:
+        try:
+            return fit(data, space, replace(cfg, n_starts=1), warm_start=starts), True
+        except ContourSeekerError:
+            pass
     try:
-        return fit(data, space, cfg, warm_start=warm)
+        return fit(data, space, cfg, warm_start=starts), False
     except ContourSeekerError:
         retry = replace(cfg, seed=cfg.seed + 1, jitter_scale=cfg.jitter_scale * 100.0)
-        return fit(data, space, retry, warm_start=warm)
+        return fit(data, space, retry, warm_start=starts), False
 
 
 def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
@@ -242,11 +252,15 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 
     The step at design size n fits with ``cfg.fit`` (its seed derived from
     the campaign's) when ``(n - n0) % _FULL_REFIT_EVERY == 0``, when n is a
-    checkpoint size or N, or when ``cfg.fit.n_starts <= 2``.  Every other
-    step is a warm refit: ``n_starts=1`` with the last step's hyperparameters
-    as the warm start, so it runs that start and the centre start, and its
-    ``trace.csv`` note says ``warm refit``.  So every model a campaign
-    reports (checkpoints and the final one) is a full fit."""
+    checkpoint size or N, or when ``cfg.fit.n_starts <= 2``.  Such a full
+    fit's starts are the last step's hyperparameters (the warm start), the
+    centre, the best ``n_starts // 2`` end points of the last full fit
+    (carried starts) and LHD points, ``n_starts`` in all (``fit``'s rule).
+    Every other step is a warm refit: ``n_starts=1``, so it runs the warm
+    start alone, and its ``trace.csv`` note says ``warm refit``.  A warm
+    refit that raises falls back to the step's full fit, whose note says
+    so.  So every model a campaign reports (checkpoints and the final one)
+    is a full fit."""
     tr = get_transform(cfg.transform)
     # only a selection step needs the level on the modeling scale
     level_eff = tr.apply(cfg.level) if cfg.n0 < cfg.total_runs else None
@@ -258,20 +272,22 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
 
     trace = CampaignTrace(cfg, [], data, raw, None)
     checkpoints = set(cfg.checkpoint_sizes)
-    warm = None
+    # the warm start, then the carried end points of the last full fit
+    starts, carried = (), ()
     iteration = 0
     while True:
         n = len(data)
         it_start = time.perf_counter()
         warm_refit = not ((n - cfg.n0) % _FULL_REFIT_EVERY == 0 or n in checkpoints or n == cfg.total_runs
                           or cfg.fit.n_starts <= 2)
-        fit_cfg = replace(cfg.fit, n_starts=1 if warm_refit else cfg.fit.n_starts,
-                          seed=derive_seed(cfg.seed, _TAG_FIT, n))
+        fit_cfg = replace(cfg.fit, seed=derive_seed(cfg.seed, _TAG_FIT, n))
         try:
-            model = _fit_with_retry(data, space, fit_cfg, warm)
+            model, refit = _fit_with_retry(data, space, fit_cfg, starts, warm_refit)
         except ContourSeekerError as exc:
             raise _abort(trace, f"fit failed at n={n}: {exc}") from exc
-        warm, trace.model = model.params, model
+        if not refit:
+            carried = model.end_points[:cfg.fit.n_starts // 2]
+        starts, trace.model = (model.params, *carried), model
         if n in checkpoints or n == cfg.total_runs:
             trace.checkpoints[n] = model
             trace.checkpoint_times[n] = time.perf_counter() - t0
@@ -304,7 +320,8 @@ def run_adaptive(sim: Simulator, cfg: CampaignConfig) -> CampaignTrace:
             nll=model.nll,
             params=params_to_dict(model.params),
             duration_s=time.perf_counter() - it_start,
-            note="; ".join(note for note, on in (("warm refit", warm_refit),
+            note="; ".join(note for note, on in (("warm refit", refit),
+                                                 ("full fit after a failed warm refit", warm_refit and not refit),
                                                  (f"skipped {skipped} duplicate candidates", skipped)) if on),
         ))
         iteration += 1

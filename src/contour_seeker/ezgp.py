@@ -13,7 +13,9 @@ A fit runs all of its starts in lockstep (``_lockstep``): each start keeps
 its own ``setulb`` state, and each round scores the points that every live
 start asks for in one stacked objective call (``_Objective.stack``), each
 point with the bits of a call at that point alone.  So every start's
-iterates and result are those of the start run alone.  ``fit`` still calls
+iterates and result are those of the start run alone.  A fit's start whose
+trial point scores inf restarts once from its last finite iterate
+(``_fit_start``).  ``fit`` still calls
 ``minimize`` once per start, in start order, with the start's handle
 (``_StartHandle``): the first call runs every start, and each call returns
 its own start's result.  The benchmark's tracer and probe, and tests, count
@@ -662,6 +664,7 @@ class FittedModel(_Posterior):
     data: Dataset
     space: DesignSpace
     start_objectives: tuple[tuple[float, float], ...] = ()
+    end_points: tuple[EzGpParams, ...] = ()
 
 
 def _posterior(phi: np.ndarray, y: np.ndarray, jitter: float | None = None) -> _Posterior:
@@ -723,9 +726,10 @@ class FitConfig:
     """Multi-start settings for hyperparameter estimation, checked on
     construction.
 
-    Starts (``n_starts`` >= 1) are 1 centered point plus LHD points in
-    log-parameter space drawn from ``seed`` (>= 0); a warm start, when
-    provided, replaces one LHD start.  ``theta_bounds`` and
+    A fit runs exactly ``n_starts`` (>= 1) starts in log-parameter space:
+    the warm start, if given, then the centre of the box, then any carried
+    starts, then LHD points drawn from ``seed`` (>= 0) for the rest; the
+    list is cut at ``n_starts``.  ``theta_bounds`` and
     ``sigma2_rel_bounds`` are two finite numbers with 0 < low < high.  ``max_fev`` (None = scipy default, else
     >= 1) is L-BFGS-B's ``maxfun`` per start, a soft cap: the line search
     in progress finishes, so 40 can end after 41 evaluations.
@@ -824,7 +828,9 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
     default, 15000.  ``handle`` is the start's ``_StartHandle``: the first
     such call runs every start of the fit in lockstep (``_lockstep``) and
     returns its own start's result, and each later call returns its
-    start's.  Any other ``fun`` returns ``(value, gradient)`` at one point
+    start's; a start whose trial point scores inf restarts once
+    (``_fit_start``), so its result is then that of two runs.  Any other
+    ``fun`` returns ``(value, gradient)`` at one point
     and runs through the same loop as a stack of one.  That loop is scipy's
     without the wrappers it puts around each evaluation: the same calls of
     ``setulb`` with the same defaults, in the same order (``x0`` clipped to
@@ -867,7 +873,7 @@ def minimize(fun, x0, method: str = "L-BFGS-B", jac=None, bounds=None, options=N
         maxfun = _MAX_FUN
     if isinstance(fun, _StartHandle):
         return fun.run.result(fun.index, x0, lo, hi, maxfun)
-    results, _ = _lockstep(lambda points: [fun(points[0])], [x0], lo, hi, maxfun, 1)
+    results, _ = _lockstep(lambda points: [fun(points[0])], [_lbfgsb(x0, lo, hi, maxfun)], 1)
     return results[0]
 
 
@@ -923,18 +929,47 @@ def _lbfgsb(x0, lo, hi, maxfun: int):
     return LbfgsbResult(x=x, fun=f, jac=g, nfev=nfev, njev=nfev, nit=nit, status=status)
 
 
-def _lockstep(evaluate, x0s, lo, hi, maxfun: int, per_call: int) -> tuple[list, list]:
-    """Bounded L-BFGS-B from each of ``x0s`` in lockstep: ``(results,
-    first values)``, one of each per start.
+def _watched(run):
+    """The start ``run`` as a generator like it, passing its points out and
+    their values in, that returns ``(run's result, whether a trial point
+    after its first scored non-finite)``."""
+    hit = False
+    x = next(run)
+    while True:
+        out = yield x
+        try:
+            x = run.send(out)
+        except StopIteration as stop:
+            return stop.value, hit
+        hit = hit or not math.isfinite(out[0])
 
-    Each start (``_lbfgsb``) keeps its own ``setulb`` state and runs until it
+
+def _fit_start(x0, lo, hi, maxfun: int):
+    """One start of ``fit``, as ``_lbfgsb``'s generator.  When a trial point
+    scores inf (its Gram does not factor), the kernel ends the start at its
+    last finite iterate while reporting convergence.  Such a start restarts
+    once from there with fresh ``setulb`` state and the evaluations left of
+    ``maxfun``; the two runs' counts add up, and if a trial point of the
+    restart scores inf too, the start's status is 2."""
+    res, hit = yield from _watched(_lbfgsb(x0, lo, hi, maxfun))
+    if not hit or res.status == 1 or not math.isfinite(res.fun):
+        return res
+    again, hit = yield from _watched(_lbfgsb(res.x, lo, hi, max(maxfun - res.nfev, 1)))
+    return replace(again, nfev=res.nfev + again.nfev, njev=res.njev + again.njev, nit=res.nit + again.nit,
+                   status=2 if hit else again.status)
+
+
+def _lockstep(evaluate, runs: list, per_call: int) -> tuple[list, list]:
+    """The starts ``runs`` (generators such as ``_lbfgsb``'s) in lockstep:
+    ``(results, first values)``, one of each per start.
+
+    Each start keeps its own ``setulb`` state and runs until it
     asks for a point.  A round scores every asked point with ``evaluate``,
     which takes a list of at most ``per_call`` points and returns one
     ``(value, gradient)`` per point, and sends each start its own.  A start
     sees only the values at its own points, so its iterates and result are
     those of the start run alone; the first value each start is sent is
     the one at its clipped ``x0``."""
-    runs = [_lbfgsb(x0, lo, hi, maxfun) for x0 in x0s]
     results, first = [None] * len(runs), [None] * len(runs)
     asked = [(k, next(run)) for k, run in enumerate(runs)]
     while len(asked) > 1:
@@ -983,8 +1018,8 @@ class _Lockstep:
                 and maxfun == self.maxfun):
             raise ValueError("a start handle runs only its own start, with its fit's bounds and maxfun")
         if self.results is None:
-            self.results, self.first = _lockstep(self.objective.stack, self.x0s, self.lo, self.hi, self.maxfun,
-                                                 self.objective.per_call)
+            runs = [_fit_start(x0, self.lo, self.hi, self.maxfun) for x0 in self.x0s]
+            self.results, self.first = _lockstep(self.objective.stack, runs, self.objective.per_call)
         return self.results[k]
 
 
@@ -1137,7 +1172,7 @@ class _Objective:
 
 @_one_blas_thread()
 def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
-        warm_start: EzGpParams | None = None) -> FittedModel:
+        warm_start: tuple[EzGpParams, ...] = ()) -> FittedModel:
     """Maximum likelihood fit by multi-start bounded L-BFGS-B in log space,
     with the analytic gradient of the profiled objective (``_Objective``).
 
@@ -1151,21 +1186,31 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
     handle (``_StartHandle``); the first call runs every start and each call
     returns its own start's result.  The fit runs on one BLAS thread and
     restores the previous count on return or raise.  A trial point whose
-    Gram does not factor scores inf, which ends that start at its last
-    finite point.  Returns the best factorizable local optimum over all
+    Gram does not factor scores inf; the kernel then ends that start at its
+    last finite point, and the start restarts once from there
+    (``_fit_start``).  Returns the best factorizable local optimum over all
     starts; the achieved objective never exceeds any start's initial
     objective, taken from the start's first evaluation.
+
+    The starts are ``warm_start``'s first entry (the warm start), the
+    centre of the box, ``warm_start``'s other entries (carried starts, such
+    as an earlier fit's end points) and then LHD points drawn from
+    ``config.seed``, cut at exactly ``config.n_starts``; each given start is
+    clipped to the box.  So with no ``warm_start`` the starts are the
+    centre and ``n_starts - 1`` LHD points, and a one-start fit with a warm
+    start runs that start alone.  The model carries ``start_objectives``,
+    each start's (initial, achieved) objective in start order, and
+    ``end_points``, the hyperparameters at each start's finite end point,
+    best first (the mean is profiled on conditioning, so theirs is 0).
     """
     y = data.responses
     ws = _KernelWorkspace(data.x, data.z, space.qual_levels)
     lo, hi = _log_bounds(space, config, y)
     objective = _Objective(ws, y, _JITTER_START * config.jitter_scale)
 
-    starts = []
-    if warm_start is not None:
-        starts.append(np.clip(_pack(warm_start), lo, hi))
-    starts.append((lo + hi) / 2.0)
-    n_lhd = max(config.n_starts - len(starts), 0)
+    given = [np.clip(_pack(params), lo, hi) for params in warm_start]
+    starts = (given[:1] + [(lo + hi) / 2.0] + given[1:])[:config.n_starts]
+    n_lhd = config.n_starts - len(starts)
     if n_lhd:
         rng = np.random.default_rng(config.seed)
         starts.extend(lo + u * (hi - lo) for u in _unit_lhd(n_lhd, len(lo), rng))
@@ -1182,6 +1227,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
 
     results.sort(key=lambda r: (r[0], r[1]))
     path = tuple((r[3], r[0]) for r in sorted(results, key=lambda r: r[1]))
+    ends = tuple(_unpack(xb, space) for fb, _idx, xb, _f0 in results if np.isfinite(fb))
     for fb, _idx, xb, _f0 in results:
         if not np.isfinite(fb):
             continue
@@ -1193,7 +1239,7 @@ def fit(data: Dataset, space: DesignSpace, config: FitConfig = FitConfig(),
             model = condition(params, data, space, jitter=jitter)
         except IllConditionedModelError:
             continue
-        model.start_objectives = path
+        model.start_objectives, model.end_points = path, ends
         return model
     raise FitFailureError("no optimizer start produced a factorizable model")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -228,6 +229,25 @@ class TestRun:
         assert main(argv) == 0
         capsys.readouterr()
         assert decode(["run", str(tmp_path / "out" / "config.json")]) == decode(argv)
+
+
+# sha256 of the byte-stable files of an example1 RCC campaign, N 9 -> 15, with
+# two starts per fit, as written before fits carried end points; with at
+# most two starts a full fit still runs the warm start and the centre alone.
+# Pinned with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 on x86_64.
+TWO_START_DIGESTS = {
+    "trace.csv": "a80956a508ba81b0e55533588c7a8cea6c66a633e0cdf5429398cff7089383db",
+    "design.csv": "1a33170494efe6f159671767a07bb3379d233d8663534274f8587ed05ddce21e",
+    "model.json": "62206bbb532d21d7457416cbaaa2d7c0646c5df7822446229e5f3f6bf23a1318",
+}
+
+
+def test_two_start_campaign_files_keep_their_digests(tmp_path, capsys):
+    cfg = run_config(tmp_path, N=15, fit={"n_starts": 2})
+    assert main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in TWO_START_DIGESTS} == TWO_START_DIGESTS
 
 
 @pytest.fixture

@@ -261,21 +261,23 @@ class TestRunAdaptive:
 
 class TestRefitSchedule:
     """A full fit at every third step from n0, at checkpoints and at N; a warm
-    refit (one LHD-free start beside the warm one) at every other step."""
+    refit (the warm start alone) at every other step."""
 
     @staticmethod
     def spied_campaign(sim, monkeypatch, fit_config):
-        """(fit calls as (n, config, warm start), trace notes) of an example1
-        campaign from 9 to 21 with checkpoint 14, where every candidate set
-        also holds the first design point, so each step skips one candidate."""
+        """(fit calls as (n, config, starts, model), trace notes) of an
+        example1 campaign from 9 to 21 with checkpoint 14, where every
+        candidate set also holds the first design point, so each step skips
+        one candidate."""
         from contour_seeker import engine
 
-        calls = []
+        calls, models = [], []
         real_fit, real_candidates = engine.fit, engine.candidate_set
 
-        def spy(data, space, config, warm_start=None):
+        def spy(data, space, config, warm_start=()):
             calls.append((len(data), config, warm_start, data))
-            return real_fit(data, space, config, warm_start=warm_start)
+            models.append(real_fit(data, space, config, warm_start=warm_start))
+            return models[-1]
 
         def with_design_point(space, per_combo, seed):
             cand = real_candidates(space, per_combo, seed)
@@ -287,24 +289,72 @@ class TestRefitSchedule:
         cfg = cs.CampaignConfig(space=sim.space, strategy=cs.Strategy("rcc", delta=0.05), level=-0.9, n0=9,
                                 total_runs=21, per_combo=20, seed=3, fit=fit_config, checkpoint_sizes=(14,))
         trace = cs.run_adaptive(sim, cfg)
-        return cfg, [(n, config, warm) for n, config, warm, _ in calls], [r.note for r in trace.records]
+        return (cfg, [(n, config, warm, model) for (n, config, warm, _), model in zip(calls, models)],
+                [r.note for r in trace.records])
 
     def test_full_fit_every_third_step_checkpoints_and_end(self, ex1_sim, monkeypatch):
         cfg, calls, notes = self.spied_campaign(ex1_sim, monkeypatch, cs.FitConfig(max_fev=30))
-        assert [n for n, _, _ in calls] == list(range(9, 22))
+        assert [n for n, _, _, _ in calls] == list(range(9, 22))
         full = {9, 12, 14, 15, 18, 21}
-        for n, config, warm in calls:
+        for n, config, warm, _ in calls:
             seeded = replace(cfg.fit, seed=derive_seed(cfg.seed, 1, n))
             assert config == (seeded if n in full else replace(seeded, n_starts=1)), n
-            assert (warm is None) == (n == 9), n
+            assert (warm == ()) == (n == 9), n
         assert notes == [("skipped 1 duplicate candidates" if n in full
                           else "warm refit; skipped 1 duplicate candidates") for n in range(9, 21)]
 
     def test_two_starts_fit_every_step_in_full(self, ex1_sim, monkeypatch):
         cfg, calls, notes = self.spied_campaign(ex1_sim, monkeypatch, cs.FitConfig(n_starts=2, max_fev=30))
-        assert [config for _, config, _ in calls] == [replace(cfg.fit, seed=derive_seed(cfg.seed, 1, n))
-                                                      for n in range(9, 22)]
+        assert [config for _, config, _, _ in calls] == [replace(cfg.fit, seed=derive_seed(cfg.seed, 1, n))
+                                                         for n in range(9, 22)]
         assert notes == ["skipped 1 duplicate candidates"] * 12
+
+    def test_full_fits_carry_the_last_full_fits_best_end_points(self, ex1_sim, monkeypatch):
+        cfg, calls, _ = self.spied_campaign(ex1_sim, monkeypatch, cs.FitConfig(max_fev=30))
+        # every fit after the first starts from the last step's hyperparameters
+        for (_, _, _, last), (n, _, starts, _) in zip(calls, calls[1:]):
+            assert starts[0] is last.params, n
+        full = [(n, starts, model) for n, config, starts, model in calls if config.n_starts == 8]
+        assert [n for n, _, _ in full] == [9, 12, 14, 15, 18, 21]
+        for (_, _, last), (n, starts, model) in zip(full, full[1:]):
+            assert len(last.end_points) >= 4
+            assert len(starts) == 5 and all(a is b for a, b in zip(starts[1:], last.end_points)), n
+            # the warm start, the centre, 4 carried end points and 2 LHD points
+            assert len(model.start_objectives) == 8
+
+
+class TestFailedWarmRefit:
+    def test_falls_back_to_the_steps_full_fit(self, ex1_sim, monkeypatch):
+        from contour_seeker import engine
+
+        # at 1e-16 of the diagonal, this warm start's Gram does not factor, so a
+        # one-start fit from it raises
+        fit_config = cs.FitConfig(jitter_scale=1e-8, theta_bounds=(1e-4, 1e2), max_fev=30)
+        bad = cs.EzGpParams(0.0, np.array([1.0, 1e-6]), np.full(1, 1e-4), (np.full((1, 3), 1e-4),))
+        calls, real_fit = [], engine.fit
+
+        def spy(data, space, config, warm_start=()):
+            if config.n_starts == 1:
+                warm_start = (bad, *warm_start[1:])
+            try:
+                model = real_fit(data, space, config, warm_start=warm_start)
+            except cs.FitFailureError:
+                calls.append((len(data), config, "raised"))
+                raise
+            calls.append((len(data), config, "ok"))
+            return model
+
+        monkeypatch.setattr(engine, "fit", spy)
+        cfg = replace(quick_cfg(ex1_sim, total=12), fit=fit_config)
+        trace = cs.run_adaptive(ex1_sim, cfg)
+        seeded = {n: replace(fit_config, seed=derive_seed(cfg.seed, 1, n)) for n in range(9, 13)}
+        assert calls == [(9, seeded[9], "ok"),
+                         (10, replace(seeded[10], n_starts=1), "raised"), (10, seeded[10], "ok"),
+                         (11, replace(seeded[11], n_starts=1), "raised"), (11, seeded[11], "ok"),
+                         (12, seeded[12], "ok")]
+        assert [r.note for r in trace.records] == ["", "full fit after a failed warm refit",
+                                                   "full fit after a failed warm refit"]
+        assert not trace.aborted and len(trace.dataset) == 12
 
 
 class TestDuplicateGuard:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import contour_seeker as cs
 from contour_seeker import ezgp
-from contour_seeker.design_space import point_arrays
+from contour_seeker.design_space import _unit_lhd, point_arrays
 from contour_seeker.errors import IllConditionedModelError, ValidationError
 from contour_seeker.ezgp import condition, cross_covariance, neg_log_likelihood
 
@@ -801,7 +801,7 @@ def design_data(name, n, seed=5):
     return sim.space, cs.Dataset(tuple(points), np.array([sim.evaluate(pt) for pt in points]))
 
 
-def recorded_starts(data, space, config, monkeypatch):
+def recorded_starts(data, space, config, monkeypatch, warm_start=()):
     """Fit with ``ezgp.minimize`` recording, per start, the objective, x0 and the result."""
     starts, original = [], ezgp.minimize
 
@@ -811,7 +811,30 @@ def recorded_starts(data, space, config, monkeypatch):
         return res
 
     monkeypatch.setattr(ezgp, "minimize", recording)
-    return cs.fit(data, space, config), starts
+    return cs.fit(data, space, config, warm_start=warm_start), starts
+
+
+def run_with_restart(run, fun, x0, maxfun):
+    """A start of ``fit`` run alone through ``run(fun, x0, maxfun)``, an
+    L-BFGS-B driver: when a trial point scored inf and the run neither hit
+    ``maxfun`` nor ended at inf, a second run from its end point with the
+    evaluations left; the counts add up, and the status is 2 when a trial
+    point of the second run scored inf too."""
+    values = []
+
+    def recording(vec):
+        out = fun(vec)
+        values.append(out[0])
+        return out
+
+    first = run(recording, x0, maxfun)
+    if first.status == 1 or not np.isfinite(first.fun) or np.isfinite(values[1:]).all():
+        return first
+    values.clear()
+    again = run(recording, first.x, max(maxfun - first.nfev, 1))
+    return ezgp.LbfgsbResult(x=again.x, fun=again.fun, jac=again.jac, nfev=first.nfev + again.nfev,
+                             njev=first.njev + again.njev, nit=first.nit + again.nit,
+                             status=again.status if np.isfinite(values[1:]).all() else 2)
 
 
 class TestOptimizer:
@@ -918,7 +941,7 @@ class TestLockstep:
     @pytest.mark.parametrize("name, size", LOCKSTEP_DESIGNS)
     def test_each_start_equals_the_start_run_alone(self, name, size, config, warm, monkeypatch):
         space, data = wide_design(size) if name == "wide" else design_data(name, size)
-        warm_start = cs.fit(data, space, cs.FitConfig(n_starts=2, max_fev=30)).params if warm else None
+        warm_start = (cs.fit(data, space, cs.FitConfig(n_starts=2, max_fev=30)).params,) if warm else ()
         lbfgsb, starts, stacks = ezgp.minimize, [], []
         stack = ezgp._Objective.stack
 
@@ -938,12 +961,20 @@ class TestLockstep:
         # the live starts shared their rounds: the first round scored every x0 in one call
         assert len(stacks[0]) == len(starts) == config.n_starts
         lo, hi = ezgp._log_bounds(space, config, data.responses)
-        options = {} if config.max_fev is None else {"maxfun": config.max_fev}
+        maxfun = ezgp._MAX_FUN if config.max_fev is None else config.max_fev
+
+        def scipy_run(fun, x0, cap):
+            return scipy.optimize.minimize(fun, x0.copy(), jac=True, method="L-BFGS-B",
+                                           bounds=list(zip(lo, hi)), options={"maxfun": cap})
+
+        def own_run(fun, x0, cap):
+            return lbfgsb(fun, x0.copy(), **dict(kwargs, options={"maxfun": cap}))
+
         for handle, x0, kwargs, ours in starts:
             with ezgp._one_blas_thread():
-                ref = scipy.optimize.minimize(handle, x0.copy(), jac=True, method="L-BFGS-B",
-                                              bounds=list(zip(lo, hi)), options=options)
-                alone = lbfgsb(lambda vec: handle(vec), x0.copy(), **kwargs)
+                # the start run alone, restarted as fit's starts are
+                ref = run_with_restart(scipy_run, handle, x0, maxfun)
+                alone = run_with_restart(own_run, handle, x0, maxfun)
             for other in (ref, alone):
                 assert np.array_equal(ours.x, other.x)
                 assert ours.fun == other.fun
@@ -954,8 +985,11 @@ class TestLockstep:
             # a capped start stops while siblings of its first round go on
             assert any(len(values) < len(stacks[0]) for values in stacks[1:])
         if config.jitter_scale == 1e-8 and (name, size) == ("example1", 30):
-            # trial points whose Grams do not factor score inf inside a stack of live ones
+            # trial points whose Grams do not factor score inf inside a stack of live ones,
+            # and the starts they stopped restart
             assert any(np.isinf(values).any() and np.isfinite(values).any() for values in stacks)
+            with ezgp._one_blas_thread():
+                assert any(ours.nfev > scipy_run(handle, x0, maxfun).nfev for handle, x0, _, ours in starts)
 
     def test_stack_equals_one_point_at_a_time(self, monkeypatch):
         # a jitter of 1e-24 of the diagonal leaves some Grams unfactored: a
@@ -1049,6 +1083,79 @@ def captured_objective(data, space, config, monkeypatch):
         with pytest.raises(_Captured):
             cs.fit(data, space, config)
     return captured[0]
+
+
+class TestStartRule:
+    """A fit's starts are the warm start, the centre, the carried starts and
+    then LHD points, cut at exactly ``n_starts``; the model carries each
+    start's finite end point, best first."""
+
+    @pytest.mark.parametrize("n_starts", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("given", [0, 1, 2, 4], ids=["none", "warm", "warm+1", "warm+3"])
+    def test_exactly_n_starts_in_order(self, n_starts, given, monkeypatch):
+        space, data = design_data("example1", 12)
+        ends = cs.fit(data, space, cs.FitConfig(n_starts=4, max_fev=30)).end_points
+        assert len(ends) == 4
+        config = cs.FitConfig(n_starts=n_starts, max_fev=5, seed=3)
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        pinned = [np.clip(ezgp._pack(params), lo, hi) for params in ends[:given]]
+        expected = (pinned[:1] + [(lo + hi) / 2.0] + pinned[1:])[:n_starts]
+        rng = np.random.default_rng(config.seed)
+        expected += [lo + u * (hi - lo) for u in _unit_lhd(n_starts - len(expected), len(lo), rng)]
+
+        model, starts = recorded_starts(data, space, config, monkeypatch, warm_start=ends[:given])
+        assert len(model.start_objectives) == len(starts) == n_starts
+        for (initial, _), (fun, x0, _), want in zip(model.start_objectives, starts, expected):
+            assert np.array_equal(x0, want)
+            assert initial == fun(x0)[0]
+
+    def test_end_points_are_the_finite_ends_best_first(self, monkeypatch):
+        # at 1e-16 of the diagonal, four starts of this design begin where the Gram does not factor
+        space, data = design_data("example1", 30)
+        model, starts = recorded_starts(data, space, cs.FitConfig(jitter_scale=1e-8), monkeypatch)
+        ends = []
+        for k, ((f0, fb), (_, x0, res)) in enumerate(zip(model.start_objectives, starts)):
+            assert fb == min(f0, res.fun)
+            if np.isfinite(fb):
+                ends.append((fb, k, res.x if res.fun <= f0 else x0))
+        assert 0 < len(ends) < len(starts)
+        assert len(model.end_points) == len(ends)
+        for params, (_, _, xb) in zip(model.end_points, sorted(ends, key=lambda e: e[:2])):
+            assert np.array_equal(ezgp._param_vector(params), np.exp(xb))
+        assert ezgp.params_to_dict(model.end_points[0]) == ezgp.params_to_dict(replace(model.params, mu=0.0))
+
+    def test_a_start_stopped_by_an_inf_trial_point_restarts(self, monkeypatch):
+        # On this design at 1e-16 of the diagonal, the kernel ended two starts
+        # at their last finite point, at NLL 58.7 and 2.66 against the best
+        # start's -29.6, while reporting convergence.  Each restarts once from
+        # there: one goes on to -29.5, and the other stops on an inf trial
+        # point again, which its status reports.
+        space, data = design_data("example1", 20)
+        config = cs.FitConfig(jitter_scale=1e-8, seed=1)
+        lbfgsb = ezgp.minimize
+        lo, hi = ezgp._log_bounds(space, config, data.responses)
+        model, starts = recorded_starts(data, space, config, monkeypatch)
+        restarted = []
+        for fun, x0, res in starts:
+            values = []
+
+            def recording(vec):
+                out = fun(vec)
+                values.append(out[0])
+                return out
+
+            with ezgp._one_blas_thread():
+                alone = lbfgsb(recording, x0.copy(), jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
+            if np.isfinite(values[1:]).all():
+                assert res.nfev == alone.nfev and res.fun == alone.fun and res.status == alone.status
+            else:
+                assert alone.status == 0 and np.isfinite(alone.fun) and res.nfev > alone.nfev
+                restarted.append((alone.fun, res.fun, res.status))
+        assert len(restarted) == 2
+        (before, after, status), (stuck_before, stuck_after, stuck_status) = sorted(restarted, key=lambda r: r[2])
+        assert before > 50 and after < -29 and status == 0
+        assert stuck_status == 2 and stuck_after <= stuck_before
+        assert model.nll < -29.6
 
 
 class TestObjectiveBuffer:
